@@ -10,10 +10,12 @@ mathematical check failed, 2 configuration or resource error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -39,10 +41,11 @@ from .khinchin import (
     independence_check,
     symmetric_decomposition,
 )
-from .pary import RankCapError, check_rank, digitwise_add
+from .pary import check_rank, digitwise_add
 from .stepfn import PArySet, StepFn
 from .uniqueness import overlap_bound_check, witness_full_chaos, witness_unit_chaos
 from .vc import (
+    _length_rank,
     matrix_op_norm,
     synthesize,
     vc_function,
@@ -150,9 +153,10 @@ def _verify_checks(
     )
 
     # Parseval for a random exact coefficient vector
-    support = sorted(rng.sample(range(p ** min(max_rank, 3)), min(6, p)))
+    population = range(p ** min(max_rank, 3))
+    support = sorted(rng.sample(population, min(6, p, len(population))))
     coeffs = {n: Fraction(rng.randint(-3, 3)) for n in support}
-    coeffs = {n: c for n, c in coeffs.items() if c} or {1: Fraction(1)}
+    coeffs = {n: c for n, c in coeffs.items() if c} or {support[0]: Fraction(1)}
     f = synthesize(coeffs, p, cap)
     lhs = f.lq_norm_even_pow(2)
     rhs = sum((c * c for c in coeffs.values()), Fraction(0))
@@ -221,7 +225,7 @@ def _verify_checks(
     # independence of digit functions
     ok = True
     for _ in range(20):
-        depth = rng.randint(1, min(3, max_rank))
+        depth = rng.randint(min(1, max_rank), min(3, max_rank))
         tables = [
             [Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)
         ]
@@ -378,12 +382,14 @@ def cmd_khinchin(args) -> int:
     _validate_base(args.p)
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    if not math.isfinite(args.q):
+        raise ConfigError(f"q must be finite, got {args.q}")
     if float(args.q) == int(args.q):
         args.q = int(args.q)
     spec = _index_spec_from_args(args)
     checks = []
     report_obj = estimate_constant(
-        spec, args.q, args.N, args.trials, args.seed, args.optimizer, mode=args.mode
+        spec, args.q, args.N, args.trials, args.seed, args.optimizer, args.mode, args.cell_cap
     )
     values = {
         "best_ratio": report_obj.best_ratio,
@@ -403,7 +409,7 @@ def cmd_khinchin(args) -> int:
         )
     )
     if args.l1:
-        l1_report = estimate_l1_constant(spec, args.N, args.trials, args.seed)
+        l1_report = estimate_l1_constant(spec, args.N, args.trials, args.seed, args.cell_cap)
         checks.append(
             _check(
                 "l1-lower-constant-estimate",
@@ -437,25 +443,17 @@ def cmd_khinchin(args) -> int:
 def _read_array(path: str) -> list[complex]:
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        data = json.loads(text)
-        out = []
-        for item in data:
-            if isinstance(item, (list, tuple)):
-                out.append(complex(float(item[0]), float(item[1])))
-            else:
-                out.append(complex(float(item), 0.0))
-        return out
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        re_part = float(parts[0])
-        im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        out.append(complex(re_part, im_part))
+    if text.lstrip().startswith("["):
+        # a bare number is a real entry; an empty list fails float() below
+        rows = (item if isinstance(item, list) and item else [item] for item in json.loads(text))
+    else:
+        rows = filter(None, map(str.split, text.splitlines()))
+    try:
+        out = [complex(*map(float, row)) for row in rows]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed entry in {path}: {exc}") from None
+    if not all(map(cmath.isfinite, out)):
+        raise ConfigError(f"non-finite entry in {path}")
     return out
 
 
@@ -474,20 +472,11 @@ def _write_array(path: str, values, as_json: bool) -> None:
 def cmd_transform(args) -> int:
     _validate_base(args.p)
     values = _read_array(args.input)
-    length = len(values)
-    k = 0
-    n = length
-    while n > 1:
-        if n % args.p:
-            raise ConfigError(f"input length {length} is not a power of {args.p}")
-        n //= args.p
-        k += 1
-    check_rank(args.p, k, args.cell_cap)
+    check_rank(args.p, _length_rank(len(values), args.p), args.cell_cap)
     if args.mode == "float":
         out = vc_transform_float(np.array(values), args.p, args.direction)
         result = [complex(z) for z in out]
     else:
-        exact_in = [Fraction(z.real) + 0 * Fraction(1) for z in values]
         if any(z.imag for z in values):
             raise ConfigError("exact mode accepts real inputs only; use --mode float")
         out = vc_transform_exact([Fraction(z.real) for z in values], args.p, args.direction)
@@ -591,13 +580,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ConfigError, RankCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and RankCapError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,10 +6,11 @@ coefficient combinatorics:
 
     integral |f|**(2h) = sum_m |g_m|**2,   g = h-fold digitwise convolution of c.
 
-Floats are dyadic rationals, so sampled coefficient vectors admit exact
-rational ratio computations; the float fast paths exist only to drive the
-optimizer.  Randomness is counter-based (Philox keyed by (seed, trial)), so
-trials are reproducible and order-independent.
+One kernel computes it, a digitwise-sum table iterated h - 1 times, with two
+bindings: complex128 arrays drive the optimizer, and Gaussian-integer
+numerators over one common denominator certify ratios exactly (floats are
+dyadic rationals).  Randomness is counter-based (Philox keyed by (seed,
+trial)), so trials are reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -24,62 +25,78 @@ import numpy as np
 
 from .cyclo import CycloValue, root_of_unity
 from .indices import IndexSpec, contains, enumerate_members
-from .pary import check_rank, digit_count, digitwise_add
+from .pary import RankCapError, cell_cap, check_rank, digit_count, digitwise_add
 from .stepfn import StepFn
 from .vc import vc_transform_float
 
-QC = tuple[Fraction, Fraction]
+
+def _is_even(q) -> bool:
+    return isinstance(q, int) and q >= 2 and q % 2 == 0
 
 
-def _to_qc(value) -> QC:
-    if isinstance(value, complex):
-        return Fraction(value.real), Fraction(value.imag)
-    if isinstance(value, float):
-        return Fraction(value), Fraction(0)
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value), Fraction(0)
-    raise TypeError(f"cannot convert {type(value).__name__} to an exact complex")
+def _sum_tables(p: int, members: Sequence[int], h: int, cap: int | None) -> list[tuple]:
+    """Index tables (flat, bins) of the h-fold digitwise convolution over `members`.
+
+    Level-1 targets are the members in order; level j+1 targets are the
+    sorted digitwise sums of a level-j target and a member, and flat maps
+    (target i, member m), at i * len(members) + m, to the position of their
+    sum among the bins level-(j+1) targets.  There are h - 1 tables of at
+    most members**h entries, and both counts are checked against the cell
+    cap before any sum is taken (a huge h never builds the big integer).
+    """
+    limit = cap if cap is not None else cell_cap()
+    count = len(members)
+    if h > limit or count ** min(h, 64) > limit or count**h > limit:
+        raise RankCapError(f"{count}**{h} digitwise sums exceed the cell cap {limit}")
+    tables = []
+    targets = list(members)
+    for _ in range(h - 1):
+        sums = [digitwise_add(t, m, p) for t in targets for m in members]
+        targets = sorted(set(sums))
+        position = {t: i for i, t in enumerate(targets)}
+        tables.append((np.array([position[s] for s in sums], dtype=np.intp), len(targets)))
+    return tables
 
 
-def _qc_mul(a: QC, b: QC) -> QC:
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+def _exact_power_sums(
+    p: int, coeffs: Mapping[int, object], q: int, cap: int | None = None
+) -> tuple[int, int, int]:
+    """(S_1, S_h, D) for even q = 2h: c has Gaussian-integer numerators over D.
 
-
-def _qc_abs2(a: QC) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _qc_convolve(a: Mapping[int, QC], b: Mapping[int, QC], p: int) -> dict[int, QC]:
-    out: dict[int, QC] = {}
-    for n, cn in a.items():
-        for m, cm in b.items():
-            t = digitwise_add(n, m, p)
-            prod_ = _qc_mul(cn, cm)
-            prev = out.get(t)
-            out[t] = (
-                prod_ if prev is None else (prev[0] + prod_[0], prev[1] + prod_[1])
-            )
-    return out
+    S_1 and S_h are the sums of |g|**2 over the numerators of c and of their
+    h-fold convolution, so integral |f|**q = S_h / D**q and ratio**q = S_h / S_1**h.
+    """
+    if q < 2 or q % 2:
+        raise ValueError(f"q must be a positive even integer, got {q}")
+    ratios = []
+    for v in coeffs.values():
+        if isinstance(v, complex):
+            ratios += (v.real.as_integer_ratio(), v.imag.as_integer_ratio())
+        elif isinstance(v, (int, float, Fraction)):
+            ratios += (v.as_integer_ratio(), (0, 1))
+        else:
+            raise TypeError(f"cannot convert {type(v).__name__} to an exact complex")
+    denom = math.lcm(*(d for _, d in ratios))
+    nums = np.array([n * (denom // d) for n, d in ratios], dtype=object)
+    re, im = nums[0::2], nums[1::2]
+    g_re, g_im, outer = re, im, np.multiply.outer
+    for flat, bins in _sum_tables(p, list(coeffs), q // 2, cap):
+        next_re, next_im = np.zeros(bins, dtype=object), np.zeros(bins, dtype=object)
+        np.add.at(next_re, flat, (outer(g_re, re) - outer(g_im, im)).ravel())
+        np.add.at(next_im, flat, (outer(g_re, im) + outer(g_im, re)).ravel())
+        g_re, g_im = next_re, next_im
+    return int((re * re + im * im).sum()), int((g_re * g_re + g_im * g_im).sum()), denom
 
 
 def moment_even_pow_exact(p: int, coeffs: Mapping[int, object], q: int) -> Fraction:
     """Exact integral of |sum c_n VC_n|**q for even q, from coefficients alone."""
-    if q < 2 or q % 2:
-        raise ValueError(f"q must be a positive even integer, got {q}")
-    qc = {n: _to_qc(c) for n, c in coeffs.items()}
-    conv = dict(qc)
-    for _ in range(q // 2 - 1):
-        conv = _qc_convolve(conv, qc, p)
-    return sum((_qc_abs2(v) for v in conv.values()), Fraction(0))
+    _, s_h, denom = _exact_power_sums(p, coeffs, q)
+    return Fraction(s_h, denom**q)
 
 
 def fourth_moment_exact(p: int, coeffs: Mapping[int, object]) -> Fraction:
     """Exact integral of |sum c_n VC_n|**4 (squared l2 norm of c convolved with c)."""
     return moment_even_pow_exact(p, coeffs, 4)
-
-
-def _l2_sq_exact(coeffs: Mapping[int, object]) -> Fraction:
-    return sum((_qc_abs2(_to_qc(c)) for c in coeffs.values()), Fraction(0))
 
 
 def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
@@ -90,19 +107,20 @@ def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
             raise ValueError(f"index {n} is outside the index set {spec.describe()}")
 
 
-def norm_ratio_pow_exact(spec: IndexSpec, coeffs: Mapping[int, object], q: int) -> Fraction:
+def norm_ratio_pow_exact(
+    spec: IndexSpec, coeffs: Mapping[int, object], q: int, cap: int | None = None
+) -> Fraction:
     """Exact rational (||sum c_n VC_n||_q / ||c||_l2)**q for even q."""
     _validate_support(spec, coeffs)
-    l2_sq = _l2_sq_exact(coeffs)
-    if l2_sq == 0:
+    s_1, s_h, _ = _exact_power_sums(spec.p, coeffs, q, cap)
+    if s_1 == 0:
         raise ValueError("coefficient vector is zero")
-    moment = moment_even_pow_exact(spec.p, coeffs, q)
-    return moment / l2_sq ** (q // 2)
+    return Fraction(s_h, s_1 ** (q // 2))
 
 
-def _synthesize_float(p: int, coeffs: Mapping[int, complex]) -> np.ndarray:
+def _synthesize_float(p: int, coeffs: Mapping[int, complex], cap: int | None = None) -> np.ndarray:
     rank = max((digit_count(n, p) for n in coeffs), default=0)
-    cells = check_rank(p, rank)
+    cells = check_rank(p, rank, cap)
     vec = np.zeros(cells, dtype=np.complex128)
     for n, c in coeffs.items():
         vec[n] = c
@@ -112,7 +130,7 @@ def _synthesize_float(p: int, coeffs: Mapping[int, complex]) -> np.ndarray:
 def norm_ratio(spec: IndexSpec, coeffs: Mapping[int, object], q) -> float:
     """||sum c_n VC_n||_q / ||c||_l2; exact arithmetic for even integer q."""
     _validate_support(spec, coeffs)
-    if isinstance(q, int) and q >= 2 and q % 2 == 0:
+    if _is_even(q):
         return float(norm_ratio_pow_exact(spec, coeffs, q)) ** (1.0 / q)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -137,7 +155,7 @@ def _synthesis_error_bound(p: int, coeffs: Mapping[int, complex]) -> float:
 
 
 def l1_lower_ratio_with_error(
-    spec: IndexSpec, coeffs: Mapping[int, object]
+    spec: IndexSpec, coeffs: Mapping[int, object], cap: int | None = None
 ) -> tuple[float, float]:
     """(||sum c_n VC_n||_1 / ||c||_l2, absolute error bound), in floats."""
     _validate_support(spec, coeffs)
@@ -145,7 +163,7 @@ def l1_lower_ratio_with_error(
     l2 = math.sqrt(sum(abs(c) ** 2 for c in cvals.values()))
     if l2 == 0:
         raise ValueError("coefficient vector is zero")
-    values = _synthesize_float(spec.p, cvals)
+    values = _synthesize_float(spec.p, cvals, cap)
     cell_err = _synthesis_error_bound(spec.p, cvals)
     mean = float(np.mean(np.abs(values)))
     err = (cell_err + mean * values.size * 2.0**-52) / l2 * 1.01 + math.ulp(mean / l2)
@@ -167,6 +185,8 @@ def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
     depends on how many other trials run, so parallel reductions and
     prefix reruns agree.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([seed, trial], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     z = rng.standard_normal(2 * count)
@@ -179,52 +199,27 @@ def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
 
 
 def _ratio_objective(
-    p: int, members: Sequence[int], q
+    p: int, members: Sequence[int], q, cap: int | None = None
 ) -> Callable[[np.ndarray], float]:
     """Float ratio ||f||_q / ||c||_2 as a function of the coefficient array."""
     members = list(members)
-    if isinstance(q, int) and q >= 2 and q % 2 == 0 and q <= 4:
-        if q == 2:
-            return lambda c: 1.0
-        size = len(members)
-        sums = [
-            [digitwise_add(members[i], members[j], p) for j in range(size)]
-            for i in range(size)
-        ]
-        targets = sorted({t for row in sums for t in row})
-        position = {t: i for i, t in enumerate(targets)}
-        table = np.array([[position[t] for t in row] for row in sums])
-        flat = table.ravel()
-        bins = len(targets)
-
-        def ratio4(c: np.ndarray) -> float:
-            g = np.zeros(bins, dtype=np.complex128)
-            np.add.at(g, flat, np.outer(c, c).ravel())
-            l2_sq = float(np.sum(np.abs(c) ** 2))
-            return float(np.sum(np.abs(g) ** 2)) ** 0.25 / math.sqrt(l2_sq)
-
-        return ratio4
-    if isinstance(q, int) and q >= 6 and q % 2 == 0:
+    if _is_even(q):
+        tables = _sum_tables(p, members, q // 2, cap)
 
         def ratio_even(c: np.ndarray) -> float:
-            coeffs = {n: complex(v) for n, v in zip(members, c)}
-            conv = dict(coeffs)
-            for _ in range(q // 2 - 1):
-                out: dict[int, complex] = {}
-                for a, ca in conv.items():
-                    for b, cb in coeffs.items():
-                        t = digitwise_add(a, b, p)
-                        out[t] = out.get(t, 0j) + ca * cb
-                conv = out
-            moment = sum(abs(v) ** 2 for v in conv.values())
-            l2 = math.sqrt(sum(abs(v) ** 2 for v in c))
-            return moment ** (1.0 / q) / l2
+            g = c
+            for flat, bins in tables:
+                g_next = np.zeros(bins, dtype=np.complex128)
+                np.add.at(g_next, flat, np.multiply.outer(g, c).ravel())
+                g = g_next
+            l2_sq = float(np.sum(np.abs(c) ** 2))
+            return float(np.sum(np.abs(g) ** 2)) ** (1.0 / q) / math.sqrt(l2_sq)
 
         return ratio_even
 
     def ratio_general(c: np.ndarray) -> float:
         coeffs = {n: complex(v) for n, v in zip(members, c)}
-        values = _synthesize_float(p, coeffs)
+        values = _synthesize_float(p, coeffs, cap)
         l2 = math.sqrt(sum(abs(v) ** 2 for v in c))
         return float(np.mean(np.abs(values) ** q) ** (1.0 / q)) / l2
 
@@ -319,6 +314,7 @@ def estimate_constant(
     seed: int,
     optimizer: str = "ascent",
     mode: str = "exact",
+    cap: int | None = None,
 ) -> KhinchinReport:
     """Best-effort lower bound for the L2-Lq ratio constant over the index set.
 
@@ -327,6 +323,8 @@ def estimate_constant(
     exact mode the reported ratio for even q is certified in rational
     arithmetic; float mode skips certification and reports an error bound.
     """
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if optimizer not in ("random", "ascent"):
@@ -336,7 +334,7 @@ def estimate_constant(
     members = enumerate_members(spec, upper)
     if not members:
         raise ValueError(f"{spec.describe()} has no members in [1, {upper}]")
-    objective = _ratio_objective(spec.p, members, q)
+    objective = _ratio_objective(spec.p, members, q, cap)
     best_val = -math.inf
     best_c = None
     for t in range(trials):
@@ -351,10 +349,10 @@ def estimate_constant(
     coeffs = {n: complex(c) for n, c in zip(members, best_c)}
     exact_pow = None
     ratio_err = None
-    if mode == "exact" and isinstance(q, int) and q >= 2 and q % 2 == 0:
-        exact_pow = norm_ratio_pow_exact(spec, coeffs, q)
+    if mode == "exact" and _is_even(q):
+        exact_pow = norm_ratio_pow_exact(spec, coeffs, q, cap)
         best_val = float(exact_pow) ** (1.0 / q)
-    elif isinstance(q, int) and q >= 2 and q % 2 == 0:
+    elif _is_even(q):
         # float mode: the moment-formula objective is already accurate to
         # roundoff; charge a few ulps per coefficient product
         ratio_err = len(members) ** 2 * 2.0**-50 * (1 + best_val) + 8 * math.ulp(best_val)
@@ -384,7 +382,7 @@ def estimate_constant(
 
 
 def estimate_l1_constant(
-    spec: IndexSpec, upper: int, trials: int, seed: int
+    spec: IndexSpec, upper: int, trials: int, seed: int, cap: int | None = None
 ) -> KhinchinReport:
     """Minimum observed ||f||_1 / ||c||_l2 over seeded unit-sphere trials."""
     if trials < 1:
@@ -398,7 +396,7 @@ def estimate_l1_constant(
     for t in range(trials):
         c = sample_unit_coefficients(len(members), seed, t)
         val, err = l1_lower_ratio_with_error(
-            spec, {n: complex(x) for n, x in zip(members, c)}
+            spec, {n: complex(x) for n, x in zip(members, c)}, cap
         )
         if val < worst:
             worst, worst_err, worst_c = val, err, c

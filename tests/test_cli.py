@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vcchaos.cli import main
 
 
@@ -29,6 +31,12 @@ def test_verify_rank_cap_is_config_error():
     assert run(["verify", "--p", "2", "--max-rank", "40"]) == 2
 
 
+def test_verify_rank_zero_passes(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--p", "2", "--max-rank", "0", "--out", str(out)]) == 0
+    assert all(c["status"] == "pass" for c in load_report(out)["checks"])
+
+
 def test_verify_bad_tolerance_is_config_error():
     assert run(["verify", "--p", "2", "--tolerance", "-1e-9"]) == 2
 
@@ -45,6 +53,30 @@ def test_khinchin_float_mode_reports_error_bound(tmp_path):
     assert code == 0
     values = load_report(out)["checks"][0]["values"]
     assert "best_ratio_err" in values and "best_ratio_pow_exact" not in values
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--q", "inf"), ("--q", "0.5"), ("--q", "1e300")]
+)
+def test_khinchin_bad_input_is_config_error(flag, value):
+    args = ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--N", "16", "--trials", "2"]
+    assert run(args + [flag, value]) == 2
+
+
+def test_khinchin_sum_table_over_cap_is_config_error(capsys):
+    # 9921 members, so the q = 4 table would hold ~10^8 digitwise sums
+    args = ["khinchin", "--p", "3", "--set", "vtilde", "--d", "3", "--N", "3486784401", "--q", "4"]
+    assert run(args) == 2
+    assert "exceed the cell cap" in capsys.readouterr().err
+
+
+def test_khinchin_honours_cell_cap(tmp_path):
+    # 11 members 2^0 .. 2^10, synthesized on a grid of 2^11 cells
+    args = ["khinchin", "--p", "2", "--q", "3", "--N", "1024", "--trials", "1"]
+    out = str(tmp_path / "report.json")
+    assert run(args + ["--optimizer", "random", "--cell-cap", "2048", "--out", out]) == 0
+    assert run(args + ["--cell-cap", "4"]) == 2
+    assert run(args + ["--q", "4", "--cell-cap", "120"]) == 2
 
 
 def test_unknown_flag_is_config_error(capsys):
@@ -147,6 +179,23 @@ def test_transform_bad_length(tmp_path):
     src = tmp_path / "in.txt"
     src.write_text("1 0\n1 0\n1 0\n")
     assert run(["transform", "--p", "2", "--input", str(src), "--output", "x"]) == 2
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("in.json", '[{"a": 1}]'),
+        ("in.json", "[[], [1, 0]]"),
+        ("in.json", "[1, NaN]"),
+        ("in.txt", "1 0\nnan 0\n"),
+        ("in.txt", "inf\n1\n"),
+    ],
+)
+def test_transform_rejects_malformed_input(tmp_path, name, text):
+    src, out = tmp_path / name, tmp_path / "out.txt"
+    src.write_text(text)
+    assert run(["transform", "--p", "2", "--input", str(src), "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -82,6 +82,18 @@ def test_moment_agrees_with_cell_enumeration():
         f = synthesize(coeffs, p)
         for q in (2, 4):
             assert moment_even_pow_exact(p, coeffs, q) == f.lq_norm_even_pow(q)
+    # a non-dyadic common denominator
+    coeffs = {1: Fraction(1, 3), 4: Fraction(-2, 3), 6: Fraction(5, 6)}
+    f = synthesize(coeffs, 3)
+    for q in (2, 4, 6):
+        assert moment_even_pow_exact(3, coeffs, q) == f.lq_norm_even_pow(q)
+    # complex coefficients a + bi, exact as CycloValues and as dyadic floats
+    parts = {1: (1, 2), 5: (-0.5, 1), 7: (2, -1), 19: (0, 1.5)}
+    i = root_of_unity(4, 1)
+    f = synthesize({n: i.scale(Fraction(b)) + Fraction(a) for n, (a, b) in parts.items()}, 3)
+    assert moment_even_pow_exact(3, {n: complex(a, b) for n, (a, b) in parts.items()}, 8) == (
+        f.lq_norm_even_pow(8)
+    )
 
 
 def test_sixth_moment_agrees_with_cell_enumeration():
@@ -116,6 +128,17 @@ def test_sampled_ratios_below_ceiling():
         c = sample_unit_coefficients(len(members), 42, t)
         coeffs = {n: complex(z) for n, z in zip(members, c)}
         assert norm_ratio_pow_exact(spec, coeffs, 4) <= 3
+
+
+@pytest.mark.parametrize(
+    "spec, upper, q",
+    [(unit_chaos(2, 1), 64, 4), (full_chaos(3, 2), 80, 6), (unit_chaos(2, 1), 64, 8)],
+)
+def test_float_mode_error_bound_holds(spec, upper, q):
+    report = estimate_constant(spec, q, upper, 5, seed=3, mode="float")
+    exact = norm_ratio_pow_exact(spec, report.best_coefficients, q)
+    ratio, err = Fraction(report.best_ratio), Fraction(report.best_ratio_err)
+    assert (ratio - err) ** q <= exact <= (ratio + err) ** q
 
 
 def test_l1_examples():
