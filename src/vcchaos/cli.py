@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cyclo import CycloValue, root_of_unity
+from .cyclo import CycloValue, float_parts, root_of_unity
 from .indices import (
     IndexSpec,
     count_below_power,
@@ -480,7 +480,7 @@ def cmd_transform(args) -> int:
         if any(z.imag for z in values):
             raise ConfigError("exact mode accepts real inputs only; use --mode float")
         out = vc_transform_exact([Fraction(z.real) for z in values], args.p, args.direction)
-        result = [v.eval_complex()[0] for v in out]
+        result = float_parts(out)
     _write_array(args.output, result, args.output.endswith(".json"))
     return 0
 

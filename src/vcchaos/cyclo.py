@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 _EPS = 2.0**-52
 
 
@@ -75,6 +77,13 @@ def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
             row = [c - lead * phi[i] for i, c in enumerate(row)]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def integer_numerators(rationals) -> tuple[np.ndarray, int]:
+    """Integer numerators (object array) of ints, floats or Fractions over their lcm denominator."""
+    ratios = [x.as_integer_ratio() for x in rationals]
+    denom = math.lcm(*(d for _, d in ratios))
+    return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
 
 
 class CycloValue:
@@ -235,10 +244,6 @@ class CycloValue:
     def is_real(self) -> bool:
         return (self - self.conj()).is_zero()
 
-    def is_rational(self) -> bool:
-        key = self.canonical_key()
-        return not any(key[1:])
-
     def as_rational(self) -> Fraction:
         key = self.canonical_key()
         if any(key[1:]):
@@ -293,6 +298,36 @@ class CycloValue:
                     terms.append(f"{c}*w{j}")
         body = " + ".join(terms) if terms else "0"
         return f"CycloValue(order={self.order}: {body})"
+
+
+def float_parts(values) -> list[complex]:
+    """Float view of exact values, exact where a real or imaginary part is rational.
+
+    A real or imaginary part that is a rational number prints as the nearest
+    float to it (an exactly real value gets imaginary part 0.0); irrational
+    parts come from eval_complex.  All values reduce at once: in the order
+    r = lcm(4, their orders), conjugation is the index permutation j -> -j
+    and -i is w**(3r/4), so 2 Re z and 2 Im z are numerator rows reduced by
+    one matrix product with the power residues mod Phi_r.
+    """
+    order = math.lcm(*(v.order for v in values))
+    r = math.lcm(order, 4)
+    nums, denom = integer_numerators(c for v in values for c in v.promote(order).coeffs)
+    z = np.zeros((len(values), r), dtype=object)
+    z[:, :: r // order] = nums.reshape(len(values), order)
+    conj = z[:, -np.arange(r) % r]
+    residues = np.array(_power_residues(r), dtype=object)
+    twice_re = (z + conj) @ residues
+    twice_im = np.roll(z - conj, 3 * r // 4, axis=1) @ residues
+    re_exact = ~(twice_re[:, 1:] != 0).any(axis=1)
+    im_exact = ~(twice_im[:, 1:] != 0).any(axis=1)
+    out = []
+    for i, v in enumerate(values):
+        approx = 0j if re_exact[i] and im_exact[i] else v.eval_complex()[0]
+        re = float(Fraction(twice_re[i, 0], 2 * denom)) if re_exact[i] else approx.real
+        im = float(Fraction(twice_im[i, 0], 2 * denom)) if im_exact[i] else approx.imag
+        out.append(complex(re, im))
+    return out
 
 
 def root_of_unity(order: int, j: int = 1) -> CycloValue:

@@ -23,10 +23,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclo import CycloValue, root_of_unity
+from .cyclo import CycloValue, integer_numerators, root_of_unity
 from .indices import IndexSpec, contains, enumerate_members
 from .pary import RankCapError, cell_cap, check_rank, digit_count, digitwise_add
-from .stepfn import StepFn
+from .stepfn import StepFn, _common_order
 from .vc import vc_transform_float
 
 
@@ -68,16 +68,15 @@ def _exact_power_sums(
     """
     if q < 2 or q % 2:
         raise ValueError(f"q must be a positive even integer, got {q}")
-    ratios = []
+    parts = []
     for v in coeffs.values():
         if isinstance(v, complex):
-            ratios += (v.real.as_integer_ratio(), v.imag.as_integer_ratio())
+            parts += (v.real, v.imag)
         elif isinstance(v, (int, float, Fraction)):
-            ratios += (v.as_integer_ratio(), (0, 1))
+            parts += (v, 0)
         else:
             raise TypeError(f"cannot convert {type(v).__name__} to an exact complex")
-    denom = math.lcm(*(d for _, d in ratios))
-    nums = np.array([n * (denom // d) for n, d in ratios], dtype=object)
+    nums, denom = integer_numerators(parts)
     re, im = nums[0::2], nums[1::2]
     g_re, g_im, outer = re, im, np.multiply.outer
     for flat, bins in _sum_tables(p, list(coeffs), q // 2, cap):
@@ -464,9 +463,7 @@ def independence_check(p: int, tables: Sequence[Sequence[object]], depth: int | 
     keyed = []
     for t in tables:
         vals = [CycloValue.coerce(v) for v in t]
-        order = 1
-        for v in vals:
-            order = math.lcm(order, v.order)
+        order = _common_order(vals)
         keyed.append([v.promote(order).canonical_key() for v in vals])
     marginals = []
     for keys in keyed:

@@ -11,11 +11,16 @@ where x_j(m) is the j-th point digit of cell m's left endpoint, i.e. the
 the p-point DFT matrix composed with a digit reversal of the index, and the
 matrix is symmetric and satisfies VC * conj(VC)^t = p**k * I.
 
-Transform convention (both modes): stage t applies a plain p-point DFT along
-the digit axis with stride p**t (no twiddle factors exist for this group),
-and a single digit-reversal permutation at the end aligns coefficient order
-with Paley order.  Forward = conjugate kernel and 1/p**k scaling, so forward
-output n is the coefficient of VC_n; inverse rebuilds cell values.
+One transform kernel, _radix_p, serves both modes: the length-p**k input
+becomes a (p,)*k tensor of ring elements, a p-point kernel is applied along
+each digit axis (no twiddle factors exist for this group), and reversing the
+digit axes at the end aligns coefficient order with Paley order.  The float
+binding uses ring length 1 and the complex p-point DFT; the exact binding
+stores values of common order r as integer numerators over one denominator,
+a ring axis of length r, on which w_p**e acts as a rotation by e*r/p, so its
+kernel is a 0/1 block-circulant and all arithmetic is on Python integers.
+Forward = conjugate kernel and 1/p**k scaling, so forward output n is the
+coefficient of VC_n; inverse rebuilds cell values.
 """
 
 from __future__ import annotations
@@ -27,17 +32,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .cyclo import CycloValue, _power_residues, root_of_unity
+from .cyclo import CycloValue, _power_residues, integer_numerators, root_of_unity
 from .pary import check_rank, digit_count, digits_of_integer
-from .stepfn import StepFn
+from .stepfn import StepFn, _common_order
 
 
 def rademacher(p: int, k: int, cap: int | None = None) -> StepFn:
     """R_k: value w**(x_k) on each rank-(k+1) cell, x_k the k-th point digit."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    cells = check_rank(p, k + 1, cap)
-    return StepFn(p, k + 1, [root_of_unity(p, m % p) for m in range(cells)], cap)
+    check_rank(p, k + 1, cap)
+    return vc_function(p, p**k, cap)
 
 
 def vc_function(p: int, n: int, cap: int | None = None) -> StepFn:
@@ -47,13 +52,12 @@ def vc_function(p: int, n: int, cap: int | None = None) -> StepFn:
     ndigits = digits_of_integer(n, p)
     rank = len(ndigits)
     cells = check_rank(p, rank, cap)
-    values = []
-    for m in range(cells):
-        mdigits = digits_of_integer(m, p)
-        mdigits = mdigits + (0,) * (rank - len(mdigits))
-        e = sum(nj * mdigits[rank - 1 - j] for j, nj in enumerate(ndigits)) % p
-        values.append(root_of_unity(p, e))
-    return StepFn(p, rank, values, cap)
+    # x_j(m), the j-th point digit of cell m, is the (rank-1-j)-th integer digit of m
+    m = np.arange(cells)
+    e = np.zeros(cells, dtype=np.int64)
+    for j, nj in enumerate(ndigits):
+        e += nj * (m // p ** (rank - 1 - j) % p)
+    return StepFn(p, rank, [root_of_unity(p, int(x)) for x in e % p], cap)
 
 
 def exponent_table(p: int, k: int, cap: int | None = None) -> np.ndarray:
@@ -88,9 +92,6 @@ class VCMatrix:
 
     def row(self, n: int) -> list[CycloValue]:
         return [self.entry(n, m) for m in range(self.size)]
-
-    def complex_array(self) -> np.ndarray:
-        return np.exp(2j * np.pi * self.exponents / self.p)
 
 
 def vc_matrix(p: int, k: int, cap: int | None = None) -> VCMatrix:
@@ -153,17 +154,22 @@ def _length_rank(length: int, p: int) -> int:
     return k
 
 
-def _digit_reversal(p: int, k: int) -> list[int]:
-    out = []
-    for n in range(p**k):
-        digits = digits_of_integer(n, p)
-        digits = digits + (0,) * (k - len(digits))
-        out.append(sum(d * p**(k - 1 - j) for j, d in enumerate(digits)))
-    return out
+def _radix_p(tensor: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
+    """Apply a (p, r, p, r) kernel along each of the k digit axes of a (p,)*k + (r,) tensor.
+
+    out[.., a, .., s] = sum over (b, t) of kernel[a, s, b, t] * tensor[.., b, .., t]
+    on every digit axis in turn; the trailing ring axis of length r rides
+    along.  The final reversal of the digit axes puts the output in Paley order.
+    """
+    for axis in range(k):
+        # tensordot leaves (a, s, other digit axes); put a back at `axis` and s last
+        tensor = np.tensordot(kernel, tensor, axes=([2, 3], [axis, k]))
+        tensor = tensor.transpose(*range(2, axis + 2), 0, *range(axis + 2, k + 1), 1)
+    return tensor.transpose(*reversed(range(k)), k)
 
 
 def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray:
-    """Radix-p transform in complex floats; see the module convention note."""
+    """Radix-p transform in complex floats: ring length 1, kernel the p-point DFT."""
     arr = np.asarray(values, dtype=np.complex128)
     k = _length_rank(arr.size, p)
     if direction not in ("forward", "inverse"):
@@ -172,11 +178,8 @@ def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray
         return arr.copy()
     sign = -1.0 if direction == "forward" else 1.0
     kernel = np.exp(sign * 2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
-    tensor = arr.reshape((p,) * k)
-    for axis in range(k):
-        tensor = np.moveaxis(np.tensordot(kernel, tensor, axes=([1], [axis])), 0, axis)
-    tensor = tensor.transpose(tuple(reversed(range(k))))
-    out = tensor.reshape(arr.size)
+    out = _radix_p(arr.reshape((p,) * k + (1,)), kernel.reshape(p, 1, p, 1), k)
+    out = out.reshape(arr.size)
     if direction == "forward":
         out = out / arr.size
     return out
@@ -185,40 +188,29 @@ def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray
 def vc_transform_exact(values, p: int, direction: str = "forward") -> list[CycloValue]:
     """Radix-p transform in exact cyclotomic arithmetic.
 
-    Stage t does p-point DFT butterflies with stride p**t; root-of-unity
-    multiplies are coefficient rotations, so each butterfly is exact.
+    The values become integer numerators over one common denominator in the
+    group ring of their common order r, a (cells, r) array.  Multiplying by
+    w_p**e rotates the ring axis by e * r / p, so the kernel is the 0/1
+    block-circulant whose block (a, b) is that rotation for e = sign * a * b.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     vals = [CycloValue.coerce(v, p) for v in values]
-    order = 1
-    for v in vals:
-        order = math.lcm(order, v.order)
-    vals = [v.promote(order) for v in vals]
-    step = order // p  # w_p = w_order**step
     length = len(vals)
     k = _length_rank(length, p)
+    order = _common_order(vals)
+    nums, denom = integer_numerators(c for v in vals for c in v.promote(order).coeffs)
     sign = -1 if direction == "forward" else 1
-    for stage in range(k):
-        stride = p**stage
-        block = stride * p
-        out = list(vals)
-        for base in range(0, length, block):
-            for off in range(stride):
-                idx = [base + off + t * stride for t in range(p)]
-                xs = [vals[i] for i in idx]
-                for a in range(p):
-                    acc = xs[0]
-                    for b in range(1, p):
-                        acc = acc + xs[b].rotated(sign * a * b % p * step)
-                    out[idx[a]] = acc
-        vals = out
-    reversal = _digit_reversal(p, k)
-    result = [vals[reversal[n]] for n in range(length)]
+    digit = np.arange(p)
+    ring = np.arange(order)
+    shift = sign * np.outer(digit, digit) * (order // p)
+    # kernel[a, s, b, t] = 1 where t = s - shift[a, b] (mod order)
+    hits = (ring[None, :, None, None] - shift[:, None, :, None] - ring) % order == 0
+    out = _radix_p(nums.reshape((p,) * k + (order,)), hits.astype(int).astype(object), k)
     if direction == "forward":
-        scale = Fraction(1, length)
-        result = [v.scale(scale) for v in result]
-    return result
+        denom *= length
+    rows = out.reshape(length, order)
+    return [CycloValue(order, [Fraction(c, denom) for c in row]) for row in rows]
 
 
 def vc_transform(values, p: int, direction: str = "forward", mode: str = "exact"):

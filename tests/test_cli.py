@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vcchaos.cli import main
@@ -173,6 +174,23 @@ def test_transform_text_format(tmp_path):
     assert run(["transform", "--p", "2", "--input", str(src), "--output", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert [float(line.split()[0]) for line in lines] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "p, expected_real, real_count",
+    [(2, [1.5, -0.5], 2), (5, [3.0, -0.5, -0.5, -0.5, -0.5], 1)],
+)
+def test_transform_exact_prints_rational_parts_exactly(tmp_path, p, expected_real, real_count):
+    # every real part is rational here; the first real_count coefficients are
+    # real, the others have irrational imaginary parts (printed via eval_complex)
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("".join(f"{m}\n" for m in range(1, p + 1)))
+    assert run(["transform", "--p", str(p), "--mode", "exact", "--input", str(src), "--output", str(out)]) == 0
+    rows = [tuple(map(float, line.split())) for line in out.read_text().splitlines()]
+    assert [re for re, _ in rows] == expected_real
+    assert [im for _, im in rows[:real_count]] == [0.0] * real_count
+    reference = np.fft.fft(np.arange(1, p + 1)) / p
+    assert all(abs(complex(*row) - z) < 1e-12 for row, z in zip(rows, reference))
 
 
 def test_transform_bad_length(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcchaos.cyclo import CycloValue, cyclotomic_polynomial, root_of_unity
+from vcchaos.cyclo import CycloValue, cyclotomic_polynomial, float_parts, root_of_unity
 
 
 def test_root_examples():
@@ -157,3 +157,26 @@ def test_base_mismatch_is_promoted_via_lcm():
     z, err = v.eval_complex()
     expected = complex(-1) + complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
     assert abs(z - expected) <= err + 1e-12
+
+
+def test_float_parts_agree_with_exact_parts():
+    # rational parts come out as float(Fraction), the others as eval_complex gives them
+    rng = random.Random(41)
+    for order in (1, 2, 3, 4, 5, 6, 8, 12):
+        values = [CycloValue(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(order)])]
+        values += [CycloValue.root(order, j) for j in range(order)]
+        values += [values[0] + values[0].conj(), CycloValue.from_rational(Fraction(-1, 3), order)]
+        for v, z in zip(values, float_parts(values)):
+            approx = v.eval_complex()[0]
+            for part, exact, got, want in (
+                ("re", v.real_part(), z.real, approx.real),
+                ("im", v.imag_part(), z.imag, approx.imag),
+            ):
+                key = exact.canonical_key()
+                if any(key[1:]):
+                    assert got == want, part
+                else:
+                    assert got == float(key[0]), part
+    assert float_parts([]) == []
+    mixed = [Fraction(1, 3), root_of_unity(3), root_of_unity(8, 2)]
+    assert float_parts([CycloValue.coerce(v) for v in mixed])[::2] == [1 / 3, 1j]

@@ -98,20 +98,31 @@ def test_matrix_op_norm():
 
 
 def _matrix_oracle(values, p, direction):
-    """Dense matrix multiplication against the exponent table (exact)."""
+    """Dense matrix multiplication against the exponent table (exact).
+
+    Inputs are promoted to their common order, in which w_p**e is a rotation
+    by e * (order // p).
+    """
     mat = vc_matrix(p, round(math.log(len(values), p)))
     size = mat.size
     vals = [CycloValue.coerce(v, p) for v in values]
+    order = math.lcm(*(v.order for v in vals))
+    vals = [v.promote(order) for v in vals]
     out = []
     sign = -1 if direction == "forward" else 1
     for n in range(size):
-        acc = CycloValue.zero(vals[0].order if vals else p)
+        acc = CycloValue.zero(order)
         for m in range(size):
-            acc = acc + vals[m].rotated(sign * int(mat.exponents[n, m]))
+            acc = acc + vals[m].rotated(sign * int(mat.exponents[n, m]) * (order // p))
         if direction == "forward":
             acc = acc.scale(Fraction(1, size))
         out.append(acc)
     return out
+
+
+def _assert_same_representation(fast, oracle):
+    assert len(fast) == len(oracle)
+    assert all(a.order == b.order and a.coeffs == b.coeffs for a, b in zip(fast, oracle))
 
 
 def test_exact_transform_matches_matrix_oracle():
@@ -124,8 +135,30 @@ def test_exact_transform_matches_matrix_oracle():
         ]
         for direction in ("forward", "inverse"):
             fast = vc_transform_exact(values, p, direction)
-            oracle = _matrix_oracle(values, p, direction)
-            assert all((a - b).is_zero() for a, b in zip(fast, oracle))
+            _assert_same_representation(fast, _matrix_oracle(values, p, direction))
+
+
+def test_exact_transform_mixed_orders_and_length_one():
+    # rationals with denominators 3 and 7 next to order-p and order-2p values
+    rng = random.Random(31)
+    for p, k in [(2, 3), (3, 2), (5, 1)]:
+        values = []
+        for m in range(p**k):
+            kind = m % 4  # every kind occurs: p**k >= 4 here
+            if kind < 2:
+                values.append(Fraction(rng.randint(-5, 5), (3, 7)[kind]))
+            else:
+                order = p if kind == 2 else 2 * p
+                values.append(CycloValue(order, [Fraction(rng.randint(-2, 2), 2) for _ in range(order)]))
+        for direction in ("forward", "inverse"):
+            fast = vc_transform_exact(values, p, direction)
+            assert fast[0].order == 2 * p
+            _assert_same_representation(fast, _matrix_oracle(values, p, direction))
+    # k = 0: a length-1 input is its own transform, in the ring of order p
+    for direction in ("forward", "inverse"):
+        (out,) = vc_transform_exact([Fraction(2, 3)], 5, direction)
+        assert out.order == 5 and out.coeffs == (Fraction(2, 3), 0, 0, 0, 0)
+        _assert_same_representation([out], _matrix_oracle([Fraction(2, 3)], 5, direction))
 
 
 def test_transform_examples():
