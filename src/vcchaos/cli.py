@@ -170,10 +170,11 @@ def _verify_checks(
         )
     )
 
-    # multiplicativity on random pairs
+    # multiplicativity on random pairs, at rank 2 (rank 1 when max_rank is 0)
     ok = True
+    k_mul = min(max_rank + 1, 2)
     for _ in range(10):
-        a, b = rng.randrange(p**2), rng.randrange(p**2)
+        a, b = rng.randrange(p**k_mul), rng.randrange(p**k_mul)
         ok = ok and (
             vc_function_cached(p, a, cap) * vc_function_cached(p, b, cap)
             == vc_function_cached(p, digitwise_add(a, b, p), cap)
@@ -207,7 +208,7 @@ def _verify_checks(
     for _ in range(200):
         sets = [
             PArySet.from_cells(
-                p, rank, [m for m in range(p**rank) if rng.random() < 0.6]
+                p, rank, [m for m in range(p**rank) if rng.random() < 0.6], cap
             )
             for _ in range(p)
         ]
@@ -229,7 +230,7 @@ def _verify_checks(
         tables = [
             [Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)
         ]
-        ok = ok and independence_check(p, tables)
+        ok = ok and independence_check(p, tables, cap=cap)
     checks.append(
         _check(
             "independence-product-rule",
@@ -242,9 +243,9 @@ def _verify_checks(
     # symmetric decomposition of Re R_k^j
     ok = True
     for j in range(1, p):
-        pieces = symmetric_decomposition(p, 0, j)
+        pieces = symmetric_decomposition(p, 0, j, cap)
         re_part = StepFn(
-            p, 1, [root_of_unity(p, j * m).real_part() for m in range(p)]
+            p, 1, [root_of_unity(p, j * m).real_part() for m in range(p)], cap
         )
         total = pieces[0]
         for piece in pieces[1:]:
@@ -302,7 +303,10 @@ def cmd_verify(args) -> int:
     _validate_base(args.p)
     if args.tolerance <= 0:
         raise ConfigError(f"tolerance must be > 0, got {args.tolerance}")
-    check_rank(args.p, args.max_rank, args.cell_cap)
+    if args.max_rank < 0:
+        raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
+    # the largest grid of the suite: independence tallies rank depth + 1 <= min(max_rank, 3) + 1
+    check_rank(args.p, max(args.max_rank, min(args.max_rank, 3) + 1), args.cell_cap)
     checks = _verify_checks(
         args.p, args.max_rank, args.seed, args.cell_cap, args.tolerance
     )

@@ -9,8 +9,11 @@ coefficient combinatorics:
 One kernel computes it, a digitwise-sum table iterated h - 1 times, with two
 bindings: complex128 arrays drive the optimizer, and Gaussian-integer
 numerators over one common denominator certify ratios exactly (floats are
-dyadic rationals).  Randomness is counter-based (Philox keyed by (seed,
-trial)), so trials are reproducible and order-independent.
+dyadic rationals).  Odd and fractional q, and the L1 lower constant, need the
+cell values of f: the (members x cells) block of VC rows is built once per
+member set, so each evaluation is one product c @ rows.  Randomness is
+counter-based (Philox keyed by (seed, trial)), so trials are reproducible and
+order-independent.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from .cyclo import CycloValue, integer_numerators, root_of_unity
 from .indices import IndexSpec, contains, enumerate_members
 from .pary import RankCapError, cell_cap, check_rank, digit_count, digitwise_add
 from .stepfn import StepFn, _common_order
-from .vc import vc_transform_float
+from .vc import _exponent_rows
+
+# bound on |fl(w**e) - w**e| for the rounded unit roots in _vc_rows
+_ROOT_ERR = 2.0**-47
+# estimate_l1_constant scores its trials in (chunk x cells) blocks of about
+# this many complex entries (1 MB)
+_CHUNK_ENTRIES = 2**16
 
 
 def _is_even(q) -> bool:
@@ -117,13 +126,78 @@ def norm_ratio_pow_exact(
     return Fraction(s_h, s_1 ** (q // 2))
 
 
-def _synthesize_float(p: int, coeffs: Mapping[int, complex], cap: int | None = None) -> np.ndarray:
-    rank = max((digit_count(n, p) for n in coeffs), default=0)
+def _vc_rows(p: int, members: Sequence[int], cap: int | None) -> np.ndarray:
+    """(members, cells) complex128 block of VC_n cell values, n in members.
+
+    The grid has rank digit_count(max(members)), the coarsest one on which
+    every VC_n is constant per cell, and f = sum c_n VC_n is c @ rows.  Its
+    members * cells entries are checked against the cell cap before any
+    array is allocated.
+    """
+    rank = digit_count(max(members), p)
     cells = check_rank(p, rank, cap)
-    vec = np.zeros(cells, dtype=np.complex128)
-    for n, c in coeffs.items():
-        vec[n] = c
-    return vc_transform_float(vec, p, "inverse")
+    limit = cap if cap is not None else cell_cap()
+    if len(members) * cells > limit:
+        raise RankCapError(
+            f"{len(members)} members x {p}**{rank} cells exceed the cell cap {limit}"
+        )
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    return roots[_exponent_rows(p, rank, members)]
+
+
+def _lq_ratios(c: np.ndarray, rows: np.ndarray, q) -> np.ndarray:
+    """||sum c_n VC_n||_q / ||c||_l2 for every coefficient vector along c's last axis."""
+    moments = np.mean(np.abs(c @ rows) ** q, axis=-1)
+    return moments ** (1.0 / q) / np.linalg.norm(c, axis=-1)
+
+
+def _coefficient_array(coeffs: Mapping[int, object]) -> np.ndarray:
+    c = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
+    if np.linalg.norm(c) == 0:
+        raise ValueError("coefficient vector is zero")
+    return c
+
+
+def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
+    """Absolute error bound for ratio = _lq_ratios(c, rows, q), rows from _vc_rows.
+
+    Model: u = 2**-53; every real product, sum and quotient is rounded once
+    (FMA allowed, any summation order); sqrt is correctly rounded; abs,
+    power, exp, cos and sin are within 4 ulps (relative error 8u);
+    gamma(n) = n*u / (1 - n*u).  Let M = c.size and N = cells.
+
+    Unit roots.  roots[e] = exp(i*t), where t is 2*pi*e/p after at most four
+    roundings (pi, the product, and the complex division by p, done as a
+    reciprocal and a product), so |t - 2*pi*e/p| <= 4.01u * 2*pi < 26u; cos
+    and sin add at most 8u each, so |roots[e] - w**e| <= 26u + sqrt(2)*8u <
+    64u = _ROOT_ERR =: d.
+
+    Cells.  A cell of c @ rows is a length-M complex dot product.  Its real
+    and imaginary parts are real dot products of length 2M with terms of
+    total magnitude at most sum |c_n| |roots| (|a c| + |b d| <= |x| |y|), so
+    each is off by at most gamma(2M) (1 + d) sum|c_n|.  Against the true
+    roots, sum c_n (roots - w**e) adds at most d sum|c_n|.  Per cell:
+        e_cell = (sqrt(2) gamma(2M) (1 + d) + d) sum|c_n|.
+
+    Norm.  For q >= 1, ||.||_q under the uniform measure on cells is a norm,
+    so by Minkowski the exact q-norm of the computed cells is within e_cell
+    of ||f||_q.  Evaluating it (abs, power, an N-term mean, the 1/q power,
+    the l2 norm of c over 2M squares and the quotient) multiplies it by a
+    factor k with |k - 1| <= r := gamma(N + 4M + 8*ceil(q) + 30), since
+    |(1 + x)**(1/q) - 1| <= |x| for q >= 1.  With the computed l2 norm L
+    within a factor 1 + r of the true one, and r <= 0.01,
+        |ratio - exact| <= r/(1 - r) * ratio + (1 + r) e_cell / L,
+    and computing sum|c_n| (within 1 + r) and this formula (a few u) stays
+    inside the factor 1.03 below.  Returns inf where r > 0.01.
+    """
+    u = 2.0**-53
+    count = cells + 4 * c.size + 8 * math.ceil(q) + 30
+    if count * u > 0.01:
+        return math.inf
+    gamma = lambda n: n * u / (1 - n * u)
+    mass = float(np.sum(np.abs(c)))
+    cell_err = (math.sqrt(2) * gamma(2 * c.size) * (1 + _ROOT_ERR) + _ROOT_ERR) * mass
+    return 1.03 * (cell_err / float(np.linalg.norm(c)) + gamma(count) * ratio)
 
 
 def norm_ratio(spec: IndexSpec, coeffs: Mapping[int, object], q) -> float:
@@ -133,24 +207,8 @@ def norm_ratio(spec: IndexSpec, coeffs: Mapping[int, object], q) -> float:
         return float(norm_ratio_pow_exact(spec, coeffs, q)) ** (1.0 / q)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    cvals = {n: complex(c) for n, c in coeffs.items()}
-    l2 = math.sqrt(sum(abs(c) ** 2 for c in cvals.values()))
-    if l2 == 0:
-        raise ValueError("coefficient vector is zero")
-    values = _synthesize_float(spec.p, cvals)
-    return float(np.mean(np.abs(values) ** q) ** (1.0 / q)) / l2
-
-
-def _synthesis_error_bound(p: int, coeffs: Mapping[int, complex]) -> float:
-    """Per-cell absolute error bound for the float inverse transform.
-
-    Each of the k stages multiplies by unit-modulus roots and sums p terms,
-    and cell values are bounded by sum|c_n|, so the accumulated rounding is
-    at most ~k*(p + 3) units in the last place of that magnitude.
-    """
-    rank = max((digit_count(n, p) for n in coeffs), default=0)
-    mass = sum(abs(c) for c in coeffs.values())
-    return (rank * (p + 3) + 4) * 2.0**-52 * (mass + 1e-300)
+    c = _coefficient_array(coeffs)
+    return float(_lq_ratios(c, _vc_rows(spec.p, list(coeffs), None), q))
 
 
 def l1_lower_ratio_with_error(
@@ -158,15 +216,10 @@ def l1_lower_ratio_with_error(
 ) -> tuple[float, float]:
     """(||sum c_n VC_n||_1 / ||c||_l2, absolute error bound), in floats."""
     _validate_support(spec, coeffs)
-    cvals = {n: complex(c) for n, c in coeffs.items()}
-    l2 = math.sqrt(sum(abs(c) ** 2 for c in cvals.values()))
-    if l2 == 0:
-        raise ValueError("coefficient vector is zero")
-    values = _synthesize_float(spec.p, cvals, cap)
-    cell_err = _synthesis_error_bound(spec.p, cvals)
-    mean = float(np.mean(np.abs(values)))
-    err = (cell_err + mean * values.size * 2.0**-52) / l2 * 1.01 + math.ulp(mean / l2)
-    return mean / l2, err
+    c = _coefficient_array(coeffs)
+    rows = _vc_rows(spec.p, list(coeffs), cap)
+    ratio = float(_lq_ratios(c, rows, 1))
+    return ratio, _synthesis_error_bound(c, rows.shape[1], 1, ratio)
 
 
 def l1_lower_ratio(spec: IndexSpec, coeffs: Mapping[int, object]) -> float:
@@ -216,11 +269,10 @@ def _ratio_objective(
 
         return ratio_even
 
+    rows = _vc_rows(p, members, cap)
+
     def ratio_general(c: np.ndarray) -> float:
-        coeffs = {n: complex(v) for n, v in zip(members, c)}
-        values = _synthesize_float(p, coeffs, cap)
-        l2 = math.sqrt(sum(abs(v) ** 2 for v in c))
-        return float(np.mean(np.abs(values) ** q) ** (1.0 / q)) / l2
+        return float(_lq_ratios(c, rows, q))
 
     return ratio_general
 
@@ -356,15 +408,8 @@ def estimate_constant(
         # roundoff; charge a few ulps per coefficient product
         ratio_err = len(members) ** 2 * 2.0**-50 * (1 + best_val) + 8 * math.ulp(best_val)
     else:
-        # transform-based float path: per-cell synthesis error e, cell values
-        # bounded by sum|c_n|, so mean(|f|^q) moves by at most q*(mass+e)^(q-1)*e
-        cell_err = _synthesis_error_bound(spec.p, coeffs)
-        mass = sum(abs(c) for c in coeffs.values())
-        l2 = math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
-        mean_q = (best_val * l2) ** q
-        delta = q * (mass + cell_err) ** (q - 1) * cell_err
-        ratio_err = ((mean_q + delta) ** (1.0 / q) - mean_q ** (1.0 / q)) / l2
-        ratio_err += 8 * math.ulp(best_val)
+        cells = spec.p ** digit_count(max(members), spec.p)
+        ratio_err = _synthesis_error_bound(best_c, cells, q, best_val)
     return KhinchinReport(
         spec=spec,
         q=q,
@@ -383,22 +428,32 @@ def estimate_constant(
 def estimate_l1_constant(
     spec: IndexSpec, upper: int, trials: int, seed: int, cap: int | None = None
 ) -> KhinchinReport:
-    """Minimum observed ||f||_1 / ||c||_l2 over seeded unit-sphere trials."""
+    """Minimum observed ||f||_1 / ||c||_l2 over seeded unit-sphere trials.
+
+    Trials are scored a chunk at a time, as one (chunk x members) @ rows
+    product; the first trial attaining the minimum is reported.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     members = enumerate_members(spec, upper)
     if not members:
         raise ValueError(f"{spec.describe()} has no members in [1, {upper}]")
+    rows = _vc_rows(spec.p, members, cap)
+    chunk = max(1, _CHUNK_ENTRIES // rows.shape[1])
     worst = math.inf
-    worst_err = 0.0
     worst_c = None
-    for t in range(trials):
-        c = sample_unit_coefficients(len(members), seed, t)
-        val, err = l1_lower_ratio_with_error(
-            spec, {n: complex(x) for n, x in zip(members, c)}, cap
+    for start in range(0, trials, chunk):
+        block = np.array(
+            [
+                sample_unit_coefficients(len(members), seed, t)
+                for t in range(start, min(start + chunk, trials))
+            ]
         )
-        if val < worst:
-            worst, worst_err, worst_c = val, err, c
+        ratios = _lq_ratios(block, rows, 1)
+        i = int(np.argmin(ratios))
+        if ratios[i] < worst:
+            worst, worst_c = float(ratios[i]), block[i]
+    worst_err = _synthesis_error_bound(worst_c, rows.shape[1], 1, worst)
     return KhinchinReport(
         spec=spec,
         q=1,
@@ -416,7 +471,7 @@ def estimate_l1_constant(
 # -- symmetric decomposition and independence ---------------------------------
 
 
-def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
+def symmetric_decomposition(p: int, k: int, j: int, cap: int | None = None) -> list[StepFn]:
     """The p-1 symmetric pieces whose sum is Re(R_k**j), exactly.
 
     Piece m (m = 1..p-1) takes the value cos(2*pi*m*j/p) on cells with k-th
@@ -425,7 +480,7 @@ def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
     """
     if not 1 <= j <= p - 1:
         raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
-    cells = check_rank(p, k + 1)
+    cells = check_rank(p, k + 1, cap)
     pieces = []
     for m in range(1, p):
         cos_m = (root_of_unity(p, m * j) + root_of_unity(p, -m * j)).scale(
@@ -440,11 +495,13 @@ def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
                 values.append(-cos_m)
             else:
                 values.append(CycloValue.zero(p))
-        pieces.append(StepFn(p, k + 1, values))
+        pieces.append(StepFn(p, k + 1, values, cap))
     return pieces
 
 
-def independence_check(p: int, tables: Sequence[Sequence[object]], depth: int | None = None) -> bool:
+def independence_check(
+    p: int, tables: Sequence[Sequence[object]], depth: int | None = None, cap: int | None = None
+) -> bool:
     """Exhaustively verify the product rule for digit-functions f_k(x) = g_k(x_k).
 
     For every combination of attainable values (e_0, ..., e_n) the joint
@@ -459,7 +516,7 @@ def independence_check(p: int, tables: Sequence[Sequence[object]], depth: int | 
         raise ValueError(f"depth {depth} does not match {len(tables)} tables")
     if any(len(t) != p for t in tables):
         raise ValueError(f"each value table must have exactly {p} entries")
-    check_rank(p, depth + 1)
+    check_rank(p, depth + 1, cap)
     keyed = []
     for t in tables:
         vals = [CycloValue.coerce(v) for v in t]

@@ -292,11 +292,13 @@ class PArySet:
         return cls(p, 0, 1)
 
     @classmethod
-    def from_cells(cls, p: int, rank: int, cells: Iterable[int]) -> "PArySet":
+    def from_cells(
+        cls, p: int, rank: int, cells: Iterable[int], cap: int | None = None
+    ) -> "PArySet":
         mask = 0
         for m in cells:
             mask |= 1 << m
-        return cls(p, rank, mask)
+        return cls(p, rank, mask, cap)
 
     @classmethod
     def from_interval(cls, p: int, lo, hi) -> "PArySet":

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .cyclo import CycloValue, _power_residues, integer_numerators, root_of_unity
-from .pary import check_rank, digit_count, digits_of_integer
+from .pary import check_rank, digit_count
 from .stepfn import StepFn, _common_order
 
 
@@ -49,26 +49,29 @@ def vc_function(p: int, n: int, cap: int | None = None) -> StepFn:
     """VC_n as a step function at rank digit_count(n); VC_0 is constant 1."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    ndigits = digits_of_integer(n, p)
-    rank = len(ndigits)
-    cells = check_rank(p, rank, cap)
-    # x_j(m), the j-th point digit of cell m, is the (rank-1-j)-th integer digit of m
-    m = np.arange(cells)
-    e = np.zeros(cells, dtype=np.int64)
-    for j, nj in enumerate(ndigits):
-        e += nj * (m // p ** (rank - 1 - j) % p)
-    return StepFn(p, rank, [root_of_unity(p, int(x)) for x in e % p], cap)
+    rank = digit_count(n, p)
+    check_rank(p, rank, cap)
+    exponents = _exponent_rows(p, rank, [n])[0]
+    return StepFn(p, rank, [root_of_unity(p, int(x)) for x in exponents], cap)
+
+
+def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
+    """(len(indices), p**k) exponents E with VC_n(cell m) = w**E[i, m] for n = indices[i].
+
+    E[i, m] = sum_j n_j * x_j(m) mod p, where x_j(m), the j-th point digit
+    of cell m, is the (k-1-j)-th integer digit of m.  Callers check p**k
+    against the cell cap.
+    """
+    powers = p ** np.arange(max(k, 1), dtype=np.int64)
+    index_digits = np.asarray(indices, dtype=np.int64)[:, None] // powers % p
+    point_digits = (np.arange(p**k, dtype=np.int64)[:, None] // powers % p)[:, ::-1]
+    return index_digits @ point_digits.T % p
 
 
 def exponent_table(p: int, k: int, cap: int | None = None) -> np.ndarray:
     """(p**k, p**k) table E with VC[n, m] = w**E[n, m]."""
     cells = check_rank(p, k, cap)
-    digits = np.empty((cells, max(k, 1)), dtype=np.int64)
-    idx = np.arange(cells)
-    for j in range(max(k, 1)):
-        digits[:, j] = (idx // p**j) % p
-    point_digits = digits[:, ::-1]
-    return (digits @ point_digits.T) % p
+    return _exponent_rows(p, k, np.arange(cells))
 
 
 @dataclass(frozen=True)

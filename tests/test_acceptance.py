@@ -60,21 +60,24 @@ def test_criterion_02_operator_norm():
 
 
 def _oracle_transform(values, p, k, direction):
-    """Dense multiplication against the exponent table, exact arithmetic."""
-    table = vc_matrix(p, k).exponents
-    size = p**k
+    """Dense product against the exponent table, in exact integer arithmetic.
+
+    The order-p values become integer numerators over one denominator, a
+    (cells, p) array whose columns are the powers of w; multiplying by w**e
+    rolls the columns by e, so output n sums, for each e, the rolled
+    numerators of the cells m with sign * E[n, m] = e (mod p).
+    """
     vals = [CycloValue.coerce(x, p) for x in values]
+    denom = math.lcm(*(c.denominator for x in vals for c in x.coeffs))
+    nums = np.array([[int(c * denom) for c in x.coeffs] for x in vals], dtype=np.int64)
+    size = p**k
+    assert int(np.abs(nums).max()) * size < 2**62  # int64 sums stay exact
     sign = -1 if direction == "forward" else 1
-    out = []
-    for n in range(size):
-        acc = CycloValue.zero(p)
-        row = table[n]
-        for m in range(size):
-            acc = acc + vals[m].rotated(sign * int(row[m]))
-        if direction == "forward":
-            acc = acc.scale(Fraction(1, size))
-        out.append(acc)
-    return out
+    table = sign * vc_matrix(p, k).exponents % p
+    out = sum((table == e).astype(np.int64) @ np.roll(nums, e, axis=1) for e in range(p))
+    if direction == "forward":
+        denom *= size
+    return [CycloValue(p, [Fraction(int(x), denom) for x in row]) for row in out]
 
 
 def test_criterion_03_exact_transform_matches_oracle():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vcchaos import cli
 from vcchaos.cli import main
 
 
@@ -36,6 +37,19 @@ def test_verify_rank_zero_passes(tmp_path):
     out = tmp_path / "report.json"
     assert run(["verify", "--p", "2", "--max-rank", "0", "--out", str(out)]) == 0
     assert all(c["status"] == "pass" for c in load_report(out)["checks"])
+
+
+def test_verify_honours_cell_cap(monkeypatch):
+    # at max rank 1 the independence check tallies rank-2 grids: 9 cells for p = 3
+    assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "9"]) == 0
+    assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "2"]) == 0
+
+    def no_checks(*args):
+        pytest.fail("a check ran although the suite's largest grid exceeds the cap")
+
+    monkeypatch.setattr(cli, "_verify_checks", no_checks)
+    assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "3"]) == 2
+    assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "1"]) == 2
 
 
 def test_verify_bad_tolerance_is_config_error():
@@ -72,12 +86,23 @@ def test_khinchin_sum_table_over_cap_is_config_error(capsys):
 
 
 def test_khinchin_honours_cell_cap(tmp_path):
-    # 11 members 2^0 .. 2^10, synthesized on a grid of 2^11 cells
+    # 11 members 2^0 .. 2^10 on a grid of 2^11 cells: q = 3 builds an 11 x 2048 row block
     args = ["khinchin", "--p", "2", "--q", "3", "--N", "1024", "--trials", "1"]
     out = str(tmp_path / "report.json")
-    assert run(args + ["--optimizer", "random", "--cell-cap", "2048", "--out", out]) == 0
+    rows = str(11 * 2048)
+    assert run(args + ["--optimizer", "random", "--cell-cap", rows, "--out", out]) == 0
     assert run(args + ["--cell-cap", "4"]) == 2
     assert run(args + ["--q", "4", "--cell-cap", "120"]) == 2
+
+
+@pytest.mark.parametrize("extra", [["--q", "3"], ["--q", "4", "--l1"]])
+def test_khinchin_row_block_over_cap_is_config_error(extra, capsys):
+    # the q = 4 table needs 11**2 = 121 sums; q = 3 and --l1 need 11 x 2048 rows
+    args = ["khinchin", "--p", "2", "--N", "1024", "--trials", "3", "--optimizer", "random"]
+    assert run(args + extra + ["--cell-cap", str(11 * 2048)]) == 0
+    capsys.readouterr()
+    assert run(args + extra + ["--cell-cap", str(11 * 2048 - 1)]) == 2
+    assert "11 members x 2**11 cells exceed the cell cap 22527" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_config_error(capsys):

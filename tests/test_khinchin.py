@@ -1,18 +1,23 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from vcchaos.cyclo import root_of_unity
 from vcchaos.indices import enumerate_members, full_chaos, unit_chaos
 from vcchaos.khinchin import (
+    _CHUNK_ENTRIES,
     coordinate_ascent,
     estimate_constant,
     estimate_l1_constant,
     fourth_moment_exact,
     independence_check,
     l1_lower_ratio,
+    l1_lower_ratio_with_error,
     moment_even_pow_exact,
     norm_ratio,
     norm_ratio_pow_exact,
@@ -139,6 +144,86 @@ def test_float_mode_error_bound_holds(spec, upper, q):
     exact = norm_ratio_pow_exact(spec, report.best_coefficients, q)
     ratio, err = Fraction(report.best_ratio), Fraction(report.best_ratio_err)
     assert (ratio - err) ** q <= exact <= (ratio + err) ** q
+
+
+def _exact_cells(coeffs, p):
+    """Cell values of sum c_n VC_n from the exact inverse transform, c_n complex floats."""
+    i = root_of_unity(4, 1)
+    exact = {n: i.scale(Fraction(c.imag)) + Fraction(c.real) for n, c in coeffs.items()}
+    return synthesize(exact, p).values
+
+
+def _mp_ratio(coeffs, p, q):
+    """||sum c_n VC_n||_q / ||c||_l2 to 50 digits from the exact cell values."""
+    with mpmath.workdps(50):
+        norms = []
+        for value in _exact_cells(coeffs, p):
+            z = mpmath.fsum(
+                mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(mpmath.mpf(2 * j) / value.order)
+                for j, c in enumerate(value.coeffs)
+                if c
+            )
+            norms.append(abs(z) ** q)
+        l2 = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(c)) ** 2 for c in coeffs.values()))
+        return (mpmath.fsum(norms) / len(norms)) ** (mpmath.mpf(1) / q) / l2
+
+
+@pytest.mark.parametrize(
+    "spec, upper", [(unit_chaos(2, 1), 64), (full_chaos(2, 2), 31), (full_chaos(3, 2), 26)]
+)
+def test_synthesis_error_bound_holds_against_mpmath(spec, upper):
+    # q = 3: the ascent's reported ratio; q = 1: single vectors and the L1 minimum
+    report = estimate_constant(spec, 3, upper, 5, seed=3, mode="float")
+    cases = [(report.best_coefficients, 3, report.best_ratio, report.best_ratio_err)]
+    members = enumerate_members(spec, upper)
+    for t in range(3):
+        coeffs = dict(zip(members, sample_unit_coefficients(len(members), 11, t) * (t + 0.5)))
+        cases.append((coeffs, 1, *l1_lower_ratio_with_error(spec, coeffs)))
+    l1 = estimate_l1_constant(spec, upper, 20, seed=5)
+    cases.append((l1.best_coefficients, 1, l1.min_l1_ratio, l1.min_l1_ratio_err))
+    for coeffs, q, ratio, err in cases:
+        assert 0 < err < 1e-12
+        assert abs(mpmath.mpf(ratio) - _mp_ratio(coeffs, spec.p, q)) <= err
+
+
+@pytest.mark.parametrize("spec, upper", [(unit_chaos(2, 1), 2**10), (full_chaos(2, 2), 255)])
+def test_l1_error_bound_holds_for_real_dyadic_coefficients(spec, upper):
+    # p = 2, real coefficients: the cells are rationals, so the L1 norm is exact
+    members = enumerate_members(spec, upper)
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 1e-3, 37.5):
+        coeffs = {n: complex(x) for n, x in zip(members, scale * rng.standard_normal(len(members)))}
+        ratio, err = l1_lower_ratio_with_error(spec, coeffs)
+        cells = [abs(value.as_rational()) for value in _exact_cells(coeffs, 2)]
+        l1 = sum(cells, Fraction(0)) / len(cells)
+        l2_sq = sum(Fraction(c.real) ** 2 for c in coeffs.values())
+        lo, hi = Fraction(ratio) - Fraction(err), Fraction(ratio) + Fraction(err)
+        assert 0 < lo and lo**2 * l2_sq <= l1**2 <= hi**2 * l2_sq
+        assert err < 1e-12
+
+
+def test_estimate_l1_constant_matches_per_trial_loop():
+    spec, upper, trials = unit_chaos(2, 1), 2**8, 300
+    members = enumerate_members(spec, upper)
+    chunk = _CHUNK_ENTRIES // 2 ** (len(members))  # 9 members, 2**9 cells
+    assert chunk < trials and trials % chunk
+    report = estimate_l1_constant(spec, upper, trials, seed=13)
+    worst, worst_t, worst_err = math.inf, None, None
+    for t in range(trials):
+        c = sample_unit_coefficients(len(members), 13, t)
+        val, err = l1_lower_ratio_with_error(spec, dict(zip(members, c)))
+        if val < worst:
+            worst, worst_t, worst_err = val, t, err
+    best = sample_unit_coefficients(len(members), 13, worst_t)
+    assert report.best_coefficients == {n: complex(c) for n, c in zip(members, best)}
+    assert abs(report.min_l1_ratio - worst) <= report.min_l1_ratio_err + worst_err
+
+
+def test_estimate_l1_constant_runtime():
+    started = time.perf_counter()
+    estimate_l1_constant(unit_chaos(2, 1), 1024, 10_000, seed=7)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"10k L1 trials took {elapsed:.2f}s (limit 2s)"
 
 
 def test_l1_examples():
