@@ -7,7 +7,7 @@ Khinchin-type norm-ratio estimation, and sharpness witnesses for the
 uniqueness thresholds.
 """
 
-from .cyclo import CycloValue, cyclotomic_polynomial, root_of_unity
+from .cyclo import CycloArray, CycloValue, cyclotomic_polynomial, root_of_unity
 from .indices import (
     IndexKind,
     IndexSpec,
@@ -59,14 +59,11 @@ from .uniqueness import (
 )
 from .vc import (
     CoeffVector,
-    VCMatrix,
     exponent_table,
     matrix_op_norm,
     rademacher,
     synthesize,
     vc_function,
-    vc_matrix,
-    vc_transform,
     vc_transform_exact,
     vc_transform_float,
     verify_inverse_identity,

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cyclo import CycloValue, float_parts, root_of_unity
+from .cyclo import CycloArray
 from .indices import (
     IndexSpec,
     count_below_power,
@@ -141,8 +141,7 @@ def _verify_checks(
     ok = True
     for n, m in pairs:
         value = (vc_function_cached(p, n, cap) * vc_function_cached(p, m, cap).conj()).integral()
-        expected = CycloValue.one() if n == m else CycloValue.zero()
-        ok = ok and (value - expected).is_zero()
+        ok = ok and value == int(n == m)
     checks.append(
         _check(
             "orthonormality-sample",
@@ -244,9 +243,7 @@ def _verify_checks(
     ok = True
     for j in range(1, p):
         pieces = symmetric_decomposition(p, 0, j, cap)
-        re_part = StepFn(
-            p, 1, [root_of_unity(p, j * m).real_part() for m in range(p)], cap
-        )
+        re_part = StepFn(p, 1, CycloArray.roots(p, j * np.arange(p)).real_part(), cap)
         total = pieces[0]
         for piece in pieces[1:]:
             total = total + piece
@@ -301,8 +298,8 @@ vc_function_cached = functools.lru_cache(maxsize=4096)(vc_function)
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     _validate_base(args.p)
-    if args.tolerance <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {args.tolerance}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and > 0, got {args.tolerance}")
     if args.max_rank < 0:
         raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
     # the largest grid of the suite: independence tallies rank depth + 1 <= min(max_rank, 3) + 1
@@ -484,7 +481,7 @@ def cmd_transform(args) -> int:
         if any(z.imag for z in values):
             raise ConfigError("exact mode accepts real inputs only; use --mode float")
         out = vc_transform_exact([Fraction(z.real) for z in values], args.p, args.direction)
-        result = float_parts(out)
+        result = out.float_parts()
     _write_array(args.output, result, args.output.endswith(".json"))
     return 0
 

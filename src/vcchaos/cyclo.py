@@ -7,6 +7,11 @@ roots stay single-coefficient vectors and conjugation is an index
 permutation.  Equality and zero testing reduce modulo the r-th cyclotomic
 polynomial, which is the minimal polynomial of w, so they are exact for
 every order, prime or not.
+
+One type implements the ring: a CycloArray holds n values of one order as
+an (n, r) array of integer numerators over one denominator, and acts on all
+rows at once (the product is a cyclic convolution along the ring axis).
+CycloValue, the public type of a single value, is a view of one row.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -79,165 +84,270 @@ def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def integer_numerators(rationals) -> tuple[np.ndarray, int]:
-    """Integer numerators (object array) of ints, floats or Fractions over their lcm denominator."""
-    ratios = [x.as_integer_ratio() for x in rationals]
-    denom = math.lcm(*(d for _, d in ratios))
-    return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
+class CycloArray:
+    """Rows sum(nums[i, j] * w**j) / denom, w a primitive order-th root of unity.
 
-
-class CycloValue:
-    """Exact element sum(coeffs[j] * w**j), w a primitive order-th root of unity.
-
-    Instances are immutable.  Cross-order arithmetic promotes both operands
-    into the ring of the least common multiple order, so rationals (order 1)
-    mix freely with any root order.  Hashing is disabled; use canonical_key()
-    to group equal values of a common order.
+    nums is an (n, order) object array of Python ints and denom a positive
+    int, reduced so that no common factor divides both.  Operands of
+    different orders are promoted to the least common multiple order, and a
+    one-row operand (or a rational) broadcasts against every row.  Instances
+    are never mutated, so arrays may share numerators.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "denom")
 
-    def __init__(self, order: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __init__(self, order: int, nums: np.ndarray, denom: int = 1):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if len(coeffs) != order:
-            raise ValueError(f"need exactly {order} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloValue is immutable")
-
-    @classmethod
-    def zero(cls, order: int = 1) -> "CycloValue":
-        return cls(order, [0] * order)
+        if nums.ndim != 2 or nums.shape[1] != order:
+            raise ValueError(f"need an (n, {order}) numerator array, got shape {nums.shape}")
+        if denom != 1:
+            g = math.gcd(denom, *nums.flat)
+            if g > 1:
+                nums, denom = nums // g, denom // g
+        self.order = order
+        self.nums = nums
+        self.denom = denom
 
     @classmethod
-    def one(cls, order: int = 1) -> "CycloValue":
-        return cls.from_rational(Fraction(1), order)
+    def roots(cls, order: int, exponents) -> "CycloArray":
+        """Rows w**e for e in exponents; the exponents are reduced mod order."""
+        exponents = np.asarray(exponents, dtype=np.int64) % order
+        nums = np.zeros((exponents.size, order), dtype=object)
+        nums[np.arange(exponents.size), exponents] = 1
+        return cls(order, nums)
 
     @classmethod
-    def from_rational(cls, value, order: int = 1) -> "CycloValue":
-        coeffs = [Fraction(0)] * order
-        coeffs[0] = Fraction(value)
-        return cls(order, coeffs)
-
-    @classmethod
-    def root(cls, order: int, j: int = 1) -> "CycloValue":
-        coeffs = [Fraction(0)] * order
-        coeffs[j % order] = Fraction(1)
-        return cls(order, coeffs)
-
-    # -- coercion ---------------------------------------------------------
-
-    @classmethod
-    def coerce(cls, value, order: int = 1) -> "CycloValue":
+    def coerce(cls, value) -> "CycloArray":
+        """An array as it is, a CycloValue as its row, a rational as a one-row order-1 array."""
+        if isinstance(value, CycloArray):
+            return value
         if isinstance(value, CycloValue):
-            return value if order == 1 else value.promote(math.lcm(value.order, order))
-        return cls.from_rational(value, 1).promote(order)
+            return value._row
+        return cls.from_values([Fraction(value)])
 
-    def promote(self, new_order: int) -> "CycloValue":
-        """Re-express the value with a root of unity of a multiple order."""
+    @classmethod
+    def from_values(cls, values) -> "CycloArray":
+        """One row per value (int, float, Fraction, CycloValue or CycloArray row), in the lcm order."""
+        if isinstance(values, CycloArray):
+            return values
+        values = list(values)
+        if not any(isinstance(v, (CycloValue, CycloArray)) for v in values):
+            ratios = [x.as_integer_ratio() for x in values]
+            denom = math.lcm(*(d for _, d in ratios))
+            nums = np.array([n * (denom // d) for n, d in ratios], dtype=object)
+            return cls(1, nums.reshape(len(values), 1), denom)
+        rows = [cls.coerce(v) for v in values]
+        order = math.lcm(*(a.order for a in rows))
+        denom = math.lcm(*(a.denom for a in rows))
+        return cls(order, np.concatenate([a._over(order, denom) for a in rows]), denom)
+
+    def __len__(self) -> int:
+        return self.nums.shape[0]
+
+    def __getitem__(self, index):
+        """Row `index` as a CycloValue for an int; the selected rows as a CycloArray otherwise."""
+        if isinstance(index, (int, np.integer)):
+            return CycloValue._view(CycloArray(self.order, self.nums[[index]], self.denom))
+        return CycloArray(self.order, self.nums[index], self.denom)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def repeat(self, reps: int) -> "CycloArray":
+        """Each row repeated reps times in a row, as np.repeat does."""
+        return CycloArray(self.order, np.repeat(self.nums, reps, axis=0), self.denom)
+
+    def sum(self) -> "CycloArray":
+        """The one-row sum of all rows."""
+        return CycloArray(self.order, self.nums.sum(axis=0, keepdims=True), self.denom)
+
+    def promote(self, new_order: int) -> "CycloArray":
+        """Re-express the values with a root of unity of a multiple order."""
         if new_order == self.order:
             return self
         if new_order % self.order:
             raise ValueError(f"{new_order} is not a multiple of order {self.order}")
-        factor = new_order // self.order
-        coeffs = [Fraction(0)] * new_order
-        for j, c in enumerate(self.coeffs):
-            coeffs[j * factor] = c
-        return CycloValue(new_order, coeffs)
+        nums = np.zeros((len(self), new_order), dtype=object)
+        nums[:, :: new_order // self.order] = self.nums
+        return CycloArray(new_order, nums, self.denom)
 
-    def _pair(self, other) -> tuple["CycloValue", "CycloValue"]:
-        other = CycloValue.coerce(other)
-        order = math.lcm(self.order, other.order)
-        return self.promote(order), other.promote(order)
-
-    # -- ring operations --------------------------------------------------
+    def _over(self, order: int, denom: int) -> np.ndarray:
+        """Numerators of the same values in a multiple order over a multiple denominator."""
+        nums = self.promote(order).nums
+        factor = denom // self.denom
+        return nums if factor == 1 else nums * factor
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return CycloValue(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        other = CycloArray.coerce(other)
+        order = math.lcm(self.order, other.order)
+        denom = math.lcm(self.denom, other.denom)
+        return CycloArray(order, self._over(order, denom) + other._over(order, denom), denom)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloValue(self.order, [-c for c in self.coeffs])
+        return CycloArray(self.order, -self.nums, self.denom)
 
     def __sub__(self, other):
-        return self + (-CycloValue.coerce(other))
+        return self + (-CycloArray.coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        a, b = self._pair(other)
-        r = a.order
-        out = [Fraction(0)] * r
-        for i, ci in enumerate(a.coeffs):
-            if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        out[(i + j) % r] += ci * cj
-        return CycloValue(r, out)
+        other = CycloArray.coerce(other)
+        r = math.lcm(self.order, other.order)
+        a, b = self.promote(r).nums, other.promote(r).nums
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=object)
+        for i in range(r):
+            # coefficient i of b multiplies w**i, which rotates a by i places; a
+            # rational or a root (one nonzero column) costs a single term
+            if b[:, i].any():
+                out = out + np.roll(a, i, axis=1) * b[:, i : i + 1]
+        return CycloArray(r, out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
-    def scale(self, q) -> "CycloValue":
+    def scale(self, q) -> "CycloArray":
         q = Fraction(q)
-        return CycloValue(self.order, [c * q for c in self.coeffs])
+        return CycloArray(self.order, self.nums * q.numerator, self.denom * q.denominator)
 
-    def rotated(self, j: int) -> "CycloValue":
-        """Multiply by w**j (an index rotation, no coefficient arithmetic)."""
+    def rotated(self, j: int) -> "CycloArray":
+        """Multiply every row by w**j (an index rotation, no coefficient arithmetic)."""
+        return CycloArray(self.order, np.roll(self.nums, j, axis=1), self.denom)
+
+    def conj(self) -> "CycloArray":
         r = self.order
-        j %= r
-        if j == 0:
-            return self
-        return CycloValue(r, self.coeffs[-j:] + self.coeffs[:-j])
+        return CycloArray(r, self.nums[:, -np.arange(r) % r], self.denom)
 
-    def conj(self) -> "CycloValue":
-        r = self.order
-        return CycloValue(r, tuple(self.coeffs[(-t) % r] for t in range(r)))
-
-    def __pow__(self, exponent: int):
+    def __pow__(self, exponent: int) -> "CycloArray":
         if exponent < 0:
             raise ValueError("negative powers are not supported")
-        result = CycloValue.one(self.order)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = CycloArray.roots(self.order, np.zeros(len(self), dtype=np.int64))
+        for bit in bin(exponent)[2:]:  # square and multiply, leading bit first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
-    # -- certified comparisons -------------------------------------------
+    def real_part(self) -> "CycloArray":
+        return (self + self.conj()).scale(Fraction(1, 2))
+
+    def imag_part(self) -> "CycloArray":
+        """Imaginary parts as exact values of order lcm(order, 4).
+
+        Im z = (z - conj z) * (-i) / 2, and -i = w**(3*order/4) is a root of
+        unity once the order is a multiple of 4, so the product is a rotation.
+        """
+        order = math.lcm(self.order, 4)
+        v = self.promote(order)
+        return (v - v.conj()).rotated(3 * order // 4).scale(Fraction(1, 2))
+
+    def keys(self) -> np.ndarray:
+        """(n, deg Phi_order) integer residues mod Phi_order over denom.
+
+        Rows of one array are equal values exactly when their keys are equal.
+        """
+        return self.nums @ np.array(_power_residues(self.order), dtype=object)
+
+    def is_zero(self) -> np.ndarray:
+        """Boolean array: which rows are exactly zero."""
+        return ~(self.keys() != 0).any(axis=1)
+
+    def float_parts(self) -> list[complex]:
+        """Float view of the rows, exact where a real or imaginary part is rational.
+
+        A real or imaginary part that is a rational number prints as the
+        nearest float to it (an exactly real value gets imaginary part 0.0);
+        irrational parts come from eval_complex.  A part is rational when its
+        key has no terms beyond the constant one.
+        """
+        re, im = self.real_part(), self.imag_part()
+        re_keys, im_keys = re.keys(), im.keys()
+        re_exact = ~(re_keys[:, 1:] != 0).any(axis=1)
+        im_exact = ~(im_keys[:, 1:] != 0).any(axis=1)
+        out = []
+        for i in range(len(self)):
+            approx = 0j if re_exact[i] and im_exact[i] else self[i].eval_complex()[0]
+            re_i = re_keys[i, 0] / re.denom if re_exact[i] else approx.real
+            im_i = im_keys[i, 0] / im.denom if im_exact[i] else approx.imag
+            out.append(complex(re_i, im_i))
+        return out
+
+
+class CycloValue:
+    """Exact element sum(coeffs[j] * w**j), w a primitive order-th root of unity.
+
+    A view of a one-row CycloArray, which does all of the arithmetic: promote,
+    the ring operations, real_part and imag_part are installed below the class
+    as the CycloArray methods applied to the row.  Instances are immutable.
+    Cross-order arithmetic promotes both operands into the ring of the least
+    common multiple order, so rationals (order 1) mix freely with any root
+    order.  Hashing is disabled; use canonical_key() to group equal values of
+    a common order.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self, order: int, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != order:
+            raise ValueError(f"need exactly {order} coefficients, got {len(coeffs)}")
+        column = CycloArray.from_values(coeffs)
+        object.__setattr__(self, "_row", CycloArray(order, column.nums.T, column.denom))
+
+    @classmethod
+    def _view(cls, row: CycloArray) -> "CycloValue":
+        value = object.__new__(cls)
+        object.__setattr__(value, "_row", row)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycloValue is immutable")
+
+    @property
+    def order(self) -> int:
+        return self._row.order
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        denom = self._row.denom
+        return tuple(Fraction(n, denom) for n in self._row.nums[0])
+
+    @classmethod
+    def zero(cls, order: int = 1) -> "CycloValue":
+        return cls._view(CycloArray(order, np.zeros((1, order), dtype=object)))
+
+    @classmethod
+    def one(cls, order: int = 1) -> "CycloValue":
+        return cls.root(order, 0)
+
+    @classmethod
+    def from_rational(cls, value, order: int = 1) -> "CycloValue":
+        return cls._view(CycloArray.coerce(Fraction(value)).promote(order))
+
+    @classmethod
+    def root(cls, order: int, j: int = 1) -> "CycloValue":
+        return cls._view(CycloArray.roots(order, [j]))
+
+    @classmethod
+    def coerce(cls, value, order: int = 1) -> "CycloValue":
+        row = CycloArray.coerce(value)
+        return cls._view(row.promote(math.lcm(row.order, order)))
 
     def canonical_key(self) -> tuple[Fraction, ...]:
         """Coefficients of the residue mod Phi_order; equal values share keys."""
-        rows = _power_residues(self.order)
-        deg = len(rows[0])
-        out = [Fraction(0)] * deg
-        for t, c in enumerate(self.coeffs):
-            if c:
-                row = rows[t]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+        denom = self._row.denom
+        return tuple(Fraction(k, denom) for k in self._row.keys()[0])
 
     def is_zero(self) -> bool:
-        return not any(self.canonical_key())
+        return bool(self._row.is_zero()[0])
 
     def __eq__(self, other):
         if not isinstance(other, (CycloValue, int, Fraction)):
             return NotImplemented
-        a, b = self._pair(other)
-        return (a - b).is_zero()
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -250,37 +360,23 @@ class CycloValue:
             raise ValueError("value is not rational")
         return key[0]
 
-    def real_part(self) -> "CycloValue":
-        return (self + self.conj()).scale(Fraction(1, 2))
-
-    def imag_part(self) -> "CycloValue":
-        """Imaginary part as an exact value of order lcm(order, 4).
-
-        Im z = (z - conj z) * (-i) / 2, and -i is a root of unity once the
-        order is a multiple of 4.
-        """
-        order = math.lcm(self.order, 4)
-        v = self.promote(order)
-        minus_i = CycloValue.root(order, 3 * order // 4)
-        return ((v - v.conj()) * minus_i).scale(Fraction(1, 2))
-
     def abs_squared(self) -> "CycloValue":
         return self * self.conj()
-
-    # -- numeric view ------------------------------------------------------
 
     def eval_complex(self) -> tuple[complex, float]:
         """Float evaluation with a rigorous absolute error bound.
 
         The bound covers rational-to-float rounding, the root-of-unity
-        evaluations, the products, and the length-order summation.
+        evaluations, the products, and the length-order summation.  Each
+        coefficient n / denom is one correctly rounded integer division.
         """
         total = 0j
         mag = 0.0
         r = self.order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                cf = float(c)
+        denom = self._row.denom
+        for j, n in enumerate(self._row.nums[0]):
+            if n:
+                cf = n / denom
                 total += cf * cmath.exp(2j * math.pi * j / r)
                 mag += abs(cf)
         err = mag * _EPS * (r + 8) + 4 * math.ulp(1.0) * (abs(total) + 1e-300)
@@ -300,34 +396,19 @@ class CycloValue:
         return f"CycloValue(order={self.order}: {body})"
 
 
-def float_parts(values) -> list[complex]:
-    """Float view of exact values, exact where a real or imaginary part is rational.
+def _on_row(name: str):
+    @wraps(getattr(CycloArray, name))
+    def method(self, *args):
+        return CycloValue._view(getattr(self._row, name)(*args))
 
-    A real or imaginary part that is a rational number prints as the nearest
-    float to it (an exactly real value gets imaginary part 0.0); irrational
-    parts come from eval_complex.  All values reduce at once: in the order
-    r = lcm(4, their orders), conjugation is the index permutation j -> -j
-    and -i is w**(3r/4), so 2 Re z and 2 Im z are numerator rows reduced by
-    one matrix product with the power residues mod Phi_r.
-    """
-    order = math.lcm(*(v.order for v in values))
-    r = math.lcm(order, 4)
-    nums, denom = integer_numerators(c for v in values for c in v.promote(order).coeffs)
-    z = np.zeros((len(values), r), dtype=object)
-    z[:, :: r // order] = nums.reshape(len(values), order)
-    conj = z[:, -np.arange(r) % r]
-    residues = np.array(_power_residues(r), dtype=object)
-    twice_re = (z + conj) @ residues
-    twice_im = np.roll(z - conj, 3 * r // 4, axis=1) @ residues
-    re_exact = ~(twice_re[:, 1:] != 0).any(axis=1)
-    im_exact = ~(twice_im[:, 1:] != 0).any(axis=1)
-    out = []
-    for i, v in enumerate(values):
-        approx = 0j if re_exact[i] and im_exact[i] else v.eval_complex()[0]
-        re = float(Fraction(twice_re[i, 0], 2 * denom)) if re_exact[i] else approx.real
-        im = float(Fraction(twice_im[i, 0], 2 * denom)) if im_exact[i] else approx.imag
-        out.append(complex(re, im))
-    return out
+    return method
+
+
+for _name in (
+    "promote", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__pow__", "scale", "rotated", "conj", "real_part", "imag_part",
+):
+    setattr(CycloValue, _name, _on_row(_name))
 
 
 def root_of_unity(order: int, j: int = 1) -> CycloValue:

@@ -19,6 +19,7 @@ order-independent.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -26,10 +27,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cyclo import CycloValue, integer_numerators, root_of_unity
-from .indices import IndexSpec, contains, enumerate_members
+from .cyclo import CycloArray, root_of_unity
+from .indices import IndexSpec, contains, count_below_power, enumerate_members
 from .pary import RankCapError, cell_cap, check_rank, digit_count, digitwise_add
-from .stepfn import StepFn, _common_order
+from .stepfn import StepFn
 from .vc import _exponent_rows
 
 # bound on |fl(w**e) - w**e| for the rounded unit roots in _vc_rows
@@ -85,8 +86,8 @@ def _exact_power_sums(
             parts += (v, 0)
         else:
             raise TypeError(f"cannot convert {type(v).__name__} to an exact complex")
-    nums, denom = integer_numerators(parts)
-    re, im = nums[0::2], nums[1::2]
+    column = CycloArray.from_values(parts)
+    re, im, denom = column.nums[0::2, 0], column.nums[1::2, 0], column.denom
     g_re, g_im, outer = re, im, np.multiply.outer
     for flat, bins in _sum_tables(p, list(coeffs), q // 2, cap):
         next_re, next_im = np.zeros(bins, dtype=object), np.zeros(bins, dtype=object)
@@ -105,6 +106,21 @@ def moment_even_pow_exact(p: int, coeffs: Mapping[int, object], q: int) -> Fract
 def fourth_moment_exact(p: int, coeffs: Mapping[int, object]) -> Fraction:
     """Exact integral of |sum c_n VC_n|**4 (squared l2 norm of c convolved with c)."""
     return moment_even_pow_exact(p, coeffs, 4)
+
+
+def _members(spec: IndexSpec, upper: int, cap: int | None) -> list[int]:
+    """enumerate_members(spec, upper), once the candidates it generates fit the cell cap.
+
+    It generates every member of at most digit_count(upper) digits, then drops those above upper.
+    """
+    limit = cap if cap is not None else cell_cap()
+    candidates = count_below_power(spec, digit_count(max(upper, 1), spec.p))
+    if candidates > limit:
+        raise RankCapError(f"{candidates} candidate members exceed the cell cap {limit}")
+    members = enumerate_members(spec, upper)
+    if not members:
+        raise ValueError(f"{spec.describe()} has no members in [1, {upper}]")
+    return members
 
 
 def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
@@ -382,9 +398,7 @@ def estimate_constant(
         raise ValueError(f"unknown optimizer {optimizer!r}")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    members = enumerate_members(spec, upper)
-    if not members:
-        raise ValueError(f"{spec.describe()} has no members in [1, {upper}]")
+    members = _members(spec, upper, cap)
     objective = _ratio_objective(spec.p, members, q, cap)
     best_val = -math.inf
     best_c = None
@@ -435,9 +449,7 @@ def estimate_l1_constant(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    members = enumerate_members(spec, upper)
-    if not members:
-        raise ValueError(f"{spec.describe()} has no members in [1, {upper}]")
+    members = _members(spec, upper, cap)
     rows = _vc_rows(spec.p, members, cap)
     chunk = max(1, _CHUNK_ENTRIES // rows.shape[1])
     worst = math.inf
@@ -480,21 +492,13 @@ def symmetric_decomposition(p: int, k: int, j: int, cap: int | None = None) -> l
     """
     if not 1 <= j <= p - 1:
         raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
-    cells = check_rank(p, k + 1, cap)
+    digits = np.arange(check_rank(p, k + 1, cap)) % p
     pieces = []
     for m in range(1, p):
-        cos_m = (root_of_unity(p, m * j) + root_of_unity(p, -m * j)).scale(
-            Fraction(1, 2)
-        )
-        values = []
-        for cell in range(cells):
-            digit = cell % p
-            if digit == m:
-                values.append(cos_m)
-            elif digit == 0:
-                values.append(-cos_m)
-            else:
-                values.append(CycloValue.zero(p))
+        cos_m = root_of_unity(p, m * j).real_part()
+        # row 1 (cos_m) where the digit is m, row 2 (-cos_m) where it is 0, else row 0
+        rows = np.select([digits == m, digits == 0], [1, 2])
+        values = CycloArray.from_values([0, cos_m, -cos_m])[rows]
         pieces.append(StepFn(p, k + 1, values, cap))
     return pieces
 
@@ -506,8 +510,9 @@ def independence_check(
 
     For every combination of attainable values (e_0, ..., e_n) the joint
     measure mu{f_k = e_k for all k} must equal the product of the marginal
-    measures, as exact rationals.  Joint measures are tallied over all
-    p**(n+1) rank-(n+1) cells; marginals count digit preimages directly.
+    measures.  Over the p**(n+1) rank-(n+1) cells both are integer counts
+    times p**-(n+1): the joint count of cells against the product of the
+    digit preimage counts, compared exactly.
     """
     tables = [list(t) for t in tables]
     if depth is None:
@@ -517,26 +522,13 @@ def independence_check(
     if any(len(t) != p for t in tables):
         raise ValueError(f"each value table must have exactly {p} entries")
     check_rank(p, depth + 1, cap)
-    keyed = []
-    for t in tables:
-        vals = [CycloValue.coerce(v) for v in t]
-        order = _common_order(vals)
-        keyed.append([v.promote(order).canonical_key() for v in vals])
-    marginals = []
-    for keys in keyed:
-        counts: dict[tuple, int] = {}
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-        marginals.append({key: Fraction(c, p) for key, c in counts.items()})
-    cell_measure = Fraction(1, p ** (depth + 1))
-    joint: dict[tuple, Fraction] = {}
-    for digits in product(range(p), repeat=depth + 1):
-        combo = tuple(keyed[k][d] for k, d in enumerate(digits))
-        joint[combo] = joint.get(combo, Fraction(0)) + cell_measure
-    for combo in product(*[sorted(m) for m in marginals]):
-        expected = Fraction(1)
-        for k, key in enumerate(combo):
-            expected *= marginals[k][key]
-        if joint.get(combo, Fraction(0)) != expected:
-            return False
-    return True
+    keyed = [list(map(tuple, CycloArray.from_values(t).keys().tolist())) for t in tables]
+    marginals = [Counter(keys) for keys in keyed]
+    joint = Counter(
+        tuple(keyed[k][d] for k, d in enumerate(digits))
+        for digits in product(range(p), repeat=depth + 1)
+    )
+    return all(
+        joint[combo] == math.prod(m[key] for m, key in zip(marginals, combo))
+        for combo in product(*marginals)
+    )

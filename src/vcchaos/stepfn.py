@@ -1,9 +1,11 @@
 """Exact algebra of base-p step functions on [0, 1) and unions of base-p cells.
 
-StepFn values are CycloValue elements (rationals are order-1 values), so all
-pointwise operations, integrals and even-q norms are exact.  PArySet stores a
-union of rank-k cells as a bitmask and always keeps the canonical minimal-rank
-form, which makes set equality structural.
+A StepFn keeps its cell values in one CycloArray, one row per cell with a
+common order and denominator (rationals are order-1 values), so pointwise
+operations, integrals, even-q norms, level sets and distributions are
+whole-array integer operations and exact.  PArySet stores a union of rank-k
+cells as a bitmask and always keeps the canonical minimal-rank form, which
+makes set equality structural.
 """
 
 from __future__ import annotations
@@ -13,15 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cyclo import CycloValue
+import numpy as np
+
+from .cyclo import CycloArray, CycloValue
 from .pary import check_rank
-
-
-def _common_order(values) -> int:
-    order = 1
-    for v in values:
-        order = math.lcm(order, v.order)
-    return order
 
 
 class StepFn:
@@ -31,24 +28,24 @@ class StepFn:
 
     def __init__(self, p: int, rank: int, values, cap: int | None = None):
         cells = check_rank(p, rank, cap)
-        vals = [CycloValue.coerce(v) for v in values]
-        if len(vals) != cells:
-            raise ValueError(f"need {cells} cell values, got {len(vals)}")
-        order = _common_order(vals)
+        values = CycloArray.from_values(values)
+        if len(values) != cells:
+            raise ValueError(f"need {cells} cell values, got {len(values)}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "values", tuple(v.promote(order) for v in vals))
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFn is immutable")
 
     @classmethod
     def constant(cls, p: int, value, rank: int = 0) -> "StepFn":
-        return cls(p, rank, [value] * p**rank)
+        return cls(p, rank, CycloArray.from_values([value]).repeat(check_rank(p, rank)))
 
-    @property
-    def value_order(self) -> int:
-        return self.values[0].order if self.values else 1
+    def _on_grid(self, rank: int, values: CycloArray) -> "StepFn":
+        # the values already fill this grid, so their count is the cap: a
+        # result is never refused by a cap smaller than its operands
+        return StepFn(self.p, rank, values, len(values))
 
     # -- structure ---------------------------------------------------------
 
@@ -59,15 +56,17 @@ class StepFn:
         if new_rank == self.rank:
             return self
         check_rank(self.p, new_rank, cap)
-        reps = self.p ** (new_rank - self.rank)
-        values = [self.values[m // reps] for m in range(len(self.values) * reps)]
-        return StepFn(self.p, new_rank, values, cap)
+        return self._on_grid(new_rank, self.values.repeat(self.p ** (new_rank - self.rank)))
 
-    def _aligned(self, other: "StepFn") -> tuple["StepFn", "StepFn"]:
+    def _aligned(self, other) -> tuple[int, CycloArray, object]:
+        """Values on the finer operand's existing grid; a number or CycloValue passes through."""
+        if not isinstance(other, StepFn):
+            return self.rank, self.values, other
         if self.p != other.p:
             raise ValueError(f"base mismatch: {self.p} vs {other.p}")
         rank = max(self.rank, other.rank)
-        return self.refine(rank), other.refine(rank)
+        a, b = (f.values.repeat(self.p ** (rank - f.rank)) for f in (self, other))
+        return rank, a, b
 
     def eval_at(self, x) -> CycloValue:
         x = Fraction(x)
@@ -78,58 +77,49 @@ class StepFn:
     # -- pointwise ring ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, StepFn):
-            a, b = self._aligned(other)
-            return StepFn(a.p, a.rank, [x + y for x, y in zip(a.values, b.values)])
-        return StepFn(self.p, self.rank, [v + other for v in self.values])
+        rank, a, b = self._aligned(other)
+        return self._on_grid(rank, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return StepFn(self.p, self.rank, [-v for v in self.values])
+        return self._on_grid(self.rank, -self.values)
 
     def __sub__(self, other):
-        if isinstance(other, StepFn):
-            return self + (-other)
-        return StepFn(self.p, self.rank, [v - other for v in self.values])
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, StepFn):
-            a, b = self._aligned(other)
-            return StepFn(a.p, a.rank, [x * y for x, y in zip(a.values, b.values)])
-        return StepFn(self.p, self.rank, [v * other for v in self.values])
+        rank, a, b = self._aligned(other)
+        return self._on_grid(rank, a * b)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "StepFn":
-        return StepFn(self.p, self.rank, [v.scale(q) for v in self.values])
+        return self._on_grid(self.rank, self.values.scale(q))
 
     def conj(self) -> "StepFn":
-        return StepFn(self.p, self.rank, [v.conj() for v in self.values])
+        return self._on_grid(self.rank, self.values.conj())
 
     def __pow__(self, exponent: int) -> "StepFn":
-        return StepFn(self.p, self.rank, [v**exponent for v in self.values])
+        return self._on_grid(self.rank, self.values**exponent)
 
     def __eq__(self, other):
         if not isinstance(other, StepFn):
             return NotImplemented
         if self.p != other.p:
             return False
-        a, b = self._aligned(other)
-        return all((x - y).is_zero() for x, y in zip(a.values, b.values))
+        _, a, b = self._aligned(other)
+        return bool((a - b).is_zero().all())
 
     __hash__ = None
 
     # -- integrals and norms -------------------------------------------------
 
     def integral(self) -> CycloValue:
-        total = CycloValue.zero(self.value_order)
-        for v in self.values:
-            total = total + v
-        return total.scale(Fraction(1, self.p**self.rank))
+        return self.values.sum().scale(Fraction(1, self.p**self.rank))[0]
 
     def lq_norm_even_pow(self, q: int) -> Fraction:
         """Exact integral of |f|**q for even q, as a rational.
@@ -139,11 +129,7 @@ class StepFn:
         """
         if q < 2 or q % 2:
             raise ValueError(f"q must be a positive even integer, got {q}")
-        h = q // 2
-        total = CycloValue.zero(self.value_order)
-        for v in self.values:
-            total = total + v.abs_squared() ** h
-        return total.scale(Fraction(1, self.p**self.rank)).as_rational()
+        return ((self * self.conj()) ** (q // 2)).integral().as_rational()
 
     def lq_norm_float(self, q: float) -> tuple[float, float]:
         """(norm, error bound) for general q >= 1 via float evaluation."""
@@ -177,24 +163,21 @@ class StepFn:
     # -- level sets and distribution ----------------------------------------
 
     def level_set(self, target) -> "PArySet":
-        target = CycloValue.coerce(target)
-        mask = 0
-        for m, v in enumerate(self.values):
-            if (v - target).is_zero():
-                mask |= 1 << m
-        return PArySet(self.p, self.rank, mask)
+        hits = (self.values - target).is_zero()
+        mask = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
+        return PArySet(self.p, self.rank, mask, len(hits))
 
     def zero_set(self) -> "PArySet":
         return self.level_set(0)
 
     def distribution(self) -> "Distribution":
         groups: dict[tuple, list] = {}
-        for v in self.values:
-            groups.setdefault(v.canonical_key(), [v, 0])[1] += 1
-        cells = self.p**self.rank
+        for i, key in enumerate(map(tuple, self.values.keys().tolist())):
+            groups.setdefault(key, [i, 0])[1] += 1
+        cells = len(self.values)
         entries = [
-            (rep, Fraction(count, cells))
-            for rep, count in (groups[k] for k in sorted(groups))
+            (self.values[i], Fraction(count, cells))
+            for i, count in (groups[k] for k in sorted(groups))
         ]
         return Distribution(tuple(entries))
 
@@ -215,33 +198,20 @@ class Distribution:
         if any(m <= 0 for _, m in self.entries):
             raise ValueError("measures must be positive")
 
-    def _keyed(self) -> dict[tuple, Fraction]:
-        order = _common_order([v for v, _ in self.entries])
-        return {v.promote(order).canonical_key(): m for v, m in self.entries}
-
     def measure_of(self, value) -> Fraction:
-        value = CycloValue.coerce(value)
-        order = _common_order([v for v, _ in self.entries] + [value])
-        table = {v.promote(order).canonical_key(): m for v, m in self.entries}
-        return table.get(value.promote(order).canonical_key(), Fraction(0))
+        values = CycloArray.from_values([v for v, _ in self.entries] + [value])
+        *keys, key = map(tuple, values.keys().tolist())
+        return dict(zip(keys, (m for _, m in self.entries))).get(key, Fraction(0))
 
     def is_symmetric(self) -> bool:
         """True iff the law is invariant under negation.  Values must be real."""
-        for v, _ in self.entries:
-            if not v.is_real():
-                raise ValueError("symmetry is defined for real-valued laws only")
-        table = self._keyed()
-        order = _common_order([v for v, _ in self.entries])
-        for v, m in self.entries:
-            if table.get((-v.promote(order)).canonical_key()) != m:
-                return False
-        return True
-
-    def mean(self) -> CycloValue:
-        total = CycloValue.zero()
-        for v, m in self.entries:
-            total = total + v.scale(m)
-        return total
+        values = CycloArray.from_values(v for v, _ in self.entries)
+        if not (values - values.conj()).is_zero().all():
+            raise ValueError("symmetry is defined for real-valued laws only")
+        keys = values.keys()
+        measures = [m for _, m in self.entries]
+        table = dict(zip(map(tuple, keys.tolist()), measures))
+        return all(table.get(k) == m for k, m in zip(map(tuple, (-keys).tolist()), measures))
 
     def support_size(self) -> int:
         return len(self.entries)

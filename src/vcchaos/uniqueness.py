@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import CycloValue
+import numpy as np
+
+from .cyclo import CycloArray, CycloValue
 from .indices import IndexSpec, contains, full_chaos, unit_chaos
 from .pary import check_rank
 from .stepfn import PArySet, StepFn, at_least_two
@@ -70,11 +72,10 @@ class SharpnessReport:
         }
 
 
-def _expand(fn: StepFn, rank: int) -> dict[int, CycloValue]:
-    """Nonzero coefficients of fn against the VC system, via the fast transform."""
-    values = fn.refine(rank).values
-    coeffs = vc_transform_exact(list(values), fn.p, "forward")
-    return {n: c for n, c in enumerate(coeffs) if not c.is_zero()}
+def _expand(fn: StepFn) -> tuple[CycloArray, dict[int, CycloValue]]:
+    """Coefficients of fn against the VC system (fast transform), and the nonzero ones by index."""
+    coeffs = vc_transform_exact(fn.values, fn.p, "forward")
+    return coeffs, {int(n): coeffs[int(n)] for n in np.flatnonzero(~coeffs.is_zero())}
 
 
 def witness_unit_chaos(p: int, d: int, cap: int | None = None) -> SharpnessReport:
@@ -90,19 +91,18 @@ def witness_unit_chaos(p: int, d: int, cap: int | None = None) -> SharpnessRepor
     prod = StepFn.constant(p, 1)
     for k in range(d):
         prod = prod * (1 - rademacher(p, k, cap))
-    coeffs = _expand(prod, d)
-    if coeffs.get(0) != CycloValue.one():
+    array, coeffs = _expand(prod)
+    digit_sums = (np.arange(p**d)[:, None] // p ** np.arange(d) % p).sum(axis=1)
+    signs = CycloArray.from_values((1 - 2 * (digit_sums % 2)).tolist())
+    wrong = ~(array - signs).is_zero()
+    if wrong[0]:
         raise ValueError("constant coefficient of the witness must be 1")
+    # every nonzero coefficient must be (-1)**s, s the digit sum of its index
+    n = next((n for n in coeffs if wrong[n]), None)
+    if n is not None:
+        raise ValueError(f"coefficient at {n} is {coeffs[n]}, expected (-1)**{digit_sums[n]}")
     spec = unit_chaos(p, d)
-    support_ok = True
-    for n, c in coeffs.items():
-        if n == 0:
-            continue
-        if not contains(spec, n):
-            support_ok = False
-        s = sum(int(n // p**j % p) for j in range(d))
-        if c != Fraction(-1) ** s:
-            raise ValueError(f"coefficient at {n} is {c}, expected (-1)**{s}")
+    support_ok = all(n == 0 or contains(spec, n) for n in coeffs)
     level_set = (prod - 1).level_set(-1)
     measure = level_set.measure()
     threshold = Fraction(p - 1, p) ** d
@@ -136,13 +136,11 @@ def witness_full_chaos(p: int, d: int, cap: int | None = None) -> SharpnessRepor
         for power in range(1, p):
             total = total + r_k**power
         prod = prod * total
-    indicator = StepFn(p, d, [cells if m == 0 else 0 for m in range(cells)])
+    indicator = StepFn(p, d, [cells if m == 0 else 0 for m in range(cells)], cap)
     if prod != indicator:
         raise ValueError("witness is not p**d * indicator of the first cell")
-    coeffs = _expand(prod, d)
-    if sorted(coeffs) != list(range(cells)) or any(
-        coeffs[n] != CycloValue.one() for n in coeffs
-    ):
+    array, coeffs = _expand(prod)
+    if not (array - 1).is_zero().all():
         raise ValueError("witness expansion must be all ones below p**d")
     spec = full_chaos(p, d)
     support_ok = all(n == 0 or contains(spec, n) for n in coeffs)

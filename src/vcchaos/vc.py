@@ -16,9 +16,9 @@ becomes a (p,)*k tensor of ring elements, a p-point kernel is applied along
 each digit axis (no twiddle factors exist for this group), and reversing the
 digit axes at the end aligns coefficient order with Paley order.  The float
 binding uses ring length 1 and the complex p-point DFT; the exact binding
-stores values of common order r as integer numerators over one denominator,
-a ring axis of length r, on which w_p**e acts as a rotation by e*r/p, so its
-kernel is a 0/1 block-circulant and all arithmetic is on Python integers.
+works on the integer numerators of a CycloArray of common order r, whose
+ring axis of length r is the one w_p**e acts on as a rotation by e*r/p, so
+its kernel is a 0/1 block-circulant and all arithmetic is on Python integers.
 Forward = conjugate kernel and 1/p**k scaling, so forward output n is the
 coefficient of VC_n; inverse rebuilds cell values.
 """
@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .cyclo import CycloValue, _power_residues, integer_numerators, root_of_unity
+from .cyclo import CycloArray, _power_residues
 from .pary import check_rank, digit_count
-from .stepfn import StepFn, _common_order
+from .stepfn import StepFn
 
 
 def rademacher(p: int, k: int, cap: int | None = None) -> StepFn:
@@ -51,8 +50,7 @@ def vc_function(p: int, n: int, cap: int | None = None) -> StepFn:
         raise ValueError(f"index must be >= 0, got {n}")
     rank = digit_count(n, p)
     check_rank(p, rank, cap)
-    exponents = _exponent_rows(p, rank, [n])[0]
-    return StepFn(p, rank, [root_of_unity(p, int(x)) for x in exponents], cap)
+    return StepFn(p, rank, CycloArray.roots(p, _exponent_rows(p, rank, [n])[0]), cap)
 
 
 def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
@@ -72,33 +70,6 @@ def exponent_table(p: int, k: int, cap: int | None = None) -> np.ndarray:
     """(p**k, p**k) table E with VC[n, m] = w**E[n, m]."""
     cells = check_rank(p, k, cap)
     return _exponent_rows(p, k, np.arange(cells))
-
-
-@dataclass(frozen=True)
-class VCMatrix:
-    """Value table of VC_n on rank-k cells, stored as exponents mod p."""
-
-    p: int
-    k: int
-    exponents: np.ndarray
-
-    @classmethod
-    def build(cls, p: int, k: int, cap: int | None = None) -> "VCMatrix":
-        return cls(p, k, exponent_table(p, k, cap))
-
-    @property
-    def size(self) -> int:
-        return self.p**self.k
-
-    def entry(self, n: int, m: int) -> CycloValue:
-        return root_of_unity(self.p, int(self.exponents[n, m]))
-
-    def row(self, n: int) -> list[CycloValue]:
-        return [self.entry(n, m) for m in range(self.size)]
-
-
-def vc_matrix(p: int, k: int, cap: int | None = None) -> VCMatrix:
-    return VCMatrix.build(p, k, cap)
 
 
 def verify_inverse_identity(p: int, k: int, cap: int | None = None) -> bool:
@@ -188,40 +159,32 @@ def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray
     return out
 
 
-def vc_transform_exact(values, p: int, direction: str = "forward") -> list[CycloValue]:
+def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray:
     """Radix-p transform in exact cyclotomic arithmetic.
 
-    The values become integer numerators over one common denominator in the
-    group ring of their common order r, a (cells, r) array.  Multiplying by
-    w_p**e rotates the ring axis by e * r / p, so the kernel is the 0/1
-    block-circulant whose block (a, b) is that rotation for e = sign * a * b.
+    The values (a CycloArray, or anything CycloArray.from_values takes)
+    live in the group ring of their common order r, promoted to a multiple
+    of p, as integer numerators over one denominator: a (cells, r) array.
+    Multiplying by w_p**e rotates the ring axis by e * r / p, so the kernel
+    is the 0/1 block-circulant whose block (a, b) is that rotation for
+    e = sign * a * b.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    vals = [CycloValue.coerce(v, p) for v in values]
+    vals = CycloArray.from_values(values)
+    order = math.lcm(vals.order, p)
     length = len(vals)
     k = _length_rank(length, p)
-    order = _common_order(vals)
-    nums, denom = integer_numerators(c for v in vals for c in v.promote(order).coeffs)
     sign = -1 if direction == "forward" else 1
     digit = np.arange(p)
     ring = np.arange(order)
     shift = sign * np.outer(digit, digit) * (order // p)
     # kernel[a, s, b, t] = 1 where t = s - shift[a, b] (mod order)
     hits = (ring[None, :, None, None] - shift[:, None, :, None] - ring) % order == 0
-    out = _radix_p(nums.reshape((p,) * k + (order,)), hits.astype(int).astype(object), k)
-    if direction == "forward":
-        denom *= length
-    rows = out.reshape(length, order)
-    return [CycloValue(order, [Fraction(c, denom) for c in row]) for row in rows]
-
-
-def vc_transform(values, p: int, direction: str = "forward", mode: str = "exact"):
-    if mode == "exact":
-        return vc_transform_exact(values, p, direction)
-    if mode == "float":
-        return vc_transform_float(values, p, direction)
-    raise ValueError(f"unknown mode {mode!r}")
+    nums = vals.promote(order).nums.reshape((p,) * k + (order,))
+    out = _radix_p(nums, hits.astype(int).astype(object), k)
+    denom = vals.denom * (length if direction == "forward" else 1)
+    return CycloArray(order, out.reshape(length, order), denom)
 
 
 # -- coefficient vectors and synthesis ----------------------------------------
@@ -270,7 +233,8 @@ def synthesize(coeffs, p: int | None = None, cap: int | None = None) -> StepFn:
         raise ValueError("indices must be nonnegative")
     rank = max((digit_count(n, p) for n in entries), default=0)
     cells = check_rank(p, rank, cap)
-    vec: list = [0] * cells
-    for n, c in entries.items():
-        vec[n] = c
+    # cell n takes row 1 + (position of n in entries), every other cell row 0
+    rows = np.zeros(cells, dtype=np.intp)
+    rows[list(entries)] = np.arange(1, len(entries) + 1)
+    vec = CycloArray.from_values([0, *entries.values()])[rows]
     return StepFn(p, rank, vc_transform_exact(vec, p, "inverse"), cap)

@@ -1,10 +1,14 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from vcchaos import cli
 from vcchaos.cli import main
+from vcchaos.indices import full_chaos
+from vcchaos.khinchin import estimate_l1_constant
+from vcchaos.pary import RankCapError
 
 
 def run(args):
@@ -43,6 +47,10 @@ def test_verify_honours_cell_cap(monkeypatch):
     # at max rank 1 the independence check tallies rank-2 grids: 9 cells for p = 3
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "9"]) == 0
     assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "2"]) == 0
+    # products on grids the run already built are not checked again against the global cap
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "3")
+    assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "9"]) == 0
+    monkeypatch.delenv("VCCHAOS_CELL_CAP")
 
     def no_checks(*args):
         pytest.fail("a check ran although the suite's largest grid exceeds the cap")
@@ -53,7 +61,9 @@ def test_verify_honours_cell_cap(monkeypatch):
 
 
 def test_verify_bad_tolerance_is_config_error():
-    assert run(["verify", "--p", "2", "--tolerance", "-1e-9"]) == 2
+    # nan used to fail the operator-norm check (exit 1); inf made it pass vacuously
+    for tolerance in ("-1e-9", "nan", "inf"):
+        assert run(["verify", "--p", "2", "--tolerance", tolerance]) == 2
 
 
 def test_khinchin_float_mode_reports_error_bound(tmp_path):
@@ -85,6 +95,17 @@ def test_khinchin_sum_table_over_cap_is_config_error(capsys):
     assert "exceed the cell cap" in capsys.readouterr().err
 
 
+def test_khinchin_member_enumeration_over_cap_is_config_error(capsys):
+    # about 4.5e9 candidate members of up to 63 binary digits: refused before enumerating
+    args = ["khinchin", "--p", "2", "--set", "vtilde", "--d", "8", "--q", "4", "--N", str(2**62)]
+    started = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - started < 5.0
+    assert "candidate members exceed the cell cap" in capsys.readouterr().err
+    with pytest.raises(RankCapError):
+        estimate_l1_constant(full_chaos(2, 8), 2**62, 1, seed=0)
+
+
 def test_khinchin_honours_cell_cap(tmp_path):
     # 11 members 2^0 .. 2^10 on a grid of 2^11 cells: q = 3 builds an 11 x 2048 row block
     args = ["khinchin", "--p", "2", "--q", "3", "--N", "1024", "--trials", "1"]
@@ -107,6 +128,13 @@ def test_khinchin_row_block_over_cap_is_config_error(extra, capsys):
 
 def test_unknown_flag_is_config_error(capsys):
     assert run(["verify", "--p", "2", "--bogus"]) == 2
+
+
+def test_sharpness_honours_cell_cap(monkeypatch):
+    # the witnesses' level sets and products live on grids the run built under --cell-cap
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "3")
+    assert run(["sharpness", "--p", "2", "--d", "2", "--cell-cap", "4"]) == 0
+    assert run(["sharpness", "--p", "2", "--d", "2", "--cell-cap", "3"]) == 2
 
 
 def test_sharpness_report_values(tmp_path):

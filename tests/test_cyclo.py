@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcchaos.cyclo import CycloValue, cyclotomic_polynomial, float_parts, root_of_unity
+from vcchaos.cyclo import CycloArray, CycloValue, cyclotomic_polynomial, root_of_unity
 
 
 def test_root_examples():
@@ -166,7 +166,7 @@ def test_float_parts_agree_with_exact_parts():
         values = [CycloValue(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(order)])]
         values += [CycloValue.root(order, j) for j in range(order)]
         values += [values[0] + values[0].conj(), CycloValue.from_rational(Fraction(-1, 3), order)]
-        for v, z in zip(values, float_parts(values)):
+        for v, z in zip(values, CycloArray.from_values(values).float_parts()):
             approx = v.eval_complex()[0]
             for part, exact, got, want in (
                 ("re", v.real_part(), z.real, approx.real),
@@ -177,6 +177,96 @@ def test_float_parts_agree_with_exact_parts():
                     assert got == want, part
                 else:
                     assert got == float(key[0]), part
-    assert float_parts([]) == []
+    assert CycloArray.from_values([]).float_parts() == []
     mixed = [Fraction(1, 3), root_of_unity(3), root_of_unity(8, 2)]
-    assert float_parts([CycloValue.coerce(v) for v in mixed])[::2] == [1 / 3, 1j]
+    assert CycloArray.from_values(mixed).float_parts()[::2] == [1 / 3, 1j]
+
+
+# -- CycloArray against an independent Fraction reference ----------------------
+
+
+def _ref_promote(c, order, new_order):
+    out = [Fraction(0)] * new_order
+    for j, x in enumerate(c):
+        out[j * (new_order // order)] = x
+    return out
+
+
+def _ref_product(a, b, r):
+    """Product in Q[x]/(x**r - 1): a polynomial product with exponents mod r."""
+    out = [Fraction(0)] * r
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % r] += x * y
+    return out
+
+
+def _ref_residue(c, r):
+    """Remainder of sum c_j x**j on division by Phi_r, by long division."""
+    phi = cyclotomic_polynomial(r)
+    deg = len(phi) - 1
+    c = list(c)
+    for top in range(len(c) - 1, deg - 1, -1):
+        lead = c[top]
+        for t, coeff in enumerate(phi):
+            c[top - deg + t] -= lead * coeff
+    return c[:deg]
+
+
+def _rows(arr):
+    return [[Fraction(int(n), arr.denom) for n in row] for row in arr.nums]
+
+
+def _random_rows(rng, order, count):
+    return [
+        [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5, 6])) for _ in range(order)]
+        for _ in range(count)
+    ]
+
+
+def _array(rows, order):
+    return CycloArray.from_values(CycloValue(order, row) for row in rows)
+
+
+def test_cyclo_array_matches_fraction_reference():
+    rng = random.Random(61)
+    orders = [1, 2, 3, 4, 5, 6, 12]
+    for _ in range(60):
+        r_a, r_b = rng.choice(orders), rng.choice(orders)
+        r = math.lcm(r_a, r_b)
+        count = rng.randint(1, 5)
+        rows_a = _random_rows(rng, r_a, count)
+        # b has as many rows as a, or one row that broadcasts
+        rows_b = _random_rows(rng, r_b, rng.choice([1, count]))
+        a, b = _array(rows_a, r_a), _array(rows_b, r_b)
+        ref_a = [_ref_promote(x, r_a, r) for x in rows_a]
+        ref_b = [_ref_promote(y, r_b, r) for y in rows_b] * (count // len(rows_b))
+        assert (a + b).order == (a * b).order == r
+        assert _rows(a + b) == [[x + y for x, y in zip(u, v)] for u, v in zip(ref_a, ref_b)]
+        assert _rows(a - b) == [[x - y for x, y in zip(u, v)] for u, v in zip(ref_a, ref_b)]
+        assert _rows(a * b) == [_ref_product(u, v, r) for u, v in zip(ref_a, ref_b)]
+        assert _rows(a.conj()) == [[x[-t % r_a] for t in range(r_a)] for x in rows_a]
+        assert _rows(a.promote(r)) == ref_a
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        assert _rows(a.scale(q)) == [[x * q for x in u] for u in rows_a]
+        keys = a.keys()
+        for i, u in enumerate(rows_a):
+            assert [Fraction(int(k), a.denom) for k in keys[i]] == _ref_residue(u, r_a)
+        # keys are equal exactly for equal values: adding a rotated multiple of
+        # Phi_r changes the representation of a row but not its value
+        shifted = []
+        for u in rows_a:
+            v, s, c = list(u), rng.randrange(r_a), Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            for t, coeff in enumerate(cyclotomic_polynomial(r_a)):
+                v[(s + t) % r_a] += c * coeff
+            shifted.append(v)
+        both = CycloArray.from_values([a, _array(shifted, r_a)])
+        assert len(both) == 2 * count
+        keys = both.keys().tolist()
+        assert keys[:count] == keys[count:]
+        assert (a - _array(shifted, r_a)).is_zero().all()
+        for i in range(count):
+            for j in range(count):
+                same = _ref_residue(rows_a[i], r_a) == _ref_residue(rows_a[j], r_a)
+                assert (keys[i] == keys[j]) == same
+                assert bool((a[i] - a[j]).is_zero()) == same

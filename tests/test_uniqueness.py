@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,16 @@ def test_unit_witness_coefficients_d2():
         assert report.witness[1] == -1
         assert report.witness[p] == -1
         assert report.witness[p + 1] == 1
+
+
+def test_witness_pair_runtime_p2_d12():
+    started = time.perf_counter()
+    unit = witness_unit_chaos(2, 12)
+    full = witness_full_chaos(2, 12)
+    elapsed = time.perf_counter() - started
+    assert unit.level_set_measure == full.level_set_measure == 1 - Fraction(1, 2**12)
+    assert len(unit.witness) == len(full.witness) == 2**12
+    assert elapsed < 1.2, f"p = 2, d = 12 witness pair took {elapsed:.2f}s (limit 1.2s)"
 
 
 def test_full_witness_p3_d2():

@@ -10,11 +10,11 @@ from vcchaos.pary import digits_of_point, digitwise_add
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import (
     CoeffVector,
+    exponent_table,
     matrix_op_norm,
     rademacher,
     synthesize,
     vc_function,
-    vc_matrix,
     vc_transform_exact,
     vc_transform_float,
     verify_inverse_identity,
@@ -61,26 +61,27 @@ def test_vc_function_examples():
     assert vc_function(7, 0) == StepFn.constant(7, 1)
 
 
+def _entry(p, k, n, m):
+    return root_of_unity(p, int(exponent_table(p, k)[n, m]))
+
+
 def test_vc_matrix_examples():
-    m2 = vc_matrix(2, 1)
-    assert [[m2.entry(n, m).as_rational() for m in range(2)] for n in range(2)] == [
+    assert [[_entry(2, 1, n, m).as_rational() for m in range(2)] for n in range(2)] == [
         [1, 1],
         [1, -1],
     ]
 
-    m3 = vc_matrix(3, 1)
     w = root_of_unity(3)
-    assert m3.row(1) == [CycloValue.one(3), w, w * w]
-    assert m3.row(2) == [CycloValue.one(3), w * w, w]
+    assert [_entry(3, 1, 1, m) for m in range(3)] == [CycloValue.one(3), w, w * w]
+    assert [_entry(3, 1, 2, m) for m in range(3)] == [CycloValue.one(3), w * w, w]
 
     for p, k in [(2, 2), (3, 2), (5, 1)]:
-        mat = vc_matrix(p, k)
-        assert all(mat.entry(0, m) == 1 for m in range(mat.size))
+        assert all(_entry(p, k, 0, m) == 1 for m in range(p**k))
 
 
 def test_matrix_is_symmetric():
     for p, k in [(2, 3), (3, 2), (5, 1), (6, 2)]:
-        e = vc_matrix(p, k).exponents
+        e = exponent_table(p, k)
         assert (e == e.T).all()
 
 
@@ -103,8 +104,8 @@ def _matrix_oracle(values, p, direction):
     Inputs are promoted to their common order, in which w_p**e is a rotation
     by e * (order // p).
     """
-    mat = vc_matrix(p, round(math.log(len(values), p)))
-    size = mat.size
+    exponents = exponent_table(p, round(math.log(len(values), p)))
+    size = len(exponents)
     vals = [CycloValue.coerce(v, p) for v in values]
     order = math.lcm(*(v.order for v in vals))
     vals = [v.promote(order) for v in vals]
@@ -113,7 +114,7 @@ def _matrix_oracle(values, p, direction):
     for n in range(size):
         acc = CycloValue.zero(order)
         for m in range(size):
-            acc = acc + vals[m].rotated(sign * int(mat.exponents[n, m]) * (order // p))
+            acc = acc + vals[m].rotated(sign * int(exponents[n, m]) * (order // p))
         if direction == "forward":
             acc = acc.scale(Fraction(1, size))
         out.append(acc)
