@@ -47,6 +47,7 @@ from .pary import (
     digitwise_sub,
     nonzero_digit_count,
     point_from_digits,
+    run_cell_cap,
 )
 from .stepfn import Distribution, PArySet, StepFn, at_least_two
 from .uniqueness import (

@@ -27,6 +27,7 @@ from . import __version__
 from .cyclo import CycloArray
 from .indices import (
     IndexSpec,
+    check_candidates,
     count_below_power,
     digit_pattern,
     enumerate_members,
@@ -41,7 +42,7 @@ from .khinchin import (
     independence_check,
     symmetric_decomposition,
 )
-from .pary import check_rank, digitwise_add
+from .pary import check_rank, digitwise_add, run_cell_cap
 from .stepfn import PArySet, StepFn
 from .uniqueness import overlap_bound_check, witness_full_chaos, witness_unit_chaos
 from .vc import (
@@ -118,14 +119,12 @@ def _validate_base(p: int) -> None:
 # -- verify --------------------------------------------------------------------
 
 
-def _verify_checks(
-    p: int, max_rank: int, seed: int, cap: int | None, tolerance: float
-) -> list[dict]:
+def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[dict]:
     checks = []
     rng = random.Random(seed)
 
     k_mat = min(max_rank, 3)
-    ok = all(verify_inverse_identity(p, k, cap) for k in range(k_mat + 1))
+    ok = all(verify_inverse_identity(p, k) for k in range(k_mat + 1))
     checks.append(
         _check(
             "inverse-identity",
@@ -140,7 +139,7 @@ def _verify_checks(
     pairs = [(rng.randrange(p**k_orth), rng.randrange(p**k_orth)) for _ in range(20)]
     ok = True
     for n, m in pairs:
-        value = (vc_function_cached(p, n, cap) * vc_function_cached(p, m, cap).conj()).integral()
+        value = (vc_function_cached(p, n) * vc_function_cached(p, m).conj()).integral()
         ok = ok and value == int(n == m)
     checks.append(
         _check(
@@ -156,7 +155,7 @@ def _verify_checks(
     support = sorted(rng.sample(population, min(6, p, len(population))))
     coeffs = {n: Fraction(rng.randint(-3, 3)) for n in support}
     coeffs = {n: c for n, c in coeffs.items() if c} or {support[0]: Fraction(1)}
-    f = synthesize(coeffs, p, cap)
+    f = synthesize(coeffs, p)
     lhs = f.lq_norm_even_pow(2)
     rhs = sum((c * c for c in coeffs.values()), Fraction(0))
     checks.append(
@@ -175,8 +174,8 @@ def _verify_checks(
     for _ in range(10):
         a, b = rng.randrange(p**k_mul), rng.randrange(p**k_mul)
         ok = ok and (
-            vc_function_cached(p, a, cap) * vc_function_cached(p, b, cap)
-            == vc_function_cached(p, digitwise_add(a, b, p), cap)
+            vc_function_cached(p, a) * vc_function_cached(p, b)
+            == vc_function_cached(p, digitwise_add(a, b, p))
         )
     checks.append(
         _check(
@@ -190,7 +189,7 @@ def _verify_checks(
     # operator norm, the float consequence of the inverse identity
     ok = True
     for k in range(min(max_rank, 3) + 1):
-        estimate = matrix_op_norm(p, k, cap=cap)
+        estimate = matrix_op_norm(p, k)
         ok = ok and abs(estimate - p ** (k / 2)) <= tolerance
     checks.append(
         _check(
@@ -206,9 +205,7 @@ def _verify_checks(
     rank = min(max_rank, 4)
     for _ in range(200):
         sets = [
-            PArySet.from_cells(
-                p, rank, [m for m in range(p**rank) if rng.random() < 0.6], cap
-            )
+            PArySet.from_cells(p, rank, [m for m in range(p**rank) if rng.random() < 0.6])
             for _ in range(p)
         ]
         _, _, holds = overlap_bound_check(sets)
@@ -229,7 +226,7 @@ def _verify_checks(
         tables = [
             [Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)
         ]
-        ok = ok and independence_check(p, tables, cap=cap)
+        ok = ok and independence_check(p, tables)
     checks.append(
         _check(
             "independence-product-rule",
@@ -242,8 +239,8 @@ def _verify_checks(
     # symmetric decomposition of Re R_k^j
     ok = True
     for j in range(1, p):
-        pieces = symmetric_decomposition(p, 0, j, cap)
-        re_part = StepFn(p, 1, CycloArray.roots(p, j * np.arange(p)).real_part(), cap)
+        pieces = symmetric_decomposition(p, 0, j)
+        re_part = StepFn(p, 1, CycloArray.roots(p, j * np.arange(p)).real_part())
         total = pieces[0]
         for piece in pieces[1:]:
             total = total + piece
@@ -303,10 +300,8 @@ def cmd_verify(args) -> int:
     if args.max_rank < 0:
         raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
     # the largest grid of the suite: independence tallies rank depth + 1 <= min(max_rank, 3) + 1
-    check_rank(args.p, max(args.max_rank, min(args.max_rank, 3) + 1), args.cell_cap)
-    checks = _verify_checks(
-        args.p, args.max_rank, args.seed, args.cell_cap, args.tolerance
-    )
+    check_rank(args.p, max(args.max_rank, min(args.max_rank, 3) + 1))
+    checks = _verify_checks(args.p, args.max_rank, args.seed, args.tolerance)
     config = {
         "p": args.p,
         "max_rank": args.max_rank,
@@ -327,13 +322,12 @@ def cmd_sharpness(args) -> int:
     _validate_base(args.p)
     if args.d < 1:
         raise ConfigError(f"d must be >= 1, got {args.d}")
-    check_rank(args.p, args.d, args.cell_cap)
     checks = []
     for label, builder in (
         ("unit-chaos-witness", witness_unit_chaos),
         ("full-chaos-witness", witness_full_chaos),
     ):
-        report_obj = builder(args.p, args.d, args.cell_cap)
+        report_obj = builder(args.p, args.d)
         ok = (
             report_obj.level_set_measure + report_obj.threshold == 1
             and report_obj.support_ok
@@ -390,7 +384,7 @@ def cmd_khinchin(args) -> int:
     spec = _index_spec_from_args(args)
     checks = []
     report_obj = estimate_constant(
-        spec, args.q, args.N, args.trials, args.seed, args.optimizer, args.mode, args.cell_cap
+        spec, args.q, args.N, args.trials, args.seed, args.optimizer, args.mode
     )
     values = {
         "best_ratio": report_obj.best_ratio,
@@ -410,7 +404,7 @@ def cmd_khinchin(args) -> int:
         )
     )
     if args.l1:
-        l1_report = estimate_l1_constant(spec, args.N, args.trials, args.seed, args.cell_cap)
+        l1_report = estimate_l1_constant(spec, args.N, args.trials, args.seed)
         checks.append(
             _check(
                 "l1-lower-constant-estimate",
@@ -445,8 +439,12 @@ def _read_array(path: str) -> list[complex]:
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("["):
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ConfigError(f"arrays nested too deeply in {path}") from None
         # a bare number is a real entry; an empty list fails float() below
-        rows = (item if isinstance(item, list) and item else [item] for item in json.loads(text))
+        rows = (item if isinstance(item, list) and item else [item] for item in data)
     else:
         rows = filter(None, map(str.split, text.splitlines()))
     try:
@@ -473,7 +471,7 @@ def _write_array(path: str, values, as_json: bool) -> None:
 def cmd_transform(args) -> int:
     _validate_base(args.p)
     values = _read_array(args.input)
-    check_rank(args.p, _length_rank(len(values), args.p), args.cell_cap)
+    check_rank(args.p, _length_rank(len(values), args.p))
     if args.mode == "float":
         out = vc_transform_float(np.array(values), args.p, args.direction)
         result = [complex(z) for z in out]
@@ -492,6 +490,7 @@ def cmd_transform(args) -> int:
 def cmd_index(args) -> int:
     _validate_base(args.p)
     spec = _index_spec_from_args(args)
+    check_candidates(spec, args.max)
     members = enumerate_members(spec, args.max)
     lines = "\n".join(str(n) for n in members)
     if args.out:
@@ -580,7 +579,8 @@ def main(argv=None) -> int:
         # argparse already printed the message; normalize its error code to 2
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        with run_cell_cap(args.cell_cap):
+            return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError and RankCapError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Iterator
 
-from .pary import digits_of_integer
+from .pary import check_cells, digit_count, digits_of_integer
 
 
 class IndexKind(Enum):
@@ -126,6 +126,17 @@ def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
 def enumerate_members(spec: IndexSpec, upper: int) -> list[int]:
     """Ascending duplicate-free members of spec in [1, upper]."""
     return sorted(iter_members(spec, upper))
+
+
+def check_candidates(spec: IndexSpec, upper: int) -> None:
+    """Refuse enumerate_members(spec, upper) if the candidates it generates exceed the cell cap.
+
+    iter_members generates every member of at most digit_count(upper) digits,
+    then drops those above upper, so a huge upper costs that many candidates
+    even when few members survive.
+    """
+    candidates = count_below_power(spec, digit_count(max(upper, 1), spec.p))
+    check_cells(candidates, f"{candidates} candidate members")
 
 
 def count_below_power(spec: IndexSpec, levels: int) -> int:

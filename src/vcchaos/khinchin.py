@@ -28,8 +28,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cyclo import CycloArray, root_of_unity
-from .indices import IndexSpec, contains, count_below_power, enumerate_members
-from .pary import RankCapError, cell_cap, check_rank, digit_count, digitwise_add
+from .indices import IndexSpec, check_candidates, contains, enumerate_members
+from .pary import check_cells, check_rank, digit_count, digitwise_add
 from .stepfn import StepFn
 from .vc import _exponent_rows
 
@@ -44,7 +44,7 @@ def _is_even(q) -> bool:
     return isinstance(q, int) and q >= 2 and q % 2 == 0
 
 
-def _sum_tables(p: int, members: Sequence[int], h: int, cap: int | None) -> list[tuple]:
+def _sum_tables(p: int, members: Sequence[int], h: int) -> list[tuple]:
     """Index tables (flat, bins) of the h-fold digitwise convolution over `members`.
 
     Level-1 targets are the members in order; level j+1 targets are the
@@ -54,10 +54,10 @@ def _sum_tables(p: int, members: Sequence[int], h: int, cap: int | None) -> list
     most members**h entries, and both counts are checked against the cell
     cap before any sum is taken (a huge h never builds the big integer).
     """
-    limit = cap if cap is not None else cell_cap()
     count = len(members)
-    if h > limit or count ** min(h, 64) > limit or count**h > limit:
-        raise RankCapError(f"{count}**{h} digitwise sums exceed the cell cap {limit}")
+    # h itself bounds the work for a single member, whose powers are all 1
+    check_cells(max(h, count ** min(h, 64)), f"{count}**{h} digitwise sums")
+    check_cells(count**h, f"{count}**{h} digitwise sums")
     tables = []
     targets = list(members)
     for _ in range(h - 1):
@@ -68,9 +68,7 @@ def _sum_tables(p: int, members: Sequence[int], h: int, cap: int | None) -> list
     return tables
 
 
-def _exact_power_sums(
-    p: int, coeffs: Mapping[int, object], q: int, cap: int | None = None
-) -> tuple[int, int, int]:
+def _exact_power_sums(p: int, coeffs: Mapping[int, object], q: int) -> tuple[int, int, int]:
     """(S_1, S_h, D) for even q = 2h: c has Gaussian-integer numerators over D.
 
     S_1 and S_h are the sums of |g|**2 over the numerators of c and of their
@@ -89,7 +87,7 @@ def _exact_power_sums(
     column = CycloArray.from_values(parts)
     re, im, denom = column.nums[0::2, 0], column.nums[1::2, 0], column.denom
     g_re, g_im, outer = re, im, np.multiply.outer
-    for flat, bins in _sum_tables(p, list(coeffs), q // 2, cap):
+    for flat, bins in _sum_tables(p, list(coeffs), q // 2):
         next_re, next_im = np.zeros(bins, dtype=object), np.zeros(bins, dtype=object)
         np.add.at(next_re, flat, (outer(g_re, re) - outer(g_im, im)).ravel())
         np.add.at(next_im, flat, (outer(g_re, im) + outer(g_im, re)).ravel())
@@ -108,15 +106,9 @@ def fourth_moment_exact(p: int, coeffs: Mapping[int, object]) -> Fraction:
     return moment_even_pow_exact(p, coeffs, 4)
 
 
-def _members(spec: IndexSpec, upper: int, cap: int | None) -> list[int]:
-    """enumerate_members(spec, upper), once the candidates it generates fit the cell cap.
-
-    It generates every member of at most digit_count(upper) digits, then drops those above upper.
-    """
-    limit = cap if cap is not None else cell_cap()
-    candidates = count_below_power(spec, digit_count(max(upper, 1), spec.p))
-    if candidates > limit:
-        raise RankCapError(f"{candidates} candidate members exceed the cell cap {limit}")
+def _members(spec: IndexSpec, upper: int) -> list[int]:
+    """enumerate_members(spec, upper), nonempty, once its candidates fit the cell cap."""
+    check_candidates(spec, upper)
     members = enumerate_members(spec, upper)
     if not members:
         raise ValueError(f"{spec.describe()} has no members in [1, {upper}]")
@@ -131,18 +123,16 @@ def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
             raise ValueError(f"index {n} is outside the index set {spec.describe()}")
 
 
-def norm_ratio_pow_exact(
-    spec: IndexSpec, coeffs: Mapping[int, object], q: int, cap: int | None = None
-) -> Fraction:
+def norm_ratio_pow_exact(spec: IndexSpec, coeffs: Mapping[int, object], q: int) -> Fraction:
     """Exact rational (||sum c_n VC_n||_q / ||c||_l2)**q for even q."""
     _validate_support(spec, coeffs)
-    s_1, s_h, _ = _exact_power_sums(spec.p, coeffs, q, cap)
+    s_1, s_h, _ = _exact_power_sums(spec.p, coeffs, q)
     if s_1 == 0:
         raise ValueError("coefficient vector is zero")
     return Fraction(s_h, s_1 ** (q // 2))
 
 
-def _vc_rows(p: int, members: Sequence[int], cap: int | None) -> np.ndarray:
+def _vc_rows(p: int, members: Sequence[int]) -> np.ndarray:
     """(members, cells) complex128 block of VC_n cell values, n in members.
 
     The grid has rank digit_count(max(members)), the coarsest one on which
@@ -151,12 +141,8 @@ def _vc_rows(p: int, members: Sequence[int], cap: int | None) -> np.ndarray:
     array is allocated.
     """
     rank = digit_count(max(members), p)
-    cells = check_rank(p, rank, cap)
-    limit = cap if cap is not None else cell_cap()
-    if len(members) * cells > limit:
-        raise RankCapError(
-            f"{len(members)} members x {p}**{rank} cells exceed the cell cap {limit}"
-        )
+    cells = check_rank(p, rank)
+    check_cells(len(members) * cells, f"{len(members)} members x {p}**{rank} cells")
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     return roots[_exponent_rows(p, rank, members)]
 
@@ -224,16 +210,16 @@ def norm_ratio(spec: IndexSpec, coeffs: Mapping[int, object], q) -> float:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     c = _coefficient_array(coeffs)
-    return float(_lq_ratios(c, _vc_rows(spec.p, list(coeffs), None), q))
+    return float(_lq_ratios(c, _vc_rows(spec.p, list(coeffs)), q))
 
 
 def l1_lower_ratio_with_error(
-    spec: IndexSpec, coeffs: Mapping[int, object], cap: int | None = None
+    spec: IndexSpec, coeffs: Mapping[int, object]
 ) -> tuple[float, float]:
     """(||sum c_n VC_n||_1 / ||c||_l2, absolute error bound), in floats."""
     _validate_support(spec, coeffs)
     c = _coefficient_array(coeffs)
-    rows = _vc_rows(spec.p, list(coeffs), cap)
+    rows = _vc_rows(spec.p, list(coeffs))
     ratio = float(_lq_ratios(c, rows, 1))
     return ratio, _synthesis_error_bound(c, rows.shape[1], 1, ratio)
 
@@ -266,13 +252,11 @@ def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
     return c / norm
 
 
-def _ratio_objective(
-    p: int, members: Sequence[int], q, cap: int | None = None
-) -> Callable[[np.ndarray], float]:
+def _ratio_objective(p: int, members: Sequence[int], q) -> Callable[[np.ndarray], float]:
     """Float ratio ||f||_q / ||c||_2 as a function of the coefficient array."""
     members = list(members)
     if _is_even(q):
-        tables = _sum_tables(p, members, q // 2, cap)
+        tables = _sum_tables(p, members, q // 2)
 
         def ratio_even(c: np.ndarray) -> float:
             g = c
@@ -285,7 +269,7 @@ def _ratio_objective(
 
         return ratio_even
 
-    rows = _vc_rows(p, members, cap)
+    rows = _vc_rows(p, members)
 
     def ratio_general(c: np.ndarray) -> float:
         return float(_lq_ratios(c, rows, q))
@@ -346,32 +330,6 @@ class KhinchinReport:
     min_l1_ratio: float | None = None
     min_l1_ratio_err: float | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "spec": self.spec.describe(),
-            "q": self.q,
-            "upper": self.upper,
-            "trials": self.trials,
-            "seed": self.seed,
-            "method": self.method,
-            "members": self.members,
-        }
-        if self.best_ratio is not None:
-            out["best_ratio"] = self.best_ratio
-        if self.best_ratio_err is not None:
-            out["best_ratio_err"] = self.best_ratio_err
-        if self.best_ratio_pow_exact is not None:
-            out["best_ratio_pow_exact"] = str(self.best_ratio_pow_exact)
-        if self.best_coefficients:
-            out["best_coefficients"] = {
-                str(n): [c.real, c.imag] for n, c in sorted(self.best_coefficients.items())
-            }
-        if self.min_l1_ratio is not None:
-            out["min_l1_ratio"] = self.min_l1_ratio
-        if self.min_l1_ratio_err is not None:
-            out["min_l1_ratio_err"] = self.min_l1_ratio_err
-        return out
-
 
 def estimate_constant(
     spec: IndexSpec,
@@ -381,7 +339,6 @@ def estimate_constant(
     seed: int,
     optimizer: str = "ascent",
     mode: str = "exact",
-    cap: int | None = None,
 ) -> KhinchinReport:
     """Best-effort lower bound for the L2-Lq ratio constant over the index set.
 
@@ -398,8 +355,8 @@ def estimate_constant(
         raise ValueError(f"unknown optimizer {optimizer!r}")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    members = _members(spec, upper, cap)
-    objective = _ratio_objective(spec.p, members, q, cap)
+    members = _members(spec, upper)
+    objective = _ratio_objective(spec.p, members, q)
     best_val = -math.inf
     best_c = None
     for t in range(trials):
@@ -415,7 +372,7 @@ def estimate_constant(
     exact_pow = None
     ratio_err = None
     if mode == "exact" and _is_even(q):
-        exact_pow = norm_ratio_pow_exact(spec, coeffs, q, cap)
+        exact_pow = norm_ratio_pow_exact(spec, coeffs, q)
         best_val = float(exact_pow) ** (1.0 / q)
     elif _is_even(q):
         # float mode: the moment-formula objective is already accurate to
@@ -439,9 +396,7 @@ def estimate_constant(
     )
 
 
-def estimate_l1_constant(
-    spec: IndexSpec, upper: int, trials: int, seed: int, cap: int | None = None
-) -> KhinchinReport:
+def estimate_l1_constant(spec: IndexSpec, upper: int, trials: int, seed: int) -> KhinchinReport:
     """Minimum observed ||f||_1 / ||c||_l2 over seeded unit-sphere trials.
 
     Trials are scored a chunk at a time, as one (chunk x members) @ rows
@@ -449,8 +404,8 @@ def estimate_l1_constant(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    members = _members(spec, upper, cap)
-    rows = _vc_rows(spec.p, members, cap)
+    members = _members(spec, upper)
+    rows = _vc_rows(spec.p, members)
     chunk = max(1, _CHUNK_ENTRIES // rows.shape[1])
     worst = math.inf
     worst_c = None
@@ -483,7 +438,7 @@ def estimate_l1_constant(
 # -- symmetric decomposition and independence ---------------------------------
 
 
-def symmetric_decomposition(p: int, k: int, j: int, cap: int | None = None) -> list[StepFn]:
+def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
     """The p-1 symmetric pieces whose sum is Re(R_k**j), exactly.
 
     Piece m (m = 1..p-1) takes the value cos(2*pi*m*j/p) on cells with k-th
@@ -492,19 +447,19 @@ def symmetric_decomposition(p: int, k: int, j: int, cap: int | None = None) -> l
     """
     if not 1 <= j <= p - 1:
         raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
-    digits = np.arange(check_rank(p, k + 1, cap)) % p
+    digits = np.arange(check_rank(p, k + 1)) % p
     pieces = []
     for m in range(1, p):
         cos_m = root_of_unity(p, m * j).real_part()
         # row 1 (cos_m) where the digit is m, row 2 (-cos_m) where it is 0, else row 0
         rows = np.select([digits == m, digits == 0], [1, 2])
         values = CycloArray.from_values([0, cos_m, -cos_m])[rows]
-        pieces.append(StepFn(p, k + 1, values, cap))
+        pieces.append(StepFn(p, k + 1, values))
     return pieces
 
 
 def independence_check(
-    p: int, tables: Sequence[Sequence[object]], depth: int | None = None, cap: int | None = None
+    p: int, tables: Sequence[Sequence[object]], depth: int | None = None
 ) -> bool:
     """Exhaustively verify the product rule for digit-functions f_k(x) = g_k(x_k).
 
@@ -521,7 +476,7 @@ def independence_check(
         raise ValueError(f"depth {depth} does not match {len(tables)} tables")
     if any(len(t) != p for t in tables):
         raise ValueError(f"each value table must have exactly {p} entries")
-    check_rank(p, depth + 1, cap)
+    check_rank(p, depth + 1)
     keyed = [list(map(tuple, CycloArray.from_values(t).keys().tolist())) for t in tables]
     marginals = [Counter(keys) for keys in keyed]
     joint = Counter(

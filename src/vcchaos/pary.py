@@ -1,13 +1,18 @@
 """Exact base-p positional arithmetic on [0, 1): digits, cells, intervals.
 
 Points are Fractions, digits are exact (no float flooring anywhere), and
-every grid allocation is guarded by a configurable cell cap so that a bad
-rank argument fails loudly instead of exhausting memory.
+every grid allocation is guarded by a cell cap so that a bad rank argument
+fails loudly instead of exhausting memory.  This module owns the cap: it is
+the one a run sets with run_cell_cap (the CLI's --cell-cap), else the
+VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and every
+refusal goes through check_cells, so no caller threads a cap through.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,24 +24,49 @@ class RankCapError(ValueError):
     """An operation would materialize more base-p cells than the active cap."""
 
 
+# the cap of the running command; run_cell_cap resets it when the command
+# returns or raises, so a caller that runs several commands in one process
+# never sees one command's cap in the next
+_run_cap: ContextVar[int | None] = ContextVar("vcchaos_cell_cap", default=None)
+
+
 def cell_cap() -> int:
+    """The cap set by run_cell_cap, else $VCCHAOS_CELL_CAP, else DEFAULT_CELL_CAP."""
+    cap = _run_cap.get()
+    if cap is not None:
+        return cap
     raw = os.environ.get(CELL_CAP_ENV)
     return int(raw) if raw else DEFAULT_CELL_CAP
 
 
-def check_rank(p: int, rank: int, cap: int | None = None) -> int:
+@contextmanager
+def run_cell_cap(limit: int | None):
+    """Make limit the cell cap of everything run in the body (None: the environment's)."""
+    token = _run_cap.set(limit)
+    try:
+        yield
+    finally:
+        _run_cap.reset(token)
+
+
+def check_cells(count: int, what: str) -> None:
+    """Refuse work of `count` cells, described by `what`, above the cell cap."""
+    limit = cell_cap()
+    if count > limit:
+        raise RankCapError(f"{what} exceed the cell cap {limit}")
+
+
+def check_rank(p: int, rank: int) -> int:
     """Validate base and rank against the cell cap; return the cell count p**rank."""
     if p < 2:
         raise ValueError(f"base must be >= 2, got {p}")
     if rank < 0:
         raise ValueError(f"rank must be >= 0, got {rank}")
-    limit = cap if cap is not None else cell_cap()
     # compare in log space first so huge ranks never build the big integer
-    if rank > 0 and p ** min(rank, 64) > limit:
-        raise RankCapError(f"{p}**{rank} cells exceed the cell cap {limit}")
+    check_cells(p ** min(rank, 64), f"{p}**{rank} cells")
     cells = p**rank
-    if cells > limit:
-        raise RankCapError(f"{p}**{rank} cells exceed the cell cap {limit}")
+    if rank > 64:
+        check_cells(cells, f"{p}**{rank} cells")
     return cells
 
 

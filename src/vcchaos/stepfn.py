@@ -26,8 +26,8 @@ class StepFn:
 
     __slots__ = ("p", "rank", "values")
 
-    def __init__(self, p: int, rank: int, values, cap: int | None = None):
-        cells = check_rank(p, rank, cap)
+    def __init__(self, p: int, rank: int, values):
+        cells = check_rank(p, rank)
         values = CycloArray.from_values(values)
         if len(values) != cells:
             raise ValueError(f"need {cells} cell values, got {len(values)}")
@@ -42,21 +42,16 @@ class StepFn:
     def constant(cls, p: int, value, rank: int = 0) -> "StepFn":
         return cls(p, rank, CycloArray.from_values([value]).repeat(check_rank(p, rank)))
 
-    def _on_grid(self, rank: int, values: CycloArray) -> "StepFn":
-        # the values already fill this grid, so their count is the cap: a
-        # result is never refused by a cap smaller than its operands
-        return StepFn(self.p, rank, values, len(values))
-
     # -- structure ---------------------------------------------------------
 
-    def refine(self, new_rank: int, cap: int | None = None) -> "StepFn":
+    def refine(self, new_rank: int) -> "StepFn":
         """Same function on the finer rank-new_rank grid (values replicated)."""
         if new_rank < self.rank:
             raise ValueError(f"cannot refine rank {self.rank} down to {new_rank}")
         if new_rank == self.rank:
             return self
-        check_rank(self.p, new_rank, cap)
-        return self._on_grid(new_rank, self.values.repeat(self.p ** (new_rank - self.rank)))
+        check_rank(self.p, new_rank)
+        return StepFn(self.p, new_rank, self.values.repeat(self.p ** (new_rank - self.rank)))
 
     def _aligned(self, other) -> tuple[int, CycloArray, object]:
         """Values on the finer operand's existing grid; a number or CycloValue passes through."""
@@ -78,12 +73,12 @@ class StepFn:
 
     def __add__(self, other):
         rank, a, b = self._aligned(other)
-        return self._on_grid(rank, a + b)
+        return StepFn(self.p, rank, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._on_grid(self.rank, -self.values)
+        return StepFn(self.p, self.rank, -self.values)
 
     def __sub__(self, other):
         return self + (-other)
@@ -93,18 +88,18 @@ class StepFn:
 
     def __mul__(self, other):
         rank, a, b = self._aligned(other)
-        return self._on_grid(rank, a * b)
+        return StepFn(self.p, rank, a * b)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "StepFn":
-        return self._on_grid(self.rank, self.values.scale(q))
+        return StepFn(self.p, self.rank, self.values.scale(q))
 
     def conj(self) -> "StepFn":
-        return self._on_grid(self.rank, self.values.conj())
+        return StepFn(self.p, self.rank, self.values.conj())
 
     def __pow__(self, exponent: int) -> "StepFn":
-        return self._on_grid(self.rank, self.values**exponent)
+        return StepFn(self.p, self.rank, self.values**exponent)
 
     def __eq__(self, other):
         if not isinstance(other, StepFn):
@@ -165,7 +160,7 @@ class StepFn:
     def level_set(self, target) -> "PArySet":
         hits = (self.values - target).is_zero()
         mask = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-        return PArySet(self.p, self.rank, mask, len(hits))
+        return PArySet(self.p, self.rank, mask)
 
     def zero_set(self) -> "PArySet":
         return self.level_set(0)
@@ -222,8 +217,8 @@ class PArySet:
 
     __slots__ = ("p", "rank", "mask")
 
-    def __init__(self, p: int, rank: int, mask: int, cap: int | None = None):
-        cells = check_rank(p, rank, cap)
+    def __init__(self, p: int, rank: int, mask: int):
+        cells = check_rank(p, rank)
         if mask < 0 or mask >> cells:
             raise ValueError("mask has bits outside the rank-k grid")
         while rank > 0:
@@ -262,13 +257,11 @@ class PArySet:
         return cls(p, 0, 1)
 
     @classmethod
-    def from_cells(
-        cls, p: int, rank: int, cells: Iterable[int], cap: int | None = None
-    ) -> "PArySet":
+    def from_cells(cls, p: int, rank: int, cells: Iterable[int]) -> "PArySet":
         mask = 0
         for m in cells:
             mask |= 1 << m
-        return cls(p, rank, mask, cap)
+        return cls(p, rank, mask)
 
     @classmethod
     def from_interval(cls, p: int, lo, hi) -> "PArySet":
@@ -288,6 +281,8 @@ class PArySet:
     def mask_at_rank(self, rank: int) -> int:
         if rank < self.rank:
             raise ValueError(f"cannot view rank {self.rank} set at coarser rank {rank}")
+        if rank == self.rank:
+            return self.mask
         reps = self.p ** (rank - self.rank)
         block = (1 << reps) - 1
         out = 0
@@ -329,10 +324,10 @@ class PArySet:
         return out
 
     def indicator(self) -> StepFn:
-        mask = self.mask
-        return StepFn(
-            self.p, self.rank, [(mask >> m) & 1 for m in range(self.p**self.rank)]
-        )
+        cells = self.p**self.rank
+        raw = np.frombuffer(self.mask.to_bytes(cells // 8 + 1, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=cells, bitorder="little")
+        return StepFn(self.p, self.rank, CycloArray.from_values([0, 1])[bits])
 
     # -- boolean algebra -------------------------------------------------------
 

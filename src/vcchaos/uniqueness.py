@@ -59,18 +59,6 @@ class SharpnessReport:
         if all(n == 0 for n in self.witness):
             raise ValueError("witness must have nonzero-index coefficients")
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.d,
-            "index_set": self.index_set.describe(),
-            "threshold": str(self.threshold),
-            "level_set_measure": str(self.level_set_measure),
-            "level_value": repr(self.level_value),
-            "support_ok": self.support_ok,
-            "witness_support": [n for n in sorted(self.witness)],
-        }
-
 
 def _expand(fn: StepFn) -> tuple[CycloArray, dict[int, CycloValue]]:
     """Coefficients of fn against the VC system (fast transform), and the nonzero ones by index."""
@@ -78,7 +66,7 @@ def _expand(fn: StepFn) -> tuple[CycloArray, dict[int, CycloValue]]:
     return coeffs, {int(n): coeffs[int(n)] for n in np.flatnonzero(~coeffs.is_zero())}
 
 
-def witness_unit_chaos(p: int, d: int, cap: int | None = None) -> SharpnessReport:
+def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     """Sharpness witness P = prod(1 - R_k) for the unit-digit chaos system.
 
     Certifies: constant coefficient 1 (so P - 1 lives on the chaos indices),
@@ -87,10 +75,10 @@ def witness_unit_chaos(p: int, d: int, cap: int | None = None) -> SharpnessRepor
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    check_rank(p, d, cap)
+    check_rank(p, d)
     prod = StepFn.constant(p, 1)
     for k in range(d):
-        prod = prod * (1 - rademacher(p, k, cap))
+        prod = prod * (1 - rademacher(p, k))
     array, coeffs = _expand(prod)
     digit_sums = (np.arange(p**d)[:, None] // p ** np.arange(d) % p).sum(axis=1)
     signs = CycloArray.from_values((1 - 2 * (digit_sums % 2)).tolist())
@@ -119,7 +107,7 @@ def witness_unit_chaos(p: int, d: int, cap: int | None = None) -> SharpnessRepor
     )
 
 
-def witness_full_chaos(p: int, d: int, cap: int | None = None) -> SharpnessReport:
+def witness_full_chaos(p: int, d: int) -> SharpnessReport:
     """Sharpness witness Q = prod(1 + R_k + ... + R_k**(p-1)) for the full chaos.
 
     Certifies: Q equals p**d times the indicator of [0, p**-d) cellwise,
@@ -128,16 +116,15 @@ def witness_full_chaos(p: int, d: int, cap: int | None = None) -> SharpnessRepor
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    cells = check_rank(p, d, cap)
+    cells = check_rank(p, d)
     prod = StepFn.constant(p, 1)
     for k in range(d):
-        r_k = rademacher(p, k, cap)
+        r_k = rademacher(p, k)
         total = StepFn.constant(p, 1)
         for power in range(1, p):
             total = total + r_k**power
         prod = prod * total
-    indicator = StepFn(p, d, [cells if m == 0 else 0 for m in range(cells)], cap)
-    if prod != indicator:
+    if prod != PArySet(p, d, 1).indicator().scale(cells):
         raise ValueError("witness is not p**d * indicator of the first cell")
     array, coeffs = _expand(prod)
     if not (array - 1).is_zero().all():

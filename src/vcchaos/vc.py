@@ -36,21 +36,20 @@ from .pary import check_rank, digit_count
 from .stepfn import StepFn
 
 
-def rademacher(p: int, k: int, cap: int | None = None) -> StepFn:
+def rademacher(p: int, k: int) -> StepFn:
     """R_k: value w**(x_k) on each rank-(k+1) cell, x_k the k-th point digit."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    check_rank(p, k + 1, cap)
-    return vc_function(p, p**k, cap)
+    return vc_function(p, p**k)
 
 
-def vc_function(p: int, n: int, cap: int | None = None) -> StepFn:
+def vc_function(p: int, n: int) -> StepFn:
     """VC_n as a step function at rank digit_count(n); VC_0 is constant 1."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     rank = digit_count(n, p)
-    check_rank(p, rank, cap)
-    return StepFn(p, rank, CycloArray.roots(p, _exponent_rows(p, rank, [n])[0]), cap)
+    check_rank(p, rank)
+    return StepFn(p, rank, CycloArray.roots(p, _exponent_rows(p, rank, [n])[0]))
 
 
 def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
@@ -66,21 +65,21 @@ def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
     return index_digits @ point_digits.T % p
 
 
-def exponent_table(p: int, k: int, cap: int | None = None) -> np.ndarray:
+def exponent_table(p: int, k: int) -> np.ndarray:
     """(p**k, p**k) table E with VC[n, m] = w**E[n, m]."""
-    cells = check_rank(p, k, cap)
+    cells = check_rank(p, k)
     return _exponent_rows(p, k, np.arange(cells))
 
 
-def verify_inverse_identity(p: int, k: int, cap: int | None = None) -> bool:
+def verify_inverse_identity(p: int, k: int) -> bool:
     """Exact check that VC^(k) * conj-transpose(VC^(k)) = p**k * Identity.
 
     Each Gram entry is a sum of p**k roots of unity; tallying exponent
     multiplicities and reducing the tally against the p-th cyclotomic
     polynomial decides entrywise vanishing in exact integer arithmetic.
     """
-    cells = check_rank(p, k, cap)
-    table = exponent_table(p, k, cap)
+    table = exponent_table(p, k)
+    cells = len(table)
     residue_rows = np.array(_power_residues(p), dtype=np.int64)
     row_offsets = p * np.arange(cells)[:, None]
     for i in range(cells):
@@ -97,10 +96,10 @@ def verify_inverse_identity(p: int, k: int, cap: int | None = None) -> bool:
     return True
 
 
-def matrix_op_norm(p: int, k: int, iterations: int = 30, cap: int | None = None) -> float:
+def matrix_op_norm(p: int, k: int, iterations: int = 30) -> float:
     """Power-iteration estimate of the (2,2) operator norm of VC^(k)."""
-    cells = check_rank(p, k, cap)
-    a = np.exp(2j * np.pi * exponent_table(p, k, cap) / p)
+    a = np.exp(2j * np.pi * exponent_table(p, k) / p)
+    cells = len(a)
     x = np.ones(cells) / math.sqrt(cells)
     for _ in range(max(iterations, 1)):
         y = a @ x
@@ -219,7 +218,7 @@ class CoeffVector:
         return max(self.entries, default=0)
 
 
-def synthesize(coeffs, p: int | None = None, cap: int | None = None) -> StepFn:
+def synthesize(coeffs, p: int | None = None) -> StepFn:
     """Exact sum of coeff[n] * VC_n, evaluated via the inverse fast transform."""
     if isinstance(coeffs, CoeffVector):
         if coeffs.mode != "exact":
@@ -232,9 +231,9 @@ def synthesize(coeffs, p: int | None = None, cap: int | None = None) -> StepFn:
     if any(n < 0 for n in entries):
         raise ValueError("indices must be nonnegative")
     rank = max((digit_count(n, p) for n in entries), default=0)
-    cells = check_rank(p, rank, cap)
+    cells = check_rank(p, rank)
     # cell n takes row 1 + (position of n in entries), every other cell row 0
     rows = np.zeros(cells, dtype=np.intp)
     rows[list(entries)] = np.arange(1, len(entries) + 1)
     vec = CycloArray.from_values([0, *entries.values()])[rows]
-    return StepFn(p, rank, vc_transform_exact(vec, p, "inverse"), cap)
+    return StepFn(p, rank, vc_transform_exact(vec, p, "inverse"))

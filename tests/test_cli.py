@@ -8,7 +8,7 @@ from vcchaos import cli
 from vcchaos.cli import main
 from vcchaos.indices import full_chaos
 from vcchaos.khinchin import estimate_l1_constant
-from vcchaos.pary import RankCapError
+from vcchaos.pary import RankCapError, check_rank
 
 
 def run(args):
@@ -47,9 +47,10 @@ def test_verify_honours_cell_cap(monkeypatch):
     # at max rank 1 the independence check tallies rank-2 grids: 9 cells for p = 3
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "9"]) == 0
     assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "2"]) == 0
-    # products on grids the run already built are not checked again against the global cap
+    # the run's --cell-cap replaces the environment's cap for every grid the run builds
     monkeypatch.setenv("VCCHAOS_CELL_CAP", "3")
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "9"]) == 0
+    assert run(["verify", "--p", "2", "--max-rank", "2", "--cell-cap", "16"]) == 0
     monkeypatch.delenv("VCCHAOS_CELL_CAP")
 
     def no_checks(*args):
@@ -58,6 +59,19 @@ def test_verify_honours_cell_cap(monkeypatch):
     monkeypatch.setattr(cli, "_verify_checks", no_checks)
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "3"]) == 2
     assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "1"]) == 2
+
+
+def test_run_cell_cap_does_not_leak(monkeypatch):
+    # the cap of one in-process run is gone when it returns or raises
+    assert run(["verify", "--p", "2", "--max-rank", "1", "--cell-cap", "1"]) == 2
+    assert check_rank(2, 3) == 8
+    assert run(["sharpness", "--p", "2", "--d", "1", "--cell-cap", "2"]) == 0
+    assert check_rank(2, 3) == 8
+    # without the flag the environment's cap applies
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "3")
+    with pytest.raises(RankCapError):
+        check_rank(2, 2)
+    assert run(["sharpness", "--p", "2", "--d", "2"]) == 2
 
 
 def test_verify_bad_tolerance_is_config_error():
@@ -173,6 +187,15 @@ def test_index_listing(capsys):
     assert lines[0] == "1"
 
 
+def test_index_member_enumeration_over_cap_is_config_error(capsys):
+    # about 4.5e9 candidate members of up to 63 binary digits: refused before enumerating
+    args = ["index", "--p", "2", "--set", "vtilde", "--d", "8", "--max", str(2**62)]
+    started = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "candidate members exceed the cell cap" in capsys.readouterr().err
+
+
 def test_index_to_file(tmp_path):
     out = tmp_path / "members.txt"
     assert (
@@ -260,6 +283,7 @@ def test_transform_bad_length(tmp_path):
         ("in.json", "[1, NaN]"),
         ("in.txt", "1 0\nnan 0\n"),
         ("in.txt", "inf\n1\n"),
+        ("in.json", "[" * 200_000 + "]" * 200_000),
     ],
 )
 def test_transform_rejects_malformed_input(tmp_path, name, text):

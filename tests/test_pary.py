@@ -15,6 +15,7 @@ from vcchaos.pary import (
     digitwise_neg,
     digitwise_sub,
     point_from_digits,
+    run_cell_cap,
 )
 
 
@@ -109,9 +110,10 @@ def test_rank_cap():
     assert check_rank(2, 3) == 8
     with pytest.raises(RankCapError):
         check_rank(2, 40)
-    with pytest.raises(RankCapError):
-        check_rank(10, 30, cap=1000)
-    assert check_rank(10, 2, cap=1000) == 100
+    with run_cell_cap(1000):
+        with pytest.raises(RankCapError):
+            check_rank(10, 30)
+        assert check_rank(10, 2) == 100
 
 
 def test_cell_cap_env_override(monkeypatch):

@@ -209,5 +209,9 @@ def test_indicator_and_membership():
     s = PArySet.from_interval(3, Fraction(1, 3), Fraction(2, 3))
     ind = s.indicator()
     assert ind.integral() == Fraction(1, 3)
+    assert [v.as_rational() for v in ind.values] == [0, 1, 0]
+    # 16 cells span two mask bytes
+    wide = PArySet.from_cells(2, 4, [0, 9, 15]).indicator()
+    assert [m for m, v in enumerate(wide.values) if v.as_rational()] == [0, 9, 15]
     assert s.contains_point(Fraction(1, 2))
     assert not s.contains_point(Fraction(2, 3))
