@@ -4,7 +4,8 @@ Commands emit machine-readable reports (JSON canonical, CSV as a flat
 projection).  Every randomized result is reproducible from the echoed seed,
 exact rationals are serialized as "numerator/denominator" strings, and float
 values carry their error bounds.  Exit codes: 0 all checks passed, 1 a
-mathematical check failed, 2 configuration or resource error.
+mathematical check failed, 2 configuration or resource error, and any other
+exception (one "error: <Type>: <message>" line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -395,6 +396,7 @@ def cmd_khinchin(args) -> int:
         values["best_ratio_err"] = report_obj.best_ratio_err
     if report_obj.best_ratio_pow_exact is not None:
         values["best_ratio_pow_exact"] = rational_str(report_obj.best_ratio_pow_exact)
+    values.update(report_obj.ascent_counters)
     checks.append(
         _check(
             "lacunarity-constant-estimate",
@@ -583,6 +585,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError and RankCapError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # anything else is a resource or program fault, never exit 1
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

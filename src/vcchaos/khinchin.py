@@ -14,6 +14,16 @@ cell values of f: the (members x cells) block of VC rows is built once per
 member set, so each evaluation is one product c @ rows.  Randomness is
 counter-based (Philox keyed by (seed, trial)), so trials are reproducible and
 order-independent.
+
+The coordinate ascent scores a move c + delta e_i from partial sums kept for
+the current point instead of a full evaluation.  For even q = 2h they are
+the levels G_1..G_h of the table pass, and the four moves of a coordinate
+share h(h+1)/2 gathers and dot products: O(1) work for q = 2, O(M) for
+q = 4 and O(M**2) (at most the cell count) for q = 6 over M members,
+against M**h for a pass.  For other q they are the cell values f, and a
+move is f + delta * rows[i], O(cells).  An accepted move recomputes the sums
+at the renormalized point, and estimate_constant reports one full
+evaluation of the final point, for which the float error bounds are proven.
 """
 
 from __future__ import annotations
@@ -147,10 +157,14 @@ def _vc_rows(p: int, members: Sequence[int]) -> np.ndarray:
     return roots[_exponent_rows(p, rank, members)]
 
 
+def _cell_ratios(cells: np.ndarray, l2, q) -> np.ndarray:
+    """||f||_q / l2 for the cell values f along the last axis."""
+    return np.mean(np.abs(cells) ** q, axis=-1) ** (1.0 / q) / l2
+
+
 def _lq_ratios(c: np.ndarray, rows: np.ndarray, q) -> np.ndarray:
     """||sum c_n VC_n||_q / ||c||_l2 for every coefficient vector along c's last axis."""
-    moments = np.mean(np.abs(c @ rows) ** q, axis=-1)
-    return moments ** (1.0 / q) / np.linalg.norm(c, axis=-1)
+    return _cell_ratios(c @ rows, np.linalg.norm(c, axis=-1), q)
 
 
 def _coefficient_array(coeffs: Mapping[int, object]) -> np.ndarray:
@@ -252,29 +266,196 @@ def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
     return c / norm
 
 
-def _ratio_objective(p: int, members: Sequence[int], q) -> Callable[[np.ndarray], float]:
-    """Float ratio ||f||_q / ||c||_2 as a function of the coefficient array."""
+# the ascent accepts a move only when it beats the best value by this factor
+_ACCEPT = 1 + 1e-13
+
+
+def _moved(c: np.ndarray, i: int, delta: complex) -> np.ndarray:
+    """c + delta e_i, renormalized to the unit sphere."""
+    cand = c.copy()
+    cand[i] += delta
+    cand /= np.linalg.norm(cand)
+    return cand
+
+
+class _FullPass:
+    """Move scorer for a plain objective: one call per renormalized candidate."""
+
+    def __init__(self, objective: Callable[[np.ndarray], float]):
+        self.objective = objective
+
+    def reset(self, c: np.ndarray) -> float:
+        self.point = c
+        return self.objective(c)
+
+    def scores(self, i: int, deltas: Sequence[complex]):
+        # lazily: the ascent stops reading at an accepted move
+        return (self.objective(_moved(self.point, i, delta)) for delta in deltas)
+
+    def accept(self, i: int, delta: complex, value: float) -> float:
+        self.point = _moved(self.point, i, delta)
+        return value
+
+
+class _MoveScorer:
+    """A ratio objective that also scores moves c + delta e_i from cached partial sums.
+
+    Calling it is one full evaluation.  reset(c) caches the partial sums of
+    the current point c and returns its full value; scores(i, deltas) values
+    every move point + delta e_i from the cache; accept recomputes the cache
+    from scratch at the renormalized accepted point, so rounding never
+    carries from one move to the next, and returns the full value there.
+    """
+
+    def accept(self, i: int, delta: complex, value: float) -> float:
+        return self.reset(_moved(self.point, i, delta))
+
+    def _l2_sq(self, i: int, deltas: Sequence[complex]) -> list[float]:
+        """||point + delta e_i||**2 for every delta, from the cached ||point||**2."""
+        ci = complex(self.point[i]).conjugate()
+        return [self.l2_sq + 2 * (ci * d).real + abs(d) ** 2 for d in deltas]
+
+
+class _EvenRatio(_MoveScorer):
+    """(sum |G_h|**2)**(1/q) / ||c|| for even q = 2h, G_l the l-fold digitwise convolution of c.
+
+    A move c + delta e_i changes G_h by
+        sum_{j >= 1} C(h, j) delta**j V_j * e_i,   V_j = G_{h-j} * e_i**(j-1),
+    where * is digitwise convolution and G_0 = e_0.  Every V_j lives on the
+    level-(h-1) targets, and adding member i maps them injectively to the
+    level-h bins flat_{h-1}[t*M + i], so the move touches one bin per
+    level-(h-1) target and no two collide.  With V_0 the values of G_h in
+    those bins and w = (1, C(h,1) delta, ..., delta**h), the sum of |G_h|**2
+    grows by w^H B w - |V_0|**2 for the Gram matrix B_jk = <V_j, V_k>.  The
+    diagonal is |G_{h-j}|**2, cached with the levels, and B_jk for j < k is
+    <G_{h-j} at the bins of G_{h-k} shifted k - j times by member i, G_{h-k}>,
+    so one coordinate costs h(h+1)/2 gathers and dot products that all of its
+    moves share: O(M) work for q = 4 and O(M**2) for q = 6, against M**h
+    for a table pass.
+    """
+
+    def __init__(self, p: int, members: Sequence[int], q: int):
+        self.q, self.h = q, q // 2
+        count = len(members)
+        self.tables = _sum_tables(p, members, self.h)
+        # shifts[l][:, i]: bins among the level-(l+1) targets of every level-l
+        # target plus member i; level 0 is the single target 0
+        self.shifts = [np.arange(count).reshape(1, count)]
+        self.shifts += [flat.reshape(-1, count) for flat, _ in self.tables]
+        # pairs[r]: (j, C(h, j) C(h, j + r)) for the Gram entries (j, j + r) but (0, 0)
+        binomial = [math.comb(self.h, j) for j in range(self.h + 1)]
+        self.pairs = [
+            [(j, binomial[j] * binomial[j + r]) for j in range(int(r == 0), self.h + 1 - r)]
+            for r in range(self.h + 1)
+        ]
+
+    def _levels(self, c: np.ndarray) -> list[np.ndarray]:
+        """G_0, ..., G_h, each over its level's targets."""
+        levels = [np.ones(1, dtype=np.complex128), c]
+        for flat, bins in self.tables:
+            g_next = np.zeros(bins, dtype=np.complex128)
+            np.add.at(g_next, flat, np.multiply.outer(levels[-1], c).ravel())
+            levels.append(g_next)
+        return levels
+
+    def __call__(self, c: np.ndarray) -> float:
+        g = self._levels(c)[-1]
+        l2_sq = float(np.sum(np.abs(c) ** 2))
+        return float(np.sum(np.abs(g) ** 2)) ** (1.0 / self.q) / math.sqrt(l2_sq)
+
+    def reset(self, c: np.ndarray) -> float:
+        self.point, self.levels = c, self._levels(c)
+        self.norms = [float(np.sum(np.abs(g) ** 2)) for g in self.levels]
+        self.l2_sq = self.norms[1]
+        return self.norms[-1] ** (1.0 / self.q) / math.sqrt(self.l2_sq)
+
+    def scores(self, i: int, deltas: Sequence[complex]) -> list[float]:
+        h, levels, norms = self.h, self.levels, self.norms
+        gram = [[0j] * (h + 1) for _ in range(h + 1)]
+        for k in range(1, h):
+            bins = None
+            for level in range(h - k, h):
+                shift = self.shifts[level]
+                bins = shift[:, i] if bins is None else shift[bins, i]
+                gram[h - 1 - level][k] = complex(np.vdot(levels[level + 1][bins], levels[h - k]))
+        # V_h is G_0 = e_0 shifted h - 1 times: one bin
+        target = 0
+        for level in range(h):
+            target = self.shifts[level][target, i]
+            gram[h - 1 - level][h] = complex(levels[level + 1][target]).conjugate()
+        # with t = |delta|**2, conj(w_j) w_k = C_j C_k t**j delta**(k - j), so the
+        # gain is P_0(t) + 2 Re sum_{r >= 1} delta**r P_r(t), where
+        # P_r(t) = sum_j C_j C_{j+r} t**j B_{j,j+r}; the deltas of one sweep share t
+        polys = {}
+        values = []
+        for d, l2_sq in zip(deltas, self._l2_sq(i, deltas)):
+            t = abs(d) ** 2
+            if t not in polys:
+                polys[t] = [
+                    sum(c * t**j * (norms[h - j] if r == 0 else gram[j][j + r]) for j, c in terms)
+                    for r, terms in enumerate(self.pairs)
+                ]
+            poly = polys[t]
+            gain, power = poly[0], 1
+            for r in range(1, h + 1):
+                power *= d
+                gain += 2 * (power * poly[r]).real
+            values.append((norms[h] + gain) ** (1.0 / self.q) / math.sqrt(l2_sq))
+        return values
+
+
+class _RowRatio(_MoveScorer):
+    """||c @ rows||_q / ||c|| for non-even q; the move c + delta e_i is f + delta rows[i], O(cells)."""
+
+    def __init__(self, p: int, members: Sequence[int], q):
+        self.rows, self.q = _vc_rows(p, members), q
+
+    def __call__(self, c: np.ndarray) -> float:
+        return float(_lq_ratios(c, self.rows, self.q))
+
+    def reset(self, c: np.ndarray) -> float:
+        self.point, self.cells = c, c @ self.rows
+        self.l2_sq = float(np.sum(np.abs(c) ** 2))
+        return float(_cell_ratios(self.cells, np.linalg.norm(c, axis=-1), self.q))
+
+    def scores(self, i: int, deltas: Sequence[complex]) -> list[float]:
+        cells = self.cells + np.multiply.outer(deltas, self.rows[i])
+        return _cell_ratios(cells, np.sqrt(self._l2_sq(i, deltas)), self.q).tolist()
+
+
+def _ratio_objective(p: int, members: Sequence[int], q) -> _MoveScorer:
+    """Float ratio ||f||_q / ||c||_2 as a function of the coefficient array, and its move scorer."""
     members = list(members)
-    if _is_even(q):
-        tables = _sum_tables(p, members, q // 2)
+    return _EvenRatio(p, members, q) if _is_even(q) else _RowRatio(p, members, q)
 
-        def ratio_even(c: np.ndarray) -> float:
-            g = c
-            for flat, bins in tables:
-                g_next = np.zeros(bins, dtype=np.complex128)
-                np.add.at(g_next, flat, np.multiply.outer(g, c).ravel())
-                g = g_next
-            l2_sq = float(np.sum(np.abs(c) ** 2))
-            return float(np.sum(np.abs(g) ** 2)) ** (1.0 / q) / math.sqrt(l2_sq)
 
-        return ratio_even
-
-    rows = _vc_rows(p, members)
-
-    def ratio_general(c: np.ndarray) -> float:
-        return float(_lq_ratios(c, rows, q))
-
-    return ratio_general
+def _ascent(scorer, start: np.ndarray, step: float = 0.25, decay: float = 0.5,
+            max_failures: int = 10) -> tuple[np.ndarray, float, dict[str, int]]:
+    """coordinate_ascent on a move scorer; also returns its work counters."""
+    c = np.asarray(start, dtype=np.complex128)
+    best = scorer.reset(c / np.linalg.norm(c))
+    counts = dict.fromkeys(("ascent_sweeps", "step_halvings", "moves_scored", "moves_accepted"), 0)
+    current = step
+    while counts["step_halvings"] < max_failures:
+        counts["ascent_sweeps"] += 1
+        accepted = counts["moves_accepted"]
+        for i in range(c.size):
+            moves = (current, -current, 1j * current, -1j * current)
+            # each later move of the coordinate is tried from the point just accepted
+            while moves:
+                tried = 0
+                for delta, val in zip(moves, scorer.scores(i, moves)):
+                    tried += 1
+                    if val > best * _ACCEPT:
+                        best = scorer.accept(i, delta, val)
+                        counts["moves_accepted"] += 1
+                        break
+                counts["moves_scored"] += tried
+                moves = moves[tried:]
+        if counts["moves_accepted"] == accepted:
+            current *= decay
+            counts["step_halvings"] += 1
+    return scorer.point, best, counts
 
 
 def coordinate_ascent(
@@ -288,27 +469,9 @@ def coordinate_ascent(
 
     Tries +-step and +-i*step per coordinate (renormalizing after each move);
     a sweep with no improvement halves the step, and the search stops after
-    max_failures such halvings.
+    max_failures such halvings.  The objective is called once per candidate.
     """
-    c = np.asarray(start, dtype=np.complex128)
-    c = c / np.linalg.norm(c)
-    best = objective(c)
-    failures = 0
-    current = step
-    while failures < max_failures:
-        improved = False
-        for i in range(c.size):
-            for delta in (current, -current, 1j * current, -1j * current):
-                cand = c.copy()
-                cand[i] += delta
-                cand /= np.linalg.norm(cand)
-                val = objective(cand)
-                if val > best * (1 + 1e-13):
-                    best, c = val, cand
-                    improved = True
-        if not improved:
-            current *= decay
-            failures += 1
+    c, best, _ = _ascent(_FullPass(objective), start, step, decay, max_failures)
     return c, best
 
 
@@ -329,6 +492,7 @@ class KhinchinReport:
     best_coefficients: dict[int, complex] = field(default_factory=dict)
     min_l1_ratio: float | None = None
     min_l1_ratio_err: float | None = None
+    ascent_counters: dict[str, int] = field(default_factory=dict)
 
 
 def estimate_constant(
@@ -365,8 +529,11 @@ def estimate_constant(
         if val > best_val:
             best_val, best_c = val, c
     method = f"random x {trials}"
+    counters = {}
     if optimizer == "ascent":
-        best_c, best_val = coordinate_ascent(objective, best_c)
+        best_c, _, counters = _ascent(objective, best_c)
+        # the float error bounds below are proven for one full evaluation
+        best_val = objective(best_c)
         method += " + coordinate ascent"
     coeffs = {n: complex(c) for n, c in zip(members, best_c)}
     exact_pow = None
@@ -393,6 +560,7 @@ def estimate_constant(
         best_ratio_err=ratio_err,
         best_ratio_pow_exact=exact_pow,
         best_coefficients=coeffs,
+        ascent_counters=counters,
     )
 
 

@@ -203,6 +203,26 @@ def test_criterion_05_companion_optimizer_attains_2_9_at_n_2_pow_20():
     assert report.best_ratio_pow_exact <= 3
 
 
+def test_criterion_05_companion_optimizer_meets_closed_form_suprema_d1():
+    # Unit chaos with d = 1 is {R_k = VC_(p**k)}, and on the unit sphere
+    # integral|f|**4 = sum c_i c_j conj(c_k c_l) E[R_i R_j conj(R_k R_l)].
+    # For p >= 3 the product R_i R_j is VC at the digitwise sum p**i + p**j,
+    # which has digit 2 at i when i = j, so E[R_i R_j conj(R_k R_l)] = 0 unless
+    # {i, j} = {k, l}: integral|f|**4 = 2 (sum|c|**2)**2 - sum|c|**4, whose
+    # supremum over M members is 2 - 1/M (sum|c|**4 >= 1/M, equal moduli).
+    # For p = 2, R_i**2 = 1, so the terms with i = j and k = l add
+    # |sum c**2|**2 <= 1 and those with {i, j} = {k, l}, i != j, add
+    # 2 - 2 sum|c|**4: the supremum is 3 - 2/M (real equal coefficients).
+    # No claim is made for d >= 2.
+    for p in range(2, 8):
+        report = v.estimate_constant(v.unit_chaos(p, 1), 4, p**11, 100, seed=3)
+        members = report.members
+        assert members == 12
+        supremum = 3 - Fraction(2, members) if p == 2 else 2 - Fraction(1, members)
+        assert report.best_ratio_pow_exact <= supremum  # exact rational comparison
+        assert supremum - report.best_ratio_pow_exact < Fraction(1, 10**6)
+
+
 # -- criterion 6: stability of the estimate in N ---------------------------------
 
 

@@ -222,6 +222,45 @@ def test_khinchin_report(tmp_path):
     assert values["l1-lower-constant-estimate"]["min_l1_ratio"] > 0
 
 
+def test_khinchin_report_ascent_counters(tmp_path):
+    out = tmp_path / "khinchin.json"
+    args = ["khinchin", "--p", "3", "--d", "2", "--set", "vtilde", "--q", "4", "--N", "26",
+            "--trials", "5", "--seed", "2", "--out", str(out)]
+    assert run(args) == 0
+    estimate = load_report(out)["checks"][0]["values"]
+    counters = {k: estimate[k] for k in ("ascent_sweeps", "step_halvings", "moves_scored", "moves_accepted")}
+    assert all(isinstance(n, int) for n in counters.values())
+    # every sweep tries the four moves of every coordinate; the ascent stops
+    # after its 10th sweep without an accepted move
+    assert counters["moves_scored"] == 4 * estimate["members"] * counters["ascent_sweeps"]
+    assert counters["step_halvings"] == 10
+    assert 0 < counters["moves_accepted"] < counters["moves_scored"]
+    assert run(args + ["--optimizer", "random"]) == 0
+    assert "ascent_sweeps" not in load_report(out)["checks"][0]["values"]
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("boom"), MemoryError(), RecursionError("deep")])
+def test_unexpected_exception_is_exit_2_without_traceback(monkeypatch, capsys, fault):
+    def failing(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "cmd_index", failing)
+    assert run(["index", "--set", "v", "--p", "2", "--max", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {type(fault).__name__}: {fault}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("signal", [KeyboardInterrupt, SystemExit])
+def test_interrupts_pass_through_main(monkeypatch, signal):
+    def interrupted(args):
+        raise signal()
+
+    monkeypatch.setattr(cli, "cmd_index", interrupted)
+    with pytest.raises(signal):
+        run(["index", "--set", "v", "--p", "2", "--max", "8"])
+
+
 def test_transform_roundtrip(tmp_path):
     src = tmp_path / "in.json"
     mid = tmp_path / "coeffs.json"

@@ -11,6 +11,9 @@ from vcchaos.cyclo import root_of_unity
 from vcchaos.indices import enumerate_members, full_chaos, unit_chaos
 from vcchaos.khinchin import (
     _CHUNK_ENTRIES,
+    _ascent,
+    _moved,
+    _ratio_objective,
     coordinate_ascent,
     estimate_constant,
     estimate_l1_constant,
@@ -266,6 +269,72 @@ def test_coordinate_ascent_on_quadratic():
     start = np.array([0.1 + 0j, 1.0 + 0j, 0.2 + 0j])
     _, best = coordinate_ascent(objective, start)
     assert best == pytest.approx(1.0, abs=1e-3)
+
+
+def _per_candidate_ascent(objective, start, step=0.25, decay=0.5, max_failures=10):
+    """The ascent as it ran before move scoring: one full evaluation per candidate."""
+    c = np.asarray(start, dtype=np.complex128)
+    c = c / np.linalg.norm(c)
+    best = objective(c)
+    failures = 0
+    current = step
+    while failures < max_failures:
+        improved = False
+        for i in range(c.size):
+            for delta in (current, -current, 1j * current, -1j * current):
+                cand = c.copy()
+                cand[i] += delta
+                cand /= np.linalg.norm(cand)
+                val = objective(cand)
+                if val > best * (1 + 1e-13):
+                    best, c = val, cand
+                    improved = True
+        if not improved:
+            current *= decay
+            failures += 1
+    return c, best
+
+
+# 15, 18 and 15 members on grids of 32, 27 and 216 cells
+EQUIVALENCE_SETS = [(full_chaos(2, 2), 31), (full_chaos(3, 2), 26), (full_chaos(6, 1), 215)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 2.5])
+@pytest.mark.parametrize("spec, upper", EQUIVALENCE_SETS)
+def test_move_scoring_ascent_matches_per_candidate_ascent(spec, upper, q):
+    members = enumerate_members(spec, upper)
+    objective = _ratio_objective(spec.p, members, q)
+    for seed in (1, 2):
+        start = sample_unit_coefficients(len(members), seed, 0)
+        _, want = _per_candidate_ascent(objective, start)
+        c, best, counters = _ascent(_ratio_objective(spec.p, members, q), start)
+        assert abs(objective(c) - want) <= 1e-9 * want
+        assert abs(best - want) <= 1e-9 * want
+        assert counters["moves_scored"] == 4 * len(members) * counters["ascent_sweeps"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 2.5, 1])
+def test_move_scores_match_full_evaluation(q):
+    spec = full_chaos(3, 2)
+    members = enumerate_members(spec, 26)
+    scorer = _ratio_objective(3, members, q)
+    c = sample_unit_coefficients(len(members), 5, 0)
+    assert scorer.reset(c) == scorer(c)
+    deltas = (0.25, -0.25, 0.25j, -0.25j, 0.3 - 0.1j, 2.0)
+    for i in (0, 7, len(members) - 1):
+        want = [scorer(_moved(c, i, d)) for d in deltas]
+        assert scorer.scores(i, deltas) == pytest.approx(want, rel=1e-12)
+    # an accepted move recomputes the cache at the renormalized point
+    moved = _moved(c, 3, 0.5j)
+    assert scorer.accept(3, 0.5j, 0.0) == scorer(moved)
+    assert np.array_equal(scorer.point, moved)
+
+
+def test_estimate_constant_q6_runtime():
+    started = time.perf_counter()
+    estimate_constant(full_chaos(3, 2), 6, 243, 200, seed=7)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, f"q = 6 estimate over 51 members took {elapsed:.2f}s (limit 0.5s)"
 
 
 def test_estimate_l1_constant_floor():
