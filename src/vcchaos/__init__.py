@@ -23,12 +23,9 @@ from .indices import (
 )
 from .khinchin import (
     KhinchinReport,
-    coordinate_ascent,
     estimate_constant,
     estimate_l1_constant,
-    fourth_moment_exact,
     independence_check,
-    l1_lower_ratio,
     l1_lower_ratio_with_error,
     moment_even_pow_exact,
     norm_ratio,
@@ -59,7 +56,6 @@ from .uniqueness import (
     witness_unit_chaos,
 )
 from .vc import (
-    CoeffVector,
     exponent_table,
     matrix_op_norm,
     rademacher,

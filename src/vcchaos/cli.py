@@ -397,11 +397,14 @@ def cmd_khinchin(args) -> int:
     if report_obj.best_ratio_pow_exact is not None:
         values["best_ratio_pow_exact"] = rational_str(report_obj.best_ratio_pow_exact)
     values.update(report_obj.ascent_counters)
+    # Lyapunov on a probability space: ||f||_q >= ||f||_2 = ||c||_2 for q >= 2, <= for q < 2
+    ratio = report_obj.best_ratio
+    ok = ratio >= 1.0 - 1e-12 if args.q >= 2 else ratio <= 1.0 + 1e-12
     checks.append(
         _check(
             "lacunarity-constant-estimate",
             "Lq norm of chaos sums bounded by constant times l2 of coefficients",
-            report_obj.best_ratio is not None and report_obj.best_ratio >= 1.0 - 1e-12,
+            ok,
             **values,
         )
     )

@@ -20,7 +20,12 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Iterator
 
+import numpy as np
+
 from .pary import check_cells, digit_count, digits_of_integer
+
+# pattern_multiplicity_check compares blocks of about this many (pattern, member, digit) entries
+_MATCH_ENTRIES = 2**20
 
 
 class IndexKind(Enum):
@@ -96,19 +101,17 @@ def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
     while p ** (top + 1) <= upper:
         top += 1
     positions = range(top + 1)
+    # no member has more nonzero digits than there are positions
+    lowest = spec.order if spec.kind is IndexKind.EXACT_WEIGHT else 1
+    weights = range(lowest, min(spec.order, top + 1) + 1)
     if spec.kind is IndexKind.UNIT_CHAOS:
-        for s in range(1, spec.order + 1):
+        for s in weights:
             for combo in combinations(positions, s):
                 n = sum(p**k for k in combo)
                 if n <= upper:
                     yield n
         return
     if spec.kind in (IndexKind.FULL_CHAOS, IndexKind.EXACT_WEIGHT):
-        weights = (
-            range(1, spec.order + 1)
-            if spec.kind is IndexKind.FULL_CHAOS
-            else (spec.order,)
-        )
         for s in weights:
             for combo in combinations(positions, s):
                 for values in product(range(1, p), repeat=s):
@@ -117,7 +120,8 @@ def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
                         yield n
         return
     allowed = [k for k in positions if k < len(spec.pattern)]
-    for combo in combinations(allowed, spec.order):
+    # a weight above len(allowed) has no combinations (capped: a huge one overflows)
+    for combo in combinations(allowed, min(spec.order, len(allowed) + 1)):
         n = sum(spec.pattern[k] * p**k for k in combo)
         if n <= upper:
             yield n
@@ -144,14 +148,15 @@ def count_below_power(spec: IndexSpec, levels: int) -> int:
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     p = spec.p
+    # comb(levels, s) is 0 for s > levels: skipping those weights, a huge order
+    # costs at most `levels` terms and never builds (p - 1)**order
+    weights = range(1, min(spec.order, levels) + 1)
     if spec.kind is IndexKind.UNIT_CHAOS:
-        return sum(math.comb(levels, s) for s in range(1, spec.order + 1))
+        return sum(math.comb(levels, s) for s in weights)
     if spec.kind is IndexKind.FULL_CHAOS:
-        return sum(
-            math.comb(levels, s) * (p - 1) ** s for s in range(1, spec.order + 1)
-        )
+        return sum(math.comb(levels, s) * (p - 1) ** s for s in weights)
     if spec.kind is IndexKind.EXACT_WEIGHT:
-        return math.comb(levels, spec.order) * (p - 1) ** spec.order
+        return math.comb(levels, spec.order) * (p - 1) ** spec.order if spec.order <= levels else 0
     available = min(levels, len(spec.pattern))
     return math.comb(available, spec.order)
 
@@ -162,19 +167,27 @@ def pattern_multiplicity_check(p: int, s: int, top: int, upper: int) -> bool:
     For p**top <= upper < p**(top+1): every exact-weight-s member n <= upper
     must lie in exactly (p-1)**(top+1-s) of the (p-1)**(top+1) digit-pattern
     sets with pattern length top+1, and the full-chaos set of order d must be
-    the disjoint union of the exact-weight sets with s = 1..d.
+    the disjoint union of the exact-weight sets with s = 1..d.  A member
+    (exactly s nonzero digits, all at positions <= top) lies in a pattern's
+    set iff each of its nonzero digits equals the pattern's at that position.
+    Pattern i has the base-(p-1) digits of i, plus 1, and the members' digits
+    are compared with a block of consecutive patterns at a time.
     """
     if not p ** top <= upper < p ** (top + 1):
         raise ValueError(f"need p**top <= upper < p**(top+1), got {upper}")
     members = enumerate_members(exact_weight(p, s), upper)
-    expected = (p - 1) ** (top + 1 - s)
-    patterns = list(product(range(1, p), repeat=top + 1))
-    for n in members:
-        hits = sum(
-            1 for pat in patterns if contains(digit_pattern(p, s, pat), n)
-        )
-        if hits != expected:
-            return False
+    digits = np.array([n // p**k % p for n in members for k in range(top + 1)], dtype=np.int64)
+    digits = digits.reshape(len(members), top + 1)
+    free = digits == 0
+    patterns, radix = (p - 1) ** (top + 1), (p - 1) ** np.arange(top + 1, dtype=np.int64)
+    hits = np.zeros(len(members), dtype=np.int64)
+    block = max(1, _MATCH_ENTRIES // max(digits.size, 1))
+    for start in range(0, patterns, block):
+        index = np.arange(start, min(start + block, patterns), dtype=np.int64)
+        pats = 1 + index[:, None, None] // radix % (p - 1)
+        hits += np.all(free | (digits == pats), axis=2).sum(axis=0)
+    if (hits != (p - 1) ** (top + 1 - s)).any():
+        return False
     # partition: full chaos of every order d <= top+1 splits by exact weight
     for d in range(1, top + 2):
         full = enumerate_members(full_chaos(p, d), upper)

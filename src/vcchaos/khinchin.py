@@ -9,20 +9,22 @@ coefficient combinatorics:
 One kernel computes it, a digitwise-sum table iterated h - 1 times, with two
 bindings: complex128 arrays drive the optimizer, and Gaussian-integer
 numerators over one common denominator certify ratios exactly (floats are
-dyadic rationals).  Odd and fractional q, and the L1 lower constant, need the
-cell values of f: the (members x cells) block of VC rows is built once per
-member set, so each evaluation is one product c @ rows.  Randomness is
-counter-based (Philox keyed by (seed, trial)), so trials are reproducible and
-order-independent.
+dyadic rationals).  An even-q estimate builds its tables once, and the exact
+certificate of its final point reuses the objective's.  Odd and fractional
+q, and the L1 lower constant, need the cell values of f: the (members x
+cells) block of VC rows is built once per member set, so each evaluation is
+one product c @ rows.  Randomness is counter-based (Philox keyed by (seed,
+trial)), so trials are reproducible and order-independent.
 
-The coordinate ascent scores a move c + delta e_i from partial sums kept for
-the current point instead of a full evaluation.  For even q = 2h they are
-the levels G_1..G_h of the table pass, and the four moves of a coordinate
-share h(h+1)/2 gathers and dot products: O(1) work for q = 2, O(M) for
-q = 4 and O(M**2) (at most the cell count) for q = 6 over M members,
-against M**h for a pass.  For other q they are the cell values f, and a
-move is f + delta * rows[i], O(cells).  An accepted move recomputes the sums
-at the renormalized point, and estimate_constant reports one full
+estimate_constant refines its best random start by a private coordinate
+ascent on the unit sphere, which scores a move c + delta e_i from partial
+sums kept for the current point instead of a full evaluation.  For even
+q = 2h they are the levels G_1..G_h of the table pass, and the four moves of
+a coordinate share h(h+1)/2 gathers and dot products: O(1) work for q = 2,
+O(M) for q = 4 and O(M**2) (at most the cell count) for q = 6 over M
+members, against M**h for a pass.  For other q they are the cell values f,
+and a move is f + delta * rows[i], O(cells).  An accepted move recomputes
+the sums at the renormalized point, and estimate_constant reports one full
 evaluation of the final point, for which the float error bounds are proven.
 """
 
@@ -33,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,14 +80,20 @@ def _sum_tables(p: int, members: Sequence[int], h: int) -> list[tuple]:
     return tables
 
 
-def _exact_power_sums(p: int, coeffs: Mapping[int, object], q: int) -> tuple[int, int, int]:
+def _even_tables(p: int, coeffs: Mapping[int, object], q: int) -> list[tuple]:
+    """_sum_tables for the ratio or moment of order q over the indices of coeffs."""
+    if q < 2 or q % 2:
+        raise ValueError(f"q must be a positive even integer, got {q}")
+    return _sum_tables(p, list(coeffs), q // 2)
+
+
+def _exact_power_sums(coeffs: Mapping[int, object], tables: list[tuple]) -> tuple[int, int, int]:
     """(S_1, S_h, D) for even q = 2h: c has Gaussian-integer numerators over D.
 
+    tables are the h - 1 _sum_tables over the indices of coeffs, in order.
     S_1 and S_h are the sums of |g|**2 over the numerators of c and of their
     h-fold convolution, so integral |f|**q = S_h / D**q and ratio**q = S_h / S_1**h.
     """
-    if q < 2 or q % 2:
-        raise ValueError(f"q must be a positive even integer, got {q}")
     parts = []
     for v in coeffs.values():
         if isinstance(v, complex):
@@ -97,7 +105,7 @@ def _exact_power_sums(p: int, coeffs: Mapping[int, object], q: int) -> tuple[int
     column = CycloArray.from_values(parts)
     re, im, denom = column.nums[0::2, 0], column.nums[1::2, 0], column.denom
     g_re, g_im, outer = re, im, np.multiply.outer
-    for flat, bins in _sum_tables(p, list(coeffs), q // 2):
+    for flat, bins in tables:
         next_re, next_im = np.zeros(bins, dtype=object), np.zeros(bins, dtype=object)
         np.add.at(next_re, flat, (outer(g_re, re) - outer(g_im, im)).ravel())
         np.add.at(next_im, flat, (outer(g_re, im) + outer(g_im, re)).ravel())
@@ -105,15 +113,18 @@ def _exact_power_sums(p: int, coeffs: Mapping[int, object], q: int) -> tuple[int
     return int((re * re + im * im).sum()), int((g_re * g_re + g_im * g_im).sum()), denom
 
 
+def _ratio_pow_exact(coeffs: Mapping[int, object], tables: list[tuple]) -> Fraction:
+    """ratio**q = S_h / S_1**h from _exact_power_sums(coeffs, tables), q = 2 * (len(tables) + 1)."""
+    s_1, s_h, _ = _exact_power_sums(coeffs, tables)
+    if s_1 == 0:
+        raise ValueError("coefficient vector is zero")
+    return Fraction(s_h, s_1 ** (len(tables) + 1))
+
+
 def moment_even_pow_exact(p: int, coeffs: Mapping[int, object], q: int) -> Fraction:
     """Exact integral of |sum c_n VC_n|**q for even q, from coefficients alone."""
-    _, s_h, denom = _exact_power_sums(p, coeffs, q)
+    _, s_h, denom = _exact_power_sums(coeffs, _even_tables(p, coeffs, q))
     return Fraction(s_h, denom**q)
-
-
-def fourth_moment_exact(p: int, coeffs: Mapping[int, object]) -> Fraction:
-    """Exact integral of |sum c_n VC_n|**4 (squared l2 norm of c convolved with c)."""
-    return moment_even_pow_exact(p, coeffs, 4)
 
 
 def _members(spec: IndexSpec, upper: int) -> list[int]:
@@ -136,10 +147,7 @@ def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
 def norm_ratio_pow_exact(spec: IndexSpec, coeffs: Mapping[int, object], q: int) -> Fraction:
     """Exact rational (||sum c_n VC_n||_q / ||c||_l2)**q for even q."""
     _validate_support(spec, coeffs)
-    s_1, s_h, _ = _exact_power_sums(spec.p, coeffs, q)
-    if s_1 == 0:
-        raise ValueError("coefficient vector is zero")
-    return Fraction(s_h, s_1 ** (q // 2))
+    return _ratio_pow_exact(coeffs, _even_tables(spec.p, coeffs, q))
 
 
 def _vc_rows(p: int, members: Sequence[int]) -> np.ndarray:
@@ -238,11 +246,6 @@ def l1_lower_ratio_with_error(
     return ratio, _synthesis_error_bound(c, rows.shape[1], 1, ratio)
 
 
-def l1_lower_ratio(spec: IndexSpec, coeffs: Mapping[int, object]) -> float:
-    """||sum c_n VC_n||_1 / ||c||_l2 (q = 1 has no exact even path)."""
-    return l1_lower_ratio_with_error(spec, coeffs)[0]
-
-
 # -- seeded sampling and sphere ascent ----------------------------------------
 
 
@@ -266,8 +269,11 @@ def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
     return c / norm
 
 
-# the ascent accepts a move only when it beats the best value by this factor
+# the ascent accepts a move only when it beats the best value by this factor;
+# it starts with moves of size _STEP and multiplies them by _DECAY after each
+# sweep that accepts none, stopping after _HALVINGS such sweeps
 _ACCEPT = 1 + 1e-13
+_STEP, _DECAY, _HALVINGS = 0.25, 0.5, 10
 
 
 def _moved(c: np.ndarray, i: int, delta: complex) -> np.ndarray:
@@ -276,25 +282,6 @@ def _moved(c: np.ndarray, i: int, delta: complex) -> np.ndarray:
     cand[i] += delta
     cand /= np.linalg.norm(cand)
     return cand
-
-
-class _FullPass:
-    """Move scorer for a plain objective: one call per renormalized candidate."""
-
-    def __init__(self, objective: Callable[[np.ndarray], float]):
-        self.objective = objective
-
-    def reset(self, c: np.ndarray) -> float:
-        self.point = c
-        return self.objective(c)
-
-    def scores(self, i: int, deltas: Sequence[complex]):
-        # lazily: the ascent stops reading at an accepted move
-        return (self.objective(_moved(self.point, i, delta)) for delta in deltas)
-
-    def accept(self, i: int, delta: complex, value: float) -> float:
-        self.point = _moved(self.point, i, delta)
-        return value
 
 
 class _MoveScorer:
@@ -429,14 +416,17 @@ def _ratio_objective(p: int, members: Sequence[int], q) -> _MoveScorer:
     return _EvenRatio(p, members, q) if _is_even(q) else _RowRatio(p, members, q)
 
 
-def _ascent(scorer, start: np.ndarray, step: float = 0.25, decay: float = 0.5,
-            max_failures: int = 10) -> tuple[np.ndarray, float, dict[str, int]]:
-    """coordinate_ascent on a move scorer; also returns its work counters."""
+def _ascent(scorer: _MoveScorer, start: np.ndarray) -> tuple[np.ndarray, float, dict[str, int]]:
+    """Maximize a scale-invariant ratio over the unit sphere from start.
+
+    Tries +-step and +-i*step on each coordinate, renormalizing after each
+    accepted move; returns the final point, its value and the work counters.
+    """
     c = np.asarray(start, dtype=np.complex128)
     best = scorer.reset(c / np.linalg.norm(c))
     counts = dict.fromkeys(("ascent_sweeps", "step_halvings", "moves_scored", "moves_accepted"), 0)
-    current = step
-    while counts["step_halvings"] < max_failures:
+    current = _STEP
+    while counts["step_halvings"] < _HALVINGS:
         counts["ascent_sweeps"] += 1
         accepted = counts["moves_accepted"]
         for i in range(c.size):
@@ -453,26 +443,9 @@ def _ascent(scorer, start: np.ndarray, step: float = 0.25, decay: float = 0.5,
                 counts["moves_scored"] += tried
                 moves = moves[tried:]
         if counts["moves_accepted"] == accepted:
-            current *= decay
+            current *= _DECAY
             counts["step_halvings"] += 1
     return scorer.point, best, counts
-
-
-def coordinate_ascent(
-    objective: Callable[[np.ndarray], float],
-    start: np.ndarray,
-    step: float = 0.25,
-    decay: float = 0.5,
-    max_failures: int = 10,
-) -> tuple[np.ndarray, float]:
-    """Maximize a scale-invariant objective over the unit sphere.
-
-    Tries +-step and +-i*step per coordinate (renormalizing after each move);
-    a sweep with no improvement halves the step, and the search stops after
-    max_failures such halvings.  The objective is called once per candidate.
-    """
-    c, best, _ = _ascent(_FullPass(objective), start, step, decay, max_failures)
-    return c, best
 
 
 @dataclass
@@ -539,7 +512,8 @@ def estimate_constant(
     exact_pow = None
     ratio_err = None
     if mode == "exact" and _is_even(q):
-        exact_pow = norm_ratio_pow_exact(spec, coeffs, q)
+        # the objective's sum tables are over the same members in the same order
+        exact_pow = _ratio_pow_exact(coeffs, objective.tables)
         best_val = float(exact_pow) ** (1.0 / q)
     elif _is_even(q):
         # float mode: the moment-formula objective is already accurate to
@@ -626,9 +600,7 @@ def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
     return pieces
 
 
-def independence_check(
-    p: int, tables: Sequence[Sequence[object]], depth: int | None = None
-) -> bool:
+def independence_check(p: int, tables: Sequence[Sequence[object]]) -> bool:
     """Exhaustively verify the product rule for digit-functions f_k(x) = g_k(x_k).
 
     For every combination of attainable values (e_0, ..., e_n) the joint
@@ -638,18 +610,14 @@ def independence_check(
     digit preimage counts, compared exactly.
     """
     tables = [list(t) for t in tables]
-    if depth is None:
-        depth = len(tables) - 1
-    if depth != len(tables) - 1:
-        raise ValueError(f"depth {depth} does not match {len(tables)} tables")
     if any(len(t) != p for t in tables):
         raise ValueError(f"each value table must have exactly {p} entries")
-    check_rank(p, depth + 1)
+    check_rank(p, len(tables))
     keyed = [list(map(tuple, CycloArray.from_values(t).keys().tolist())) for t in tables]
     marginals = [Counter(keys) for keys in keyed]
     joint = Counter(
         tuple(keyed[k][d] for k, d in enumerate(digits))
-        for digits in product(range(p), repeat=depth + 1)
+        for digits in product(range(p), repeat=len(tables))
     )
     return all(
         joint[combo] == math.prod(m[key] for m, key in zip(marginals, combo))

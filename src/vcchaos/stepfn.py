@@ -126,35 +126,6 @@ class StepFn:
             raise ValueError(f"q must be a positive even integer, got {q}")
         return ((self * self.conj()) ** (q // 2)).integral().as_rational()
 
-    def lq_norm_float(self, q: float) -> tuple[float, float]:
-        """(norm, error bound) for general q >= 1 via float evaluation."""
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
-        cells = self.p**self.rank
-        total = 0.0
-        err = 0.0
-        for v in self.values:
-            z, e = v.eval_complex()
-            a = abs(z)
-            total += a**q
-            # |(a+e)^q - a^q| <= q * (a+e)^(q-1) * e, plus summation slop
-            err += q * (a + e) ** max(q - 1, 0.0) * e
-        err += cells * 2.0**-50 * (total + 1e-300)
-        mean = total / cells
-        mean_err = err / cells
-        norm = mean ** (1.0 / q)
-        if mean > 0:
-            norm_err = norm * ((1 + mean_err / mean) ** (1.0 / q) - 1) + math.ulp(norm) * 4
-        else:
-            norm_err = mean_err ** (1.0 / q)
-        return norm, norm_err
-
-    def lq_norm(self, q):
-        """Exact rational |f|**q integral for even integer q, float norm otherwise."""
-        if isinstance(q, int) and q >= 2 and q % 2 == 0:
-            return self.lq_norm_even_pow(q)
-        return self.lq_norm_float(q)[0]
-
     # -- level sets and distribution ----------------------------------------
 
     def level_set(self, target) -> "PArySet":

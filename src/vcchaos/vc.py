@@ -26,7 +26,6 @@ coefficient of VC_n; inverse rebuilds cell values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +33,9 @@ import numpy as np
 from .cyclo import CycloArray, _power_residues
 from .pary import check_rank, digit_count
 from .stepfn import StepFn
+
+# power-iteration steps of matrix_op_norm
+_POWER_ITERATIONS = 30
 
 
 def rademacher(p: int, k: int) -> StepFn:
@@ -96,12 +98,12 @@ def verify_inverse_identity(p: int, k: int) -> bool:
     return True
 
 
-def matrix_op_norm(p: int, k: int, iterations: int = 30) -> float:
+def matrix_op_norm(p: int, k: int) -> float:
     """Power-iteration estimate of the (2,2) operator norm of VC^(k)."""
     a = np.exp(2j * np.pi * exponent_table(p, k) / p)
     cells = len(a)
     x = np.ones(cells) / math.sqrt(cells)
-    for _ in range(max(iterations, 1)):
+    for _ in range(_POWER_ITERATIONS):
         y = a @ x
         x = a.conj().T @ y
         norm = np.linalg.norm(x)
@@ -186,54 +188,17 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     return CycloArray(order, out.reshape(length, order), denom)
 
 
-# -- coefficient vectors and synthesis ----------------------------------------
+# -- synthesis ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffVector:
-    """Finitely supported map index -> coefficient.
-
-    Exact mode holds CycloValue/Fraction entries; float mode holds complex
-    floats.  Both expose the same mapping interface.
-    """
-
-    p: int
-    entries: Mapping[int, object]
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"base must be >= 2, got {self.p}")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if any(n < 0 for n in self.entries):
-            raise ValueError("indices must be nonnegative")
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
-    @property
-    def max_index(self) -> int:
-        return max(self.entries, default=0)
-
-
-def synthesize(coeffs, p: int | None = None) -> StepFn:
-    """Exact sum of coeff[n] * VC_n, evaluated via the inverse fast transform."""
-    if isinstance(coeffs, CoeffVector):
-        if coeffs.mode != "exact":
-            raise ValueError("synthesize needs exact-mode coefficients")
-        entries, p = coeffs.entries, coeffs.p
-    else:
-        entries = coeffs
-    if p is None:
-        raise ValueError("base p is required when passing a plain mapping")
-    if any(n < 0 for n in entries):
+def synthesize(coeffs: Mapping[int, object], p: int) -> StepFn:
+    """Exact sum of coeffs[n] * VC_n, evaluated via the inverse fast transform."""
+    if any(n < 0 for n in coeffs):
         raise ValueError("indices must be nonnegative")
-    rank = max((digit_count(n, p) for n in entries), default=0)
+    rank = max((digit_count(n, p) for n in coeffs), default=0)
     cells = check_rank(p, rank)
-    # cell n takes row 1 + (position of n in entries), every other cell row 0
+    # cell n takes row 1 + (position of n in coeffs), every other cell row 0
     rows = np.zeros(cells, dtype=np.intp)
-    rows[list(entries)] = np.arange(1, len(entries) + 1)
-    vec = CycloArray.from_values([0, *entries.values()])[rows]
+    rows[list(coeffs)] = np.arange(1, len(coeffs) + 1)
+    vec = CycloArray.from_values([0, *coeffs.values()])[rows]
     return StepFn(p, rank, vc_transform_exact(vec, p, "inverse"))

@@ -43,6 +43,14 @@ def test_verify_rank_zero_passes(tmp_path):
     assert all(c["status"] == "pass" for c in load_report(out)["checks"])
 
 
+def test_verify_large_base_at_rank_zero_is_fast():
+    # the pattern-multiplicity check compares 15**3 patterns with 675 members at p = 16
+    started = time.perf_counter()
+    assert run(["verify", "--p", "16", "--max-rank", "0", "--cell-cap", "100"]) == 0
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"verify --p 16 --max-rank 0 took {elapsed:.2f}s (limit 2s)"
+
+
 def test_verify_honours_cell_cap(monkeypatch):
     # at max rank 1 the independence check tallies rank-2 grids: 9 cells for p = 3
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "9"]) == 0
@@ -220,6 +228,32 @@ def test_khinchin_report(tmp_path):
     assert estimate["best_ratio"] >= 1.0
     assert "best_ratio_pow_exact" in estimate
     assert values["l1-lower-constant-estimate"]["min_l1_ratio"] > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--p", "3", "--d", "2", "--set", "vtilde", "--q", "1.9", "--N", "200"],
+        ["--p", "2", "--d", "1", "--set", "v", "--q", "1", "--N", "64", "--optimizer", "random"],
+    ],
+)
+def test_khinchin_below_q2_passes_at_most_one(tmp_path, args):
+    # Lyapunov: ||f||_q <= ||f||_2 = ||c||_2 for q < 2, so every ratio is at most 1
+    out = tmp_path / "khinchin.json"
+    assert run(["khinchin", *args, "--trials", "10", "--seed", "1", "--out", str(out)]) == 0
+    estimate = load_report(out)["checks"][0]
+    assert estimate["status"] == "pass"
+    assert estimate["values"]["best_ratio"] <= 1.0 + 1e-12
+
+
+def test_khinchin_q3_passes_at_least_one(tmp_path):
+    out = tmp_path / "khinchin.json"
+    args = ["khinchin", "--p", "3", "--d", "2", "--set", "vtilde", "--q", "3", "--N", "26",
+            "--trials", "10", "--seed", "1", "--mode", "float", "--out", str(out)]
+    assert run(args) == 0
+    estimate = load_report(out)["checks"][0]
+    assert estimate["status"] == "pass"
+    assert estimate["values"]["best_ratio"] >= 1.0 - 1e-12
 
 
 def test_khinchin_report_ascent_counters(tmp_path):

@@ -93,6 +93,19 @@ def test_enumeration_matches_brute_force():
         assert enumerate_members(spec, upper) == brute_force_members(spec, upper)
 
 
+def test_huge_order_counts_and_enumerates_at_once():
+    # an order above the digit count behaves like the digit count (or empties
+    # the set), without a loop or a power of that size
+    huge = 10**30
+    for kind in (unit_chaos, full_chaos):
+        spec, capped = kind(3, huge), kind(3, 4)
+        assert count_below_power(spec, 4) == count_below_power(capped, 4)
+        assert enumerate_members(spec, 80) == brute_force_members(capped, 80)
+    for spec in (exact_weight(3, huge), digit_pattern(3, huge, (1, 2))):
+        assert count_below_power(spec, 4) == 0
+        assert enumerate_members(spec, 80) == []
+
+
 def test_enumeration_sorted_and_consistent():
     for spec in (unit_chaos(3, 3), full_chaos(5, 2), exact_weight(4, 2)):
         members = enumerate_members(spec, 2000)

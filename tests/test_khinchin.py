@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from vcchaos import khinchin
 from vcchaos.cyclo import root_of_unity
 from vcchaos.indices import enumerate_members, full_chaos, unit_chaos
 from vcchaos.khinchin import (
@@ -14,12 +15,9 @@ from vcchaos.khinchin import (
     _ascent,
     _moved,
     _ratio_objective,
-    coordinate_ascent,
     estimate_constant,
     estimate_l1_constant,
-    fourth_moment_exact,
     independence_check,
-    l1_lower_ratio,
     l1_lower_ratio_with_error,
     moment_even_pow_exact,
     norm_ratio,
@@ -50,13 +48,13 @@ def test_norm_ratio_validation():
 
 
 def test_fourth_moment_examples():
-    assert fourth_moment_exact(2, {1: 1, 2: 1}) == 8
+    assert moment_even_pow_exact(2, {1: 1, 2: 1}, 4) == 8
     c = Fraction(3, 5)
-    assert fourth_moment_exact(3, {7: c}) == c**4
+    assert moment_even_pow_exact(3, {7: c}, 4) == c**4
     # n equal unit coefficients on distinct Rademacher indices: 3n^2 - 2n
     for n in range(1, 11):
         coeffs = {2**k: 1 for k in range(n)}
-        assert fourth_moment_exact(2, coeffs) == 3 * n * n - 2 * n
+        assert moment_even_pow_exact(2, coeffs, 4) == 3 * n * n - 2 * n
         f = synthesize(coeffs, 2)
         assert f.lq_norm_even_pow(4) == 3 * n * n - 2 * n
 
@@ -71,7 +69,7 @@ def test_real_rademacher_moment_identity():
             continue
         sum_sq = sum(c * c for c in coeffs.values())
         sum_4 = sum(c**4 for c in coeffs.values())
-        moment = fourth_moment_exact(2, coeffs)
+        moment = moment_even_pow_exact(2, coeffs, 4)
         assert moment == 3 * sum_sq**2 - 2 * sum_4
         assert moment <= 3 * sum_sq**2
 
@@ -147,6 +145,24 @@ def test_float_mode_error_bound_holds(spec, upper, q):
     exact = norm_ratio_pow_exact(spec, report.best_coefficients, q)
     ratio, err = Fraction(report.best_ratio), Fraction(report.best_ratio_err)
     assert (ratio - err) ** q <= exact <= (ratio + err) ** q
+
+
+@pytest.mark.parametrize("q", [4, 6])
+def test_even_estimate_builds_sum_tables_once(monkeypatch, q):
+    spec = full_chaos(3, 2)
+    builds = []
+    build = khinchin._sum_tables
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(khinchin, "_sum_tables", counted)
+    report = estimate_constant(spec, q, 80, 5, seed=3)
+    assert len(builds) == 1
+    # the certificate from the objective's tables is the one built from scratch
+    assert report.best_ratio_pow_exact == norm_ratio_pow_exact(spec, report.best_coefficients, q)
+    assert len(builds) == 2
 
 
 def _exact_cells(coeffs, p):
@@ -231,8 +247,8 @@ def test_estimate_l1_constant_runtime():
 
 def test_l1_examples():
     spec = unit_chaos(2, 1)
-    assert l1_lower_ratio(spec, {1: 1, 2: 1}) == pytest.approx(1 / math.sqrt(2))
-    assert l1_lower_ratio(spec, {8: 1.0}) == pytest.approx(1.0)
+    assert l1_lower_ratio_with_error(spec, {1: 1, 2: 1})[0] == pytest.approx(1 / math.sqrt(2))
+    assert l1_lower_ratio_with_error(spec, {8: 1.0})[0] == pytest.approx(1.0)
 
 
 def test_estimate_constant_monotone_in_trials():
@@ -259,16 +275,6 @@ def test_estimate_constant_single_trial_at_least_one():
     assert report.best_ratio >= 0.9
     refined = estimate_constant(unit_chaos(2, 1), 4, 4, 1, seed=0, optimizer="ascent")
     assert refined.best_ratio >= 1.0 - 1e-9
-
-
-def test_coordinate_ascent_on_quadratic():
-    import numpy as np
-
-    # maximize |c[0]|^2 on the sphere: optimum 1
-    objective = lambda c: float(abs(c[0]) ** 2)
-    start = np.array([0.1 + 0j, 1.0 + 0j, 0.2 + 0j])
-    _, best = coordinate_ascent(objective, start)
-    assert best == pytest.approx(1.0, abs=1e-3)
 
 
 def _per_candidate_ascent(objective, start, step=0.25, decay=0.5, max_failures=10):
@@ -414,5 +420,3 @@ def test_independence_random_tables():
 def test_independence_validation():
     with pytest.raises(ValueError):
         independence_check(3, [[1, 2]])  # wrong table size
-    with pytest.raises(ValueError):
-        independence_check(2, [[1, -1]], depth=3)

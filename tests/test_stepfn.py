@@ -64,27 +64,6 @@ def test_lq_norm_examples():
     assert g.lq_norm_even_pow(2) == c * c
 
 
-def test_lq_norm_float_agrees_with_even_exact():
-    rng = random.Random(5)
-    for _ in range(20):
-        p = rng.choice([2, 3])
-        rank = rng.randint(1, 3)
-        values = [rng.randint(-3, 3) for _ in range(p**rank)]
-        f = StepFn(p, rank, values)
-        for q in (2, 4, 6):
-            exact = f.lq_norm_even_pow(q)
-            approx, err = f.lq_norm_float(q)
-            assert abs(approx - float(exact) ** (1.0 / q)) <= err + 1e-9
-
-
-def test_lq_dispatch():
-    f = rademacher(2, 0)
-    assert f.lq_norm(4) == 1
-    assert f.lq_norm(3) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        f.lq_norm(0.5)
-
-
 def test_level_set_examples():
     p3 = 1 - rademacher(3, 0)
     zs = p3.zero_set()

@@ -9,7 +9,6 @@ from vcchaos.cyclo import CycloValue, root_of_unity
 from vcchaos.pary import digits_of_point, digitwise_add
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import (
-    CoeffVector,
     exponent_table,
     matrix_op_norm,
     rademacher,
@@ -254,14 +253,3 @@ def test_multiplicativity():
         assert vc_function(p, a) * vc_function(p, b) == vc_function(
             p, digitwise_add(a, b, p)
         )
-
-
-def test_coeff_vector():
-    cv = CoeffVector(3, {1: Fraction(1), 4: Fraction(-2)})
-    assert cv.support == [1, 4]
-    assert cv.max_index == 4
-    assert synthesize(cv) == synthesize({1: 1, 4: -2}, 3)
-    with pytest.raises(ValueError):
-        CoeffVector(3, {-1: Fraction(1)})
-    with pytest.raises(ValueError):
-        CoeffVector(3, {1: 1.0}, mode="bogus")
