@@ -7,7 +7,7 @@ Khinchin-type norm-ratio estimation, and sharpness witnesses for the
 uniqueness thresholds.
 """
 
-from .cyclo import CycloArray, CycloValue, cyclotomic_polynomial, root_of_unity
+from .cyclo import CycloArray, cyclotomic_polynomial, root_of_unity
 from .indices import (
     IndexKind,
     IndexSpec,

@@ -332,7 +332,7 @@ def cmd_sharpness(args) -> int:
         ok = (
             report_obj.level_set_measure + report_obj.threshold == 1
             and report_obj.support_ok
-            and not report_obj.level_value.is_zero()
+            and report_obj.level_value != 0
         )
         checks.append(
             _check(

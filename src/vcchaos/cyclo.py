@@ -10,8 +10,8 @@ every order, prime or not.
 
 One type implements the ring: a CycloArray holds n values of one order as
 an (n, r) array of integer numerators over one denominator, and acts on all
-rows at once (the product is a cyclic convolution along the ring axis).
-CycloValue, the public type of a single value, is a view of one row.
+rows at once (the product is a cyclic convolution along the ring axis).  A
+single value is a one-row CycloArray.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,20 +119,18 @@ class CycloArray:
 
     @classmethod
     def coerce(cls, value) -> "CycloArray":
-        """An array as it is, a CycloValue as its row, a rational as a one-row order-1 array."""
+        """An array as it is, a rational as a one-row order-1 array."""
         if isinstance(value, CycloArray):
             return value
-        if isinstance(value, CycloValue):
-            return value._row
         return cls.from_values([Fraction(value)])
 
     @classmethod
     def from_values(cls, values) -> "CycloArray":
-        """One row per value (int, float, Fraction, CycloValue or CycloArray row), in the lcm order."""
+        """One row per value (int, float, Fraction, or each row of a CycloArray), in the lcm order."""
         if isinstance(values, CycloArray):
             return values
         values = list(values)
-        if not any(isinstance(v, (CycloValue, CycloArray)) for v in values):
+        if not any(isinstance(v, CycloArray) for v in values):
             ratios = [x.as_integer_ratio() for x in values]
             denom = math.lcm(*(d for _, d in ratios))
             nums = np.array([n * (denom // d) for n, d in ratios], dtype=object)
@@ -145,10 +143,10 @@ class CycloArray:
     def __len__(self) -> int:
         return self.nums.shape[0]
 
-    def __getitem__(self, index):
-        """Row `index` as a CycloValue for an int; the selected rows as a CycloArray otherwise."""
+    def __getitem__(self, index) -> "CycloArray":
+        """The selected rows; an int selects one row, kept as a one-row array."""
         if isinstance(index, (int, np.integer)):
-            return CycloValue._view(CycloArray(self.order, self.nums[[index]], self.denom))
+            index = [index]
         return CycloArray(self.order, self.nums[index], self.denom)
 
     def __iter__(self):
@@ -255,6 +253,47 @@ class CycloArray:
         """Boolean array: which rows are exactly zero."""
         return ~(self.keys() != 0).any(axis=1)
 
+    def __eq__(self, other):
+        """One bool: every row equals other's, a one-row operand broadcasting.
+
+        Arrays whose row counts differ, neither being one, are unequal.
+        """
+        if not isinstance(other, (CycloArray, int, Fraction)):
+            return NotImplemented
+        other = CycloArray.coerce(other)
+        if len(self) != len(other) and 1 not in (len(self), len(other)):
+            return False
+        return bool((self - other).is_zero().all())
+
+    __hash__ = None
+
+    def rationals(self) -> list[Fraction]:
+        """The rows as rationals; ValueError if some row is not rational."""
+        keys = self.keys()
+        if (keys[:, 1:] != 0).any():
+            raise ValueError("value is not rational")
+        return [Fraction(k, self.denom) for k in keys[:, 0]]
+
+    def eval_complex(self) -> list[tuple[complex, float]]:
+        """Float value of each row with a rigorous absolute error bound.
+
+        The bound covers rational-to-float rounding, the root-of-unity
+        evaluations, the products, and the length-order summation.  Each
+        coefficient n / denom is one correctly rounded integer division.
+        """
+        r = self.order
+        out = []
+        for row in self.nums:
+            total = 0j
+            mag = 0.0
+            for j, n in enumerate(row):
+                if n:
+                    cf = n / self.denom
+                    total += cf * cmath.exp(2j * math.pi * j / r)
+                    mag += abs(cf)
+            out.append((total, mag * _EPS * (r + 8) + 4 * math.ulp(1.0) * (abs(total) + 1e-300)))
+        return out
+
     def float_parts(self) -> list[complex]:
         """Float view of the rows, exact where a real or imaginary part is rational.
 
@@ -269,150 +308,15 @@ class CycloArray:
         im_exact = ~(im_keys[:, 1:] != 0).any(axis=1)
         out = []
         for i in range(len(self)):
-            approx = 0j if re_exact[i] and im_exact[i] else self[i].eval_complex()[0]
+            approx = 0j if re_exact[i] and im_exact[i] else self[i].eval_complex()[0][0]
             re_i = re_keys[i, 0] / re.denom if re_exact[i] else approx.real
             im_i = im_keys[i, 0] / im.denom if im_exact[i] else approx.imag
             out.append(complex(re_i, im_i))
         return out
 
 
-class CycloValue:
-    """Exact element sum(coeffs[j] * w**j), w a primitive order-th root of unity.
-
-    A view of a one-row CycloArray, which does all of the arithmetic: promote,
-    the ring operations, real_part and imag_part are installed below the class
-    as the CycloArray methods applied to the row.  Instances are immutable.
-    Cross-order arithmetic promotes both operands into the ring of the least
-    common multiple order, so rationals (order 1) mix freely with any root
-    order.  Hashing is disabled; use canonical_key() to group equal values of
-    a common order.
-    """
-
-    __slots__ = ("_row",)
-
-    def __init__(self, order: int, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != order:
-            raise ValueError(f"need exactly {order} coefficients, got {len(coeffs)}")
-        column = CycloArray.from_values(coeffs)
-        object.__setattr__(self, "_row", CycloArray(order, column.nums.T, column.denom))
-
-    @classmethod
-    def _view(cls, row: CycloArray) -> "CycloValue":
-        value = object.__new__(cls)
-        object.__setattr__(value, "_row", row)
-        return value
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloValue is immutable")
-
-    @property
-    def order(self) -> int:
-        return self._row.order
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        denom = self._row.denom
-        return tuple(Fraction(n, denom) for n in self._row.nums[0])
-
-    @classmethod
-    def zero(cls, order: int = 1) -> "CycloValue":
-        return cls._view(CycloArray(order, np.zeros((1, order), dtype=object)))
-
-    @classmethod
-    def one(cls, order: int = 1) -> "CycloValue":
-        return cls.root(order, 0)
-
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> "CycloValue":
-        return cls._view(CycloArray.coerce(Fraction(value)).promote(order))
-
-    @classmethod
-    def root(cls, order: int, j: int = 1) -> "CycloValue":
-        return cls._view(CycloArray.roots(order, [j]))
-
-    @classmethod
-    def coerce(cls, value, order: int = 1) -> "CycloValue":
-        row = CycloArray.coerce(value)
-        return cls._view(row.promote(math.lcm(row.order, order)))
-
-    def canonical_key(self) -> tuple[Fraction, ...]:
-        """Coefficients of the residue mod Phi_order; equal values share keys."""
-        denom = self._row.denom
-        return tuple(Fraction(k, denom) for k in self._row.keys()[0])
-
-    def is_zero(self) -> bool:
-        return bool(self._row.is_zero()[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, (CycloValue, int, Fraction)):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def is_real(self) -> bool:
-        return (self - self.conj()).is_zero()
-
-    def as_rational(self) -> Fraction:
-        key = self.canonical_key()
-        if any(key[1:]):
-            raise ValueError("value is not rational")
-        return key[0]
-
-    def abs_squared(self) -> "CycloValue":
-        return self * self.conj()
-
-    def eval_complex(self) -> tuple[complex, float]:
-        """Float evaluation with a rigorous absolute error bound.
-
-        The bound covers rational-to-float rounding, the root-of-unity
-        evaluations, the products, and the length-order summation.  Each
-        coefficient n / denom is one correctly rounded integer division.
-        """
-        total = 0j
-        mag = 0.0
-        r = self.order
-        denom = self._row.denom
-        for j, n in enumerate(self._row.nums[0]):
-            if n:
-                cf = n / denom
-                total += cf * cmath.exp(2j * math.pi * j / r)
-                mag += abs(cf)
-        err = mag * _EPS * (r + 8) + 4 * math.ulp(1.0) * (abs(total) + 1e-300)
-        return total, err
-
-    def __repr__(self):
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                if j == 0:
-                    terms.append(f"{c}")
-                elif c == 1:
-                    terms.append(f"w{j}")
-                else:
-                    terms.append(f"{c}*w{j}")
-        body = " + ".join(terms) if terms else "0"
-        return f"CycloValue(order={self.order}: {body})"
-
-
-def _on_row(name: str):
-    @wraps(getattr(CycloArray, name))
-    def method(self, *args):
-        return CycloValue._view(getattr(self._row, name)(*args))
-
-    return method
-
-
-for _name in (
-    "promote", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__pow__", "scale", "rotated", "conj", "real_part", "imag_part",
-):
-    setattr(CycloValue, _name, _on_row(_name))
-
-
-def root_of_unity(order: int, j: int = 1) -> CycloValue:
-    """w**j for w = exp(2*pi*i/order); the exponent is reduced mod order."""
+def root_of_unity(order: int, j: int = 1) -> CycloArray:
+    """w**j for w = exp(2*pi*i/order) as a one-row array; the exponent is reduced mod order."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    return CycloValue.root(order, j)
+    return CycloArray.roots(order, [j])

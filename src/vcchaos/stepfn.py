@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclo import CycloArray, CycloValue
+from .cyclo import CycloArray
 from .pary import check_rank
 
 
@@ -54,7 +54,7 @@ class StepFn:
         return StepFn(self.p, new_rank, self.values.repeat(self.p ** (new_rank - self.rank)))
 
     def _aligned(self, other) -> tuple[int, CycloArray, object]:
-        """Values on the finer operand's existing grid; a number or CycloValue passes through."""
+        """Values on the finer operand's existing grid; a number or one-row CycloArray passes through."""
         if not isinstance(other, StepFn):
             return self.rank, self.values, other
         if self.p != other.p:
@@ -63,7 +63,7 @@ class StepFn:
         a, b = (f.values.repeat(self.p ** (rank - f.rank)) for f in (self, other))
         return rank, a, b
 
-    def eval_at(self, x) -> CycloValue:
+    def eval_at(self, x) -> CycloArray:
         x = Fraction(x)
         if not 0 <= x < 1:
             raise ValueError(f"point must lie in [0, 1), got {x}")
@@ -107,14 +107,14 @@ class StepFn:
         if self.p != other.p:
             return False
         _, a, b = self._aligned(other)
-        return bool((a - b).is_zero().all())
+        return a == b
 
     __hash__ = None
 
     # -- integrals and norms -------------------------------------------------
 
-    def integral(self) -> CycloValue:
-        return self.values.sum().scale(Fraction(1, self.p**self.rank))[0]
+    def integral(self) -> CycloArray:
+        return self.values.sum().scale(Fraction(1, self.p**self.rank))
 
     def lq_norm_even_pow(self, q: int) -> Fraction:
         """Exact integral of |f|**q for even q, as a rational.
@@ -124,7 +124,7 @@ class StepFn:
         """
         if q < 2 or q % 2:
             raise ValueError(f"q must be a positive even integer, got {q}")
-        return ((self * self.conj()) ** (q // 2)).integral().as_rational()
+        return ((self * self.conj()) ** (q // 2)).integral().rationals()[0]
 
     # -- level sets and distribution ----------------------------------------
 
@@ -132,9 +132,6 @@ class StepFn:
         hits = (self.values - target).is_zero()
         mask = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
         return PArySet(self.p, self.rank, mask)
-
-    def zero_set(self) -> "PArySet":
-        return self.level_set(0)
 
     def distribution(self) -> "Distribution":
         groups: dict[tuple, list] = {}
@@ -155,7 +152,7 @@ class StepFn:
 class Distribution:
     """Law of a step function: exact value -> exact measure, measures sum to 1."""
 
-    entries: tuple[tuple[CycloValue, Fraction], ...]
+    entries: tuple[tuple[CycloArray, Fraction], ...]
 
     def __post_init__(self):
         total = sum((m for _, m in self.entries), Fraction(0))
@@ -172,15 +169,12 @@ class Distribution:
     def is_symmetric(self) -> bool:
         """True iff the law is invariant under negation.  Values must be real."""
         values = CycloArray.from_values(v for v, _ in self.entries)
-        if not (values - values.conj()).is_zero().all():
+        if values != values.conj():
             raise ValueError("symmetry is defined for real-valued laws only")
         keys = values.keys()
         measures = [m for _, m in self.entries]
         table = dict(zip(map(tuple, keys.tolist()), measures))
         return all(table.get(k) == m for k, m in zip(map(tuple, (-keys).tolist()), measures))
-
-    def support_size(self) -> int:
-        return len(self.entries)
 
 
 class PArySet:
@@ -241,11 +235,9 @@ class PArySet:
         if not 0 <= lo <= hi <= 1:
             raise ValueError("need 0 <= lo <= hi <= 1")
         rank = max(_pary_exponent(lo.denominator, p), _pary_exponent(hi.denominator, p))
-        scale = p**rank
-        mask = 0
-        for m in range(int(lo * scale), int(hi * scale)):
-            mask |= 1 << m
-        return cls(p, rank, mask)
+        scale = check_rank(p, rank)
+        a, b = int(lo * scale), int(hi * scale)
+        return cls(p, rank, ((1 << (b - a)) - 1) << a)
 
     # -- views ----------------------------------------------------------------
 
@@ -254,6 +246,7 @@ class PArySet:
             raise ValueError(f"cannot view rank {self.rank} set at coarser rank {rank}")
         if rank == self.rank:
             return self.mask
+        check_rank(self.p, rank)
         reps = self.p ** (rank - self.rank)
         block = (1 << reps) - 1
         out = 0
@@ -334,7 +327,7 @@ class PArySet:
         shift = Fraction(shift) % 1
         j = _pary_exponent(shift.denominator, self.p)
         rank = max(self.rank, j)
-        cells = self.p**rank
+        cells = check_rank(self.p, rank)
         t = int(shift * cells)
         mask = self.mask_at_rank(rank)
         if t:

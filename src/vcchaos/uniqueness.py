@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclo import CycloArray, CycloValue
+from .cyclo import CycloArray
 from .indices import IndexSpec, contains, full_chaos, unit_chaos
 from .pary import check_rank
 from .stepfn import PArySet, StepFn, at_least_two
@@ -42,8 +42,8 @@ class SharpnessReport:
     p: int
     d: int
     index_set: IndexSpec
-    witness: dict[int, CycloValue]
-    level_value: CycloValue
+    witness: dict[int, CycloArray]
+    level_value: CycloArray
     level_set: PArySet
     level_set_measure: Fraction
     threshold: Fraction
@@ -52,7 +52,7 @@ class SharpnessReport:
     def __post_init__(self):
         if self.level_set_measure + self.threshold != 1:
             raise ValueError("level-set measure and threshold must sum to 1")
-        if self.level_value.is_zero():
+        if self.level_value == 0:
             raise ValueError("level value must be a nonzero constant")
         if not self.support_ok:
             raise ValueError("witness expansion escapes the index set")
@@ -60,7 +60,7 @@ class SharpnessReport:
             raise ValueError("witness must have nonzero-index coefficients")
 
 
-def _expand(fn: StepFn) -> tuple[CycloArray, dict[int, CycloValue]]:
+def _expand(fn: StepFn) -> tuple[CycloArray, dict[int, CycloArray]]:
     """Coefficients of fn against the VC system (fast transform), and the nonzero ones by index."""
     coeffs = vc_transform_exact(fn.values, fn.p, "forward")
     return coeffs, {int(n): coeffs[int(n)] for n in np.flatnonzero(~coeffs.is_zero())}
@@ -88,7 +88,7 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     # every nonzero coefficient must be (-1)**s, s the digit sum of its index
     n = next((n for n in coeffs if wrong[n]), None)
     if n is not None:
-        raise ValueError(f"coefficient at {n} is {coeffs[n]}, expected (-1)**{digit_sums[n]}")
+        raise ValueError(f"coefficient at {n} is not (-1)**{digit_sums[n]}")
     spec = unit_chaos(p, d)
     support_ok = all(n == 0 or contains(spec, n) for n in coeffs)
     level_set = (prod - 1).level_set(-1)
@@ -99,7 +99,7 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
         d=d,
         index_set=spec,
         witness=coeffs,
-        level_value=CycloValue.from_rational(-1),
+        level_value=CycloArray.coerce(-1),
         level_set=level_set,
         level_set_measure=measure,
         threshold=threshold,
@@ -139,7 +139,7 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
         d=d,
         index_set=spec,
         witness=coeffs,
-        level_value=CycloValue.from_rational(-1),
+        level_value=CycloArray.coerce(-1),
         level_set=level_set,
         level_set_measure=measure,
         threshold=threshold,

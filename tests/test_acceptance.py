@@ -17,7 +17,7 @@ import numpy as np
 
 import vcchaos as v
 from vcchaos.cli import main as cli_main
-from vcchaos.cyclo import CycloValue, root_of_unity
+from vcchaos.cyclo import CycloArray, root_of_unity
 from vcchaos.stepfn import PArySet, StepFn
 from vcchaos.vc import exponent_table
 
@@ -59,6 +59,12 @@ def test_criterion_02_operator_norm():
 # -- criterion 3: fast transform vs matrix oracle --------------------------------
 
 
+def _value(order, coeffs):
+    """The one-row array sum(coeffs[j] * w**j), w = exp(2*pi*i/order)."""
+    column = CycloArray.from_values(coeffs)
+    return CycloArray(order, column.nums.T, column.denom)
+
+
 def _oracle_transform(values, p, k, direction):
     """Dense product against the exponent table, in exact integer arithmetic.
 
@@ -67,9 +73,10 @@ def _oracle_transform(values, p, k, direction):
     rolls the columns by e, so output n sums, for each e, the rolled
     numerators of the cells m with sign * E[n, m] = e (mod p).
     """
-    vals = [CycloValue.coerce(x, p) for x in values]
-    denom = math.lcm(*(c.denominator for x in vals for c in x.coeffs))
-    nums = np.array([[int(c * denom) for c in x.coeffs] for x in vals], dtype=np.int64)
+    vals = [CycloArray.coerce(x).promote(p) for x in values]
+    coeffs = [[Fraction(int(n), x.denom) for n in x.nums[0]] for x in vals]
+    denom = math.lcm(*(c.denominator for row in coeffs for c in row))
+    nums = np.array([[int(c * denom) for c in row] for row in coeffs], dtype=np.int64)
     size = p**k
     assert int(np.abs(nums).max()) * size < 2**62  # int64 sums stay exact
     sign = -1 if direction == "forward" else 1
@@ -77,7 +84,7 @@ def _oracle_transform(values, p, k, direction):
     out = sum((table == e).astype(np.int64) @ np.roll(nums, e, axis=1) for e in range(p))
     if direction == "forward":
         denom *= size
-    return [CycloValue(p, [Fraction(int(x), denom) for x in row]) for row in out]
+    return [_value(p, [Fraction(int(x), denom) for x in row]) for row in out]
 
 
 def test_criterion_03_exact_transform_matches_oracle():
@@ -88,7 +95,7 @@ def test_criterion_03_exact_transform_matches_oracle():
             if size > 700:
                 continue
             values = [
-                CycloValue(p, [Fraction(rng.randint(-2, 2)) for _ in range(p)])
+                _value(p, [Fraction(rng.randint(-2, 2)) for _ in range(p)])
                 for _ in range(size)
             ]
             directions = ("forward", "inverse") if size <= 260 else ("forward",)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,3 +389,28 @@ def test_csv_projection(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("check,status,anchor")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sharpness", "--p", "2", "--d", "3"],
+        ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--q", "4", "--N", "16", "--trials", "5", "--seed", "1"],
+    ],
+    ids=["sharpness", "khinchin"],
+)
+def test_layer_tracer_runs_a_command(tmp_path, args):
+    # perfbench/tracer.py wraps every public class method by introspection, so
+    # an API change can break the benchmark's traced runs without failing here
+    root = Path(__file__).resolve().parents[1]
+    dump = tmp_path / "dump.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(dump), "op", "--", *args],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(dump.read_text())["stats"]
+    assert any(name.startswith("cyclo.CycloArray.") for name in stats)

@@ -2,18 +2,35 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcchaos.cyclo import CycloArray, CycloValue, cyclotomic_polynomial, root_of_unity
+from vcchaos.cyclo import CycloArray, cyclotomic_polynomial, root_of_unity
+
+
+def _value(order, coeffs):
+    """The one-row array sum(coeffs[j] * w**j), w = exp(2*pi*i/order)."""
+    column = CycloArray.from_values(coeffs)
+    return CycloArray(order, column.nums.T, column.denom)
+
+
+def _rows(arr):
+    return [[Fraction(int(n), arr.denom) for n in row] for row in arr.nums]
+
+
+def _is_real(v):
+    return v == v.conj()
 
 
 def test_root_examples():
     i_val = root_of_unity(4, 1)
-    assert i_val.coeffs == (0, 1, 0, 0)
-    z, err = i_val.eval_complex()
+    assert _rows(i_val) == [[0, 1, 0, 0]]
+    [(z, err)] = i_val.eval_complex()
     assert abs(z - 1j) <= err
 
-    assert root_of_unity(3, 5).coeffs == (0, 0, 1)  # exponent reduced mod 3
+    assert _rows(root_of_unity(3, 5)) == [[0, 0, 1]]  # exponent reduced mod 3
     assert root_of_unity(2, 1) == Fraction(-1)
 
 
@@ -26,18 +43,18 @@ def test_ring_operation_examples():
 
 
 def test_is_zero_examples():
-    assert CycloValue(3, (1, 1, 1)).is_zero()
-    assert CycloValue(6, (1, -1, 1, 0, 0, 0)).is_zero()
-    assert CycloValue(2, (1, 1)).is_zero()
-    assert not CycloValue(2, (1, 0)).is_zero()
+    assert _value(3, (1, 1, 1)).is_zero()
+    assert _value(6, (1, -1, 1, 0, 0, 0)).is_zero()
+    assert _value(2, (1, 1)).is_zero()
+    assert not _value(2, (1, 0)).is_zero()
 
 
 def test_eval_complex_examples():
-    z, err = root_of_unity(4, 1).eval_complex()
+    [(z, err)] = root_of_unity(4, 1).eval_complex()
     assert abs(z - 1j) <= err <= 1e-14
-    z, err = (1 + root_of_unity(3)).eval_complex()
+    [(z, err)] = (1 + root_of_unity(3)).eval_complex()
     assert abs(z - complex(0.5, math.sqrt(3) / 2)) <= err
-    z, err = CycloValue.zero(7).eval_complex()
+    [(z, err)] = _value(7, [0] * 7).eval_complex()
     assert z == 0
 
 
@@ -50,16 +67,16 @@ def test_cyclotomic_polynomials():
     # Phi_p(w_p) = 0 numerically for p <= 30
     for p in range(2, 31):
         phi = cyclotomic_polynomial(p)
-        acc = CycloValue.zero(p)
+        acc = _value(p, [0] * p)
         for t, coeff in enumerate(phi):
             acc = acc + root_of_unity(p, t).scale(coeff)
         assert acc.is_zero()
-        z, err = acc.eval_complex()
+        [(z, err)] = acc.eval_complex()
         assert abs(z) <= err
 
 
 def _random_value(rng, order):
-    return CycloValue(
+    return _value(
         order,
         [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(order)],
     )
@@ -84,13 +101,13 @@ def test_zero_test_consistent_with_eval():
             # construct an exact zero: rational multiple of Phi_order(w)
             phi = cyclotomic_polynomial(order)
             scalar = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            v = CycloValue.zero(order)
+            v = _value(order, [0] * order)
             for t, coeff in enumerate(phi):
                 v = v + root_of_unity(order, t).scale(coeff * scalar)
             v = v.rotated(rng.randrange(order))
         else:
             v = _random_value(rng, order)
-        z, err = v.eval_complex()
+        [(z, err)] = v.eval_complex()
         if v.is_zero():
             assert abs(z) <= err
         if abs(z) > err:
@@ -101,17 +118,17 @@ def test_abs_squared_is_real():
     rng = random.Random(3)
     for _ in range(50):
         v = _random_value(rng, rng.choice([3, 4, 5, 6]))
-        sq = v.abs_squared()
-        assert sq.is_real()
-        z, err = sq.eval_complex()
+        sq = v * v.conj()
+        assert _is_real(sq)
+        [(z, err)] = sq.eval_complex()
         assert abs(z.imag) <= err
 
 
 def test_conjugation_and_reality():
     w = root_of_unity(5)
-    assert not w.is_real()
-    assert (w + w.conj()).is_real()
-    assert CycloValue.from_rational(Fraction(3, 7)).is_real()
+    assert not _is_real(w)
+    assert _is_real(w + w.conj())
+    assert _is_real(CycloArray.coerce(Fraction(3, 7)))
 
 
 def test_real_and_imag_parts():
@@ -119,12 +136,12 @@ def test_real_and_imag_parts():
     for _ in range(30):
         v = _random_value(rng, rng.choice([2, 3, 4, 5, 6]))
         re, im = v.real_part(), v.imag_part()
-        z, _ = v.eval_complex()
-        zr, er = re.eval_complex()
-        zi, ei = im.eval_complex()
+        [(z, _)] = v.eval_complex()
+        [(zr, er)] = re.eval_complex()
+        [(zi, ei)] = im.eval_complex()
         assert abs(zr - z.real) <= er + 1e-12
         assert abs(zi - z.imag) <= ei + 1e-12
-        assert re.is_real() and im.is_real()
+        assert _is_real(re) and _is_real(im)
 
 
 def test_promotion_preserves_value():
@@ -137,9 +154,12 @@ def test_promotion_preserves_value():
 
 def test_as_rational():
     assert (root_of_unity(4, 2) + 1).is_zero()
-    assert root_of_unity(4, 2).as_rational() == -1
+    assert root_of_unity(4, 2).rationals() == [-1]
+    assert CycloArray.roots(4, [0, 2, 4]).rationals() == [1, -1, 1]
     with pytest.raises(ValueError):
-        root_of_unity(5).as_rational()
+        root_of_unity(5).rationals()
+    with pytest.raises(ValueError):
+        CycloArray.roots(4, [0, 1]).rationals()  # one irrational row is enough
 
 
 def test_power():
@@ -154,7 +174,7 @@ def test_base_mismatch_is_promoted_via_lcm():
     # cross-order arithmetic is defined through the lcm embedding
     v = root_of_unity(2) + root_of_unity(3)
     assert v.order == 6
-    z, err = v.eval_complex()
+    [(z, err)] = v.eval_complex()
     expected = complex(-1) + complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
     assert abs(z - expected) <= err + 1e-12
 
@@ -163,20 +183,20 @@ def test_float_parts_agree_with_exact_parts():
     # rational parts come out as float(Fraction), the others as eval_complex gives them
     rng = random.Random(41)
     for order in (1, 2, 3, 4, 5, 6, 8, 12):
-        values = [CycloValue(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(order)])]
-        values += [CycloValue.root(order, j) for j in range(order)]
-        values += [values[0] + values[0].conj(), CycloValue.from_rational(Fraction(-1, 3), order)]
+        values = [_value(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(order)])]
+        values += [CycloArray.roots(order, [j]) for j in range(order)]
+        values += [values[0] + values[0].conj(), CycloArray.coerce(Fraction(-1, 3)).promote(order)]
         for v, z in zip(values, CycloArray.from_values(values).float_parts()):
-            approx = v.eval_complex()[0]
+            [(approx, _)] = v.eval_complex()
             for part, exact, got, want in (
                 ("re", v.real_part(), z.real, approx.real),
                 ("im", v.imag_part(), z.imag, approx.imag),
             ):
-                key = exact.canonical_key()
+                key = exact.keys()[0]
                 if any(key[1:]):
                     assert got == want, part
                 else:
-                    assert got == float(key[0]), part
+                    assert got == float(Fraction(key[0], exact.denom)), part
     assert CycloArray.from_values([]).float_parts() == []
     mixed = [Fraction(1, 3), root_of_unity(3), root_of_unity(8, 2)]
     assert CycloArray.from_values(mixed).float_parts()[::2] == [1 / 3, 1j]
@@ -213,10 +233,6 @@ def _ref_residue(c, r):
     return c[:deg]
 
 
-def _rows(arr):
-    return [[Fraction(int(n), arr.denom) for n in row] for row in arr.nums]
-
-
 def _random_rows(rng, order, count):
     return [
         [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5, 6])) for _ in range(order)]
@@ -225,7 +241,7 @@ def _random_rows(rng, order, count):
 
 
 def _array(rows, order):
-    return CycloArray.from_values(CycloValue(order, row) for row in rows)
+    return CycloArray.from_values(_value(order, row) for row in rows)
 
 
 def test_cyclo_array_matches_fraction_reference():
@@ -270,3 +286,83 @@ def test_cyclo_array_matches_fraction_reference():
                 same = _ref_residue(rows_a[i], r_a) == _ref_residue(rows_a[j], r_a)
                 assert (keys[i] == keys[j]) == same
                 assert bool((a[i] - a[j]).is_zero()) == same
+
+
+# -- equality, rationals and float evaluation, row by row -------------------------
+
+_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6, 7]))
+
+
+def _disguised(data, row, order):
+    """The same value with a rotated rational multiple of Phi_order(w), which is 0, added."""
+    row, s, c = list(row), data.draw(st.integers(0, order - 1)), data.draw(_COEFFS)
+    for t, coeff in enumerate(cyclotomic_polynomial(order)):
+        row[(s + t) % order] += c * coeff
+    return row
+
+
+def _key_rows(arr, order):
+    promoted = arr.promote(order)
+    return [[Fraction(int(k), promoted.denom) for k in row] for row in promoted.keys()]
+
+
+def _equal_by_keys(a, b):
+    if len(a) != len(b) and 1 not in (len(a), len(b)):
+        return False
+    order = math.lcm(a.order, b.order)
+    ka, kb = _key_rows(a, order), _key_rows(b, order)
+    return all(ka[i % len(ka)] == kb[i % len(kb)] for i in range(max(len(ka), len(kb))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equality_agrees_with_keys_rationals_and_mpmath(data):
+    r_a = data.draw(st.integers(1, 12), label="order of a")
+    count = data.draw(st.integers(1, 4), label="rows of a")
+    if data.draw(st.booleans(), label="rational a"):
+        # rational rows, all one value or not, so == against a number can hold
+        same = data.draw(st.booleans())
+        consts = [data.draw(_COEFFS)] * count if same else [data.draw(_COEFFS) for _ in range(count)]
+        rows_a = [_disguised(data, [c] + [0] * (r_a - 1), r_a) for c in consts]
+    else:
+        rows_a = [[data.draw(_COEFFS) for _ in range(r_a)] for _ in range(count)]
+    a = _array(rows_a, r_a)
+
+    if data.draw(st.booleans(), label="b re-expresses a"):
+        # a's values in a multiple order and another representation, maybe with one row moved
+        r_b = data.draw(st.sampled_from(range(r_a, 13, r_a)), label="order of b")
+        rows_b = [_disguised(data, _ref_promote(u, r_a, r_b), r_b) for u in rows_a]
+        if data.draw(st.booleans(), label="move one row"):
+            i, j = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, r_b - 1))
+            rows_b[i][j] += data.draw(_COEFFS.filter(bool))
+    else:
+        r_b = data.draw(st.integers(1, 12), label="order of b")
+        count_b = data.draw(st.integers(1, 5), label="rows of b")
+        rows_b = [[data.draw(_COEFFS) for _ in range(r_b)] for _ in range(count_b)]
+    b = _array(rows_b, r_b)
+
+    i = data.draw(st.integers(0, count - 1))
+    for x, y in ((a, b), (b, a), (a, a[i]), (a[i], a)):
+        assert (x == y) is _equal_by_keys(x, y)
+        assert (x != y) is not _equal_by_keys(x, y)
+
+    try:
+        rationals = a.rationals()
+    except ValueError:
+        rationals = None
+        assert any(any(row[1:]) for row in _key_rows(a, a.order))
+    numbers = [0, 1, -1, data.draw(_COEFFS)] + (rationals or [])
+    for x in numbers:
+        expected = rationals is not None and all(q == x for q in rationals)
+        assert (a == x) is expected
+        if x == int(x):
+            assert (a == int(x)) is expected
+
+    with mpmath.workdps(50):
+        for row, (z, err) in zip(rows_a, a.eval_complex()):
+            exact = mpmath.fsum(
+                mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(mpmath.mpf(2 * j) / r_a)
+                for j, c in enumerate(row)
+                if c
+            )
+            assert abs(mpmath.mpc(z) - exact) <= err

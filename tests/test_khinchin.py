@@ -93,7 +93,7 @@ def test_moment_agrees_with_cell_enumeration():
     f = synthesize(coeffs, 3)
     for q in (2, 4, 6):
         assert moment_even_pow_exact(3, coeffs, q) == f.lq_norm_even_pow(q)
-    # complex coefficients a + bi, exact as CycloValues and as dyadic floats
+    # complex coefficients a + bi, exact as cyclotomic values and as dyadic floats
     parts = {1: (1, 2), 5: (-0.5, 1), 7: (2, -1), 19: (0, 1.5)}
     i = root_of_unity(4, 1)
     f = synthesize({n: i.scale(Fraction(b)) + Fraction(a) for n, (a, b) in parts.items()}, 3)
@@ -176,11 +176,12 @@ def _mp_ratio(coeffs, p, q):
     """||sum c_n VC_n||_q / ||c||_l2 to 50 digits from the exact cell values."""
     with mpmath.workdps(50):
         norms = []
-        for value in _exact_cells(coeffs, p):
+        cells = _exact_cells(coeffs, p)
+        for row in cells.nums:
             z = mpmath.fsum(
-                mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(mpmath.mpf(2 * j) / value.order)
-                for j, c in enumerate(value.coeffs)
-                if c
+                mpmath.mpf(int(n)) / cells.denom * mpmath.expjpi(mpmath.mpf(2 * j) / cells.order)
+                for j, n in enumerate(row)
+                if n
             )
             norms.append(abs(z) ** q)
         l2 = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(c)) ** 2 for c in coeffs.values()))
@@ -213,7 +214,7 @@ def test_l1_error_bound_holds_for_real_dyadic_coefficients(spec, upper):
     for scale in (1.0, 1e-3, 37.5):
         coeffs = {n: complex(x) for n, x in zip(members, scale * rng.standard_normal(len(members)))}
         ratio, err = l1_lower_ratio_with_error(spec, coeffs)
-        cells = [abs(value.as_rational()) for value in _exact_cells(coeffs, 2)]
+        cells = [abs(x) for x in _exact_cells(coeffs, 2).rationals()]
         l1 = sum(cells, Fraction(0)) / len(cells)
         l2_sq = sum(Fraction(c.real) ** 2 for c in coeffs.values())
         lo, hi = Fraction(ratio) - Fraction(err), Fraction(ratio) + Fraction(err)

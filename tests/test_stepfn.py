@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from vcchaos.cyclo import CycloValue, root_of_unity
-from vcchaos.pary import RankCapError
+from vcchaos.cyclo import CycloArray, root_of_unity
+from vcchaos.pary import RankCapError, run_cell_cap
 from vcchaos.stepfn import Distribution, PArySet, StepFn, at_least_two
 from vcchaos.vc import rademacher, synthesize
 
@@ -15,14 +16,14 @@ def test_refine_examples():
     assert len(refined.values) == 9 and all(v == 1 for v in refined.values)
 
     r0 = rademacher(2, 0)
-    assert [v.as_rational() for v in r0.refine(2).values] == [1, 1, -1, -1]
+    assert r0.refine(2).values.rationals() == [1, 1, -1, -1]
     assert r0.refine(1) is r0
 
 
 def test_pointwise_examples():
     r0 = rademacher(2, 0)
     total = r0 + r0.conj()
-    assert [v.as_rational() for v in total.values] == [2, -2]
+    assert total.values.rationals() == [2, -2]
 
     r0_p3 = rademacher(3, 0)
     assert r0_p3 * r0_p3**2 == StepFn.constant(3, 1)
@@ -66,7 +67,7 @@ def test_lq_norm_examples():
 
 def test_level_set_examples():
     p3 = 1 - rademacher(3, 0)
-    zs = p3.zero_set()
+    zs = p3.level_set(0)
     assert zs == PArySet.from_interval(3, 0, Fraction(1, 3))
     assert zs.measure() == Fraction(1, 3)
 
@@ -74,7 +75,7 @@ def test_level_set_examples():
     for k in range(2):
         r_k = rademacher(3, k)
         prod = prod * (1 + r_k + r_k**2)
-    assert prod.zero_set().measure() == Fraction(8, 9)
+    assert prod.level_set(0).measure() == Fraction(8, 9)
 
     const = StepFn.constant(5, root_of_unity(5))
     assert const.level_set(root_of_unity(5)) == PArySet.full(5)
@@ -110,7 +111,7 @@ def test_distribution_examples():
     im_r0 = StepFn(3, 1, [root_of_unity(3, m).imag_part() for m in range(3)])
     di = im_r0.distribution()
     assert di.measure_of(0) == Fraction(1, 3)
-    assert di.support_size() == 3
+    assert len(di.entries) == 3
     assert di.is_symmetric()
 
 
@@ -122,7 +123,7 @@ def test_distribution_requires_real_for_symmetry():
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        Distribution(((CycloValue.one(), Fraction(1, 2)),))
+        Distribution(((CycloArray.coerce(1), Fraction(1, 2)),))
 
 
 def test_set_algebra_examples():
@@ -140,6 +141,19 @@ def test_set_algebra_examples():
     assert h.measure() == Fraction(3, 10)
 
     assert PArySet.full(3).complement().measure() == 0
+
+
+def test_set_views_check_the_cap_before_building_masks():
+    # each call would build a mask of 2**22 or more bits under a cap of 16 cells
+    with run_cell_cap(16):
+        started = time.perf_counter()
+        with pytest.raises(RankCapError):
+            PArySet.full(2).mask_at_rank(24)
+        with pytest.raises(RankCapError):
+            PArySet.full(2).translate_mod1(Fraction(1, 2**24))
+        with pytest.raises(RankCapError):
+            PArySet.from_interval(2, 0, 1 - Fraction(1, 2**22))
+        assert time.perf_counter() - started < 0.1
 
 
 def test_translate_requires_pary_shift():
@@ -188,9 +202,9 @@ def test_indicator_and_membership():
     s = PArySet.from_interval(3, Fraction(1, 3), Fraction(2, 3))
     ind = s.indicator()
     assert ind.integral() == Fraction(1, 3)
-    assert [v.as_rational() for v in ind.values] == [0, 1, 0]
+    assert ind.values.rationals() == [0, 1, 0]
     # 16 cells span two mask bytes
     wide = PArySet.from_cells(2, 4, [0, 9, 15]).indicator()
-    assert [m for m, v in enumerate(wide.values) if v.as_rational()] == [0, 9, 15]
+    assert [m for m, x in enumerate(wide.values.rationals()) if x] == [0, 9, 15]
     assert s.contains_point(Fraction(1, 2))
     assert not s.contains_point(Fraction(2, 3))

@@ -121,7 +121,7 @@ def test_literal_zero_set_of_shifted_witness_differs():
     for k in range(1):
         prod = prod * (1 - rademacher(2, k))
     shifted = prod - 1
-    assert shifted.zero_set().measure() == 0
+    assert shifted.level_set(0).measure() == 0
     assert shifted.level_set(-1).measure() == Fraction(1, 2)
 
 
