@@ -11,7 +11,6 @@ exception (one "error: <Type>: <message>" line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import functools
 import io
@@ -440,7 +439,12 @@ def cmd_khinchin(args) -> int:
 # -- transform ---------------------------------------------------------------------
 
 
-def _read_array(path: str) -> list[complex]:
+# lines parsed per numpy call: bounds the token lists alive at once
+_PARSE_BLOCK = 1 << 14
+
+
+def _read_array(path: str) -> np.ndarray:
+    """Complex entries of a JSON array or of text lines of 1 (real) or 2 (re im) fields."""
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("["):
@@ -450,27 +454,56 @@ def _read_array(path: str) -> list[complex]:
             raise ConfigError(f"arrays nested too deeply in {path}") from None
         # a bare number is a real entry; an empty list fails float() below
         rows = (item if isinstance(item, list) and item else [item] for item in data)
+        try:
+            out = np.array([complex(*map(float, row)) for row in rows], dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed entry in {path}: {exc}") from None
     else:
-        rows = filter(None, map(str.split, text.splitlines()))
-    try:
-        out = [complex(*map(float, row)) for row in rows]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed entry in {path}: {exc}") from None
-    if not all(map(cmath.isfinite, out)):
+        # drop the text and then the line list once consumed: together they
+        # are most of the reader's peak memory
+        lines = text.splitlines()
+        del text
+        blocks = []
+        for lo in range(0, len(lines), _PARSE_BLOCK):
+            blocks.append(_parse_lines(lines[lo : lo + _PARSE_BLOCK], path))
+        del lines
+        out = np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
+    if not np.isfinite(out).all():
         raise ConfigError(f"non-finite entry in {path}")
     return out
 
 
-def _write_array(path: str, values, as_json: bool) -> None:
-    if as_json:
-        data = [[z.real, z.imag] for z in values]
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+def _parse_lines(lines: list[str], path: str) -> np.ndarray:
+    """One complex entry per line of 1 or 2 whitespace-separated fields; blank lines skipped."""
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
+    if (counts > 2).any():
+        raise ConfigError(f"malformed entry in {path}: more than 2 fields on a line")
+    try:
+        # the joined block splits into every line's fields in order; float()
+        # semantics for each, as on the JSON path
+        fields = np.array(" ".join(lines).split(), dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"malformed entry in {path}: {exc}") from None
+    counts = counts[counts > 0]
+    if len(fields) == 2 * len(counts):
+        return fields.view(complex)
+    out = np.zeros(len(counts), dtype=complex)
+    starts = np.cumsum(counts) - counts
+    out.real = fields[starts]
+    pairs = counts == 2
+    out.imag[pairs] = fields[starts[pairs] + 1]
+    return out
+
+
+def _write_array(path: str, values: np.ndarray, as_json: bool) -> None:
+    # Python floats, so repr prints the shortest round-trip digits
+    re, im = values.real.tolist(), values.imag.tolist()
+    with open(path, "w") as fh:
+        if as_json:
+            json.dump(list(zip(re, im)), fh)
             fh.write("\n")
-    else:
-        with open(path, "w") as fh:
-            for z in values:
-                fh.write(f"{z.real!r} {z.imag!r}\n")
+        else:
+            fh.writelines(f"{a!r} {b!r}\n" for a, b in zip(re, im))
 
 
 def cmd_transform(args) -> int:
@@ -478,13 +511,12 @@ def cmd_transform(args) -> int:
     values = _read_array(args.input)
     check_rank(args.p, _length_rank(len(values), args.p))
     if args.mode == "float":
-        out = vc_transform_float(np.array(values), args.p, args.direction)
-        result = [complex(z) for z in out]
+        result = vc_transform_float(values, args.p, args.direction)
     else:
-        if any(z.imag for z in values):
+        if values.imag.any():
             raise ConfigError("exact mode accepts real inputs only; use --mode float")
-        out = vc_transform_exact([Fraction(z.real) for z in values], args.p, args.direction)
-        result = out.float_parts()
+        out = vc_transform_exact(list(map(Fraction, values.real.tolist())), args.p, args.direction)
+        result = np.array(out.float_parts(), dtype=complex)
     _write_array(args.output, result, args.output.endswith(".json"))
     return 0
 

@@ -21,6 +21,17 @@ from .cyclo import CycloArray
 from .pary import check_rank
 
 
+def _mask_bits(mask: int, cells: int) -> np.ndarray:
+    """The low `cells` bits of a cell mask as a 0/1 array, cell 0 first."""
+    raw = np.frombuffer(mask.to_bytes(cells // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=cells, bitorder="little")
+
+
+def _bits_mask(bits: np.ndarray) -> int:
+    """The cell mask of a 0/1 (or bool) array, cell 0 first."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 class StepFn:
     """Function on [0, 1) constant on each base-p cell of a fixed rank."""
 
@@ -130,8 +141,7 @@ class StepFn:
 
     def level_set(self, target) -> "PArySet":
         hits = (self.values - target).is_zero()
-        mask = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-        return PArySet(self.p, self.rank, mask)
+        return PArySet(self.p, self.rank, _bits_mask(hits))
 
     def distribution(self) -> "Distribution":
         groups: dict[tuple, list] = {}
@@ -186,11 +196,7 @@ class PArySet:
         cells = check_rank(p, rank)
         if mask < 0 or mask >> cells:
             raise ValueError("mask has bits outside the rank-k grid")
-        while rank > 0:
-            reduced = self._try_reduce(p, rank, mask)
-            if reduced is None:
-                break
-            rank, mask = rank - 1, reduced
+        rank, mask = self._reduce(p, rank, mask)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "mask", mask)
@@ -199,17 +205,22 @@ class PArySet:
         raise AttributeError("PArySet is immutable")
 
     @staticmethod
-    def _try_reduce(p: int, rank: int, mask: int) -> int | None:
-        block = (1 << p) - 1
-        parents = p ** (rank - 1)
-        out = 0
-        for j in range(parents):
-            bits = (mask >> (j * p)) & block
-            if bits == block:
-                out |= 1 << j
-            elif bits:
-                return None
-        return out
+    def _reduce(p: int, rank: int, mask: int) -> tuple[int, int]:
+        """The coarsest (rank, mask) of the same set.
+
+        Cells merge into their parent while every parent's p children agree,
+        i.e. while the mask equals its parents' first bits each copied p times.
+        Each rank merged costs a few passes over the mask, so this is linear
+        in the cells.
+        """
+        ones = (1 << p) - 1
+        while rank > 0:
+            cells = p**rank
+            firsts = mask & (((1 << cells) - 1) // ones)  # bit j * p of each parent j
+            if firsts * ones != mask:
+                break
+            mask, rank = _bits_mask(_mask_bits(firsts, cells)[::p]), rank - 1
+        return rank, mask
 
     # -- constructors --------------------------------------------------------
 
@@ -288,9 +299,7 @@ class PArySet:
         return out
 
     def indicator(self) -> StepFn:
-        cells = self.p**self.rank
-        raw = np.frombuffer(self.mask.to_bytes(cells // 8 + 1, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=cells, bitorder="little")
+        bits = _mask_bits(self.mask, self.p**self.rank)
         return StepFn(self.p, self.rank, CycloArray.from_values([0, 1])[bits])
 
     # -- boolean algebra -------------------------------------------------------

@@ -18,7 +18,8 @@ digit axes at the end aligns coefficient order with Paley order.  The float
 binding uses ring length 1 and the complex p-point DFT; the exact binding
 works on the integer numerators of a CycloArray of common order r, whose
 ring axis of length r is the one w_p**e acts on as a rotation by e*r/p, so
-its kernel is a 0/1 block-circulant and all arithmetic is on Python integers.
+its kernel is a 0/1 block-circulant and all arithmetic is on integers
+(int64 when max|numerator| * p**k fits in it, Python integers otherwise).
 Forward = conjugate kernel and 1/p**k scaling, so forward output n is the
 coefficient of VC_n; inverse rebuilds cell values.
 """
@@ -134,13 +135,15 @@ def _radix_p(tensor: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
 
     out[.., a, .., s] = sum over (b, t) of kernel[a, s, b, t] * tensor[.., b, .., t]
     on every digit axis in turn; the trailing ring axis of length r rides
-    along.  The final reversal of the digit axes puts the output in Paley order.
+    along.  Digit axis `axis` is the second axis of the C-order view
+    (p**axis, p, rest, r), so each stage is one einsum whose output has that
+    same shape: the digit stays in place, no stage transposes, and only the
+    final reversal of the digit axes moves them, into Paley order.
     """
+    p, r = kernel.shape[:2]
     for axis in range(k):
-        # tensordot leaves (a, s, other digit axes); put a back at `axis` and s last
-        tensor = np.tensordot(kernel, tensor, axes=([2, 3], [axis, k]))
-        tensor = tensor.transpose(*range(2, axis + 2), 0, *range(axis + 2, k + 1), 1)
-    return tensor.transpose(*reversed(range(k)), k)
+        tensor = np.einsum("asbt,ibjt->iajs", kernel, tensor.reshape(p**axis, p, -1, r))
+    return tensor.reshape((p,) * k + (r,)).transpose(*reversed(range(k)), k)
 
 
 def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray:
@@ -182,10 +185,16 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     shift = sign * np.outer(digit, digit) * (order // p)
     # kernel[a, s, b, t] = 1 where t = s - shift[a, b] (mod order)
     hits = (ring[None, :, None, None] - shift[:, None, :, None] - ring) % order == 0
-    nums = vals.promote(order).nums.reshape((p,) * k + (order,))
-    out = _radix_p(nums, hits.astype(int).astype(object), k)
+    nums = vals.promote(order).nums
+    # a stage sums p rotated entries, so no sum exceeds max|nums| * p**k: when
+    # that fits in int64 the kernel runs on machine integers, else on Python ints
+    peak = max(map(abs, nums.ravel().tolist()), default=0)
+    dtype = np.int64 if peak * length <= np.iinfo(np.int64).max else object
+    kernel = hits.astype(np.int64).astype(dtype)
+    out = _radix_p(nums.astype(dtype).reshape((p,) * k + (order,)), kernel, k)
+    out = out.reshape(length, order).astype(object)
     denom = vals.denom * (length if direction == "forward" else 1)
-    return CycloArray(order, out.reshape(length, order), denom)
+    return CycloArray(order, out, denom)
 
 
 # -- synthesis ----------------------------------------------------------------

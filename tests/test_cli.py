@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,90 @@ def test_transform_rejects_malformed_input(tmp_path, name, text):
     src.write_text(text)
     assert run(["transform", "--p", "2", "--input", str(src), "--output", str(out)]) == 2
     assert not out.exists()
+
+
+def _transform_bytes(tmp_path, text, *flags, name="in.txt", out_name="out.txt"):
+    src, out = tmp_path / name, tmp_path / out_name
+    src.write_text(text)
+    assert run(["transform", "--input", str(src), "--output", str(out), *flags]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, clean",
+    [
+        # 1 field is a real entry, 2 fields a complex one; blank lines are skipped
+        ("1\n\n2 0.5\n   \n\t\n3\n4 -1\n", "1 0\n2 0.5\n3 0\n4 -1\n"),
+        # tabs separate fields; str.splitlines breaks lines at \x0c and \r too
+        ("1\t0\n2\x0c3 0\r4\n", "1\n2\n3\n4\n"),
+        # float() syntax: underscores, signs, exponents, surrounding blanks
+        ("1_000\n-2.5e1\n +.5 \n7\n", "1000\n-25\n0.5\n7\n"),
+    ],
+    ids=["mixed-fields-and-blank-lines", "tabs-and-form-feed", "float-syntax"],
+)
+def test_transform_text_input_reads_like_its_clean_form(tmp_path, text, clean):
+    for flags in (["--p", "2"], ["--p", "2", "--direction", "inverse"]):
+        assert _transform_bytes(tmp_path, text, *flags) == _transform_bytes(
+            tmp_path, clean, *flags, name="clean.txt", out_name="clean.out"
+        )
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("0x10\n0\n", []),
+        ("1 2 3\n0\n", []),
+        ("1 0\n0 0 0\n", []),
+        ("1e400\n0\n", []),
+        ("1 0.5\n0\n", ["--mode", "exact"]),
+    ],
+    ids=["hex", "three-fields", "three-fields-later", "overflow-to-inf", "exact-imaginary"],
+)
+def test_transform_rejects_text_input(tmp_path, text, flags):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(text)
+    assert run(["transform", "--p", "2", "--input", str(src), "--output", str(out), *flags]) == 2
+    assert not out.exists()
+
+
+def test_transform_keeps_negative_zero_imaginary_parts(tmp_path):
+    assert _transform_bytes(tmp_path, "1 -0.0\n", "--p", "2") == b"1.0 -0.0\n"
+    assert _transform_bytes(tmp_path, "[[1, -0.0]]", "--p", "2", name="in.json") == b"1.0 -0.0\n"
+    # -0.0 is a zero imaginary part, so exact mode takes it
+    exact = ["--p", "2", "--mode", "exact"]
+    assert _transform_bytes(tmp_path, "1 -0.0\n0\n", *exact) == b"0.5 0.0\n0.5 0.0\n"
+
+
+def test_transform_output_bytes(tmp_path):
+    exact = ["--mode", "exact", "--p"]
+    assert _transform_bytes(tmp_path, "0\n1\n0\n", *exact, "3") == (
+        b"0.3333333333333333 0.0\n"
+        b"-0.16666666666666666 -0.28867513459481275\n"
+        b"-0.16666666666666666 0.28867513459481287\n"
+    )
+    assert _transform_bytes(tmp_path, "0\n1\n0\n", *exact, "3", out_name="out.json") == (
+        b"[[0.3333333333333333, 0.0], [-0.16666666666666666, -0.28867513459481275], "
+        b"[-0.16666666666666666, 0.28867513459481287]]\n"
+    )
+    assert _transform_bytes(tmp_path, "[1, [0, 0]]", *exact, "2", name="in.json") == (
+        b"0.5 0.0\n0.5 0.0\n"
+    )
+
+
+def test_transform_memory_stays_linear_in_the_input(tmp_path):
+    # the reader parses a block of lines at a time and frees the text and the
+    # line list once consumed, so the traced peak stays a few times the file
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(2**18)
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("".join(f"{a!r} {b!r}\n" for a, b in zip(x[0::2].tolist(), x[1::2].tolist())))
+    tracemalloc.start()
+    try:
+        assert run(["transform", "--p", "2", "--input", str(src), "--output", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * src.stat().st_size
 
 
 def test_reports_are_deterministic(tmp_path):

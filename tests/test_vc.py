@@ -171,6 +171,47 @@ def test_exact_transform_mixed_orders_and_length_one():
         _assert_same_representation([out], _matrix_oracle([Fraction(2, 3)], 5, direction))
 
 
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (2, 5), (3, 3), (6, 2)])
+def test_transform_kernel_matches_dense_exponent_table(p, k):
+    rng = random.Random(p * 10 + k)
+    cells = p**k
+    exact_in = [_value(p, [Fraction(rng.randint(-3, 3)) for _ in range(p)]) for _ in range(cells)]
+    gen = np.random.default_rng(p * 10 + k)
+    float_in = gen.standard_normal(cells) + 1j * gen.standard_normal(cells)
+    # the dense reference in extended precision, so its own rounding is negligible
+    pi = np.arccos(np.longdouble(-1))
+    # numerators past 2**63 take the kernel's Python-int path
+    huge_in = [v.scale(2**70 + 1) for v in exact_in]
+    for direction, sign in (("forward", -1), ("inverse", 1)):
+        for values in (exact_in, huge_in):
+            fast = vc_transform_exact(values, p, direction)
+            _assert_same_representation(fast, _matrix_oracle(values, p, direction))
+
+        dense = np.exp(sign * 2j * pi * exponent_table(p, k) / p)
+        reference = dense @ float_in.astype(np.clongdouble)
+        mass = float(np.sum(np.abs(float_in)))
+        if direction == "forward":
+            reference /= cells
+            mass /= cells
+        # k stages of p unit-modulus products, (p + 3) ulps of the l1 mass each
+        bound = 2 * (k * (p + 3) + 4) * 2.0**-52 * mass
+        err = np.max(np.abs(vc_transform_float(float_in, p, direction) - reference))
+        assert err <= bound
+
+
+def test_exact_transform_at_the_int64_bound():
+    # coefficient 0 of a constant input sums every cell: 8 * peak is int64's
+    # maximum or just past it, on either side of the kernel's dtype choice
+    limit = 2**63 - 1
+    for peak in (limit // 8, limit // 8 + 1):
+        for values in ([peak] * 8, [peak, -peak] * 4):
+            for direction in ("forward", "inverse"):
+                fast = vc_transform_exact(values, 2, direction)
+                _assert_same_representation(fast, _matrix_oracle(values, 2, direction))
+    (total, *rest) = vc_transform_exact([limit // 8] * 8, 2, "inverse")
+    assert total == 8 * (limit // 8) and all(c == 0 for c in rest)
+
+
 def test_transform_examples():
     # p**d * indicator of the first cell expands with all-ones coefficients
     for p, d in [(2, 2), (3, 1), (5, 1)]:
