@@ -1,6 +1,6 @@
 """Exact computation with base-p Vilenkin-Chrestenson systems.
 
-Building blocks: exact base-p digit/interval arithmetic, a certified
+Building blocks: exact base-p digit arithmetic and the cell cap, a certified
 cyclotomic number type, step functions with exact integrals and level sets,
 the VC function family with fast radix-p transforms, chaos index sets,
 Khinchin-type norm-ratio estimation, and sharpness witnesses for the
@@ -28,22 +28,16 @@ from .khinchin import (
     independence_check,
     l1_lower_ratio_with_error,
     moment_even_pow_exact,
-    norm_ratio,
     norm_ratio_pow_exact,
     sample_unit_coefficients,
     symmetric_decomposition,
 )
 from .pary import (
     DEFAULT_CELL_CAP,
-    PAryInterval,
     RankCapError,
     digit_count,
     digits_of_integer,
-    digits_of_point,
     digitwise_add,
-    digitwise_sub,
-    nonzero_digit_count,
-    point_from_digits,
     run_cell_cap,
 )
 from .stepfn import Distribution, PArySet, StepFn, at_least_two

@@ -224,17 +224,6 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     return 1.03 * (cell_err / float(np.linalg.norm(c)) + gamma(count) * ratio)
 
 
-def norm_ratio(spec: IndexSpec, coeffs: Mapping[int, object], q) -> float:
-    """||sum c_n VC_n||_q / ||c||_l2; exact arithmetic for even integer q."""
-    _validate_support(spec, coeffs)
-    if _is_even(q):
-        return float(norm_ratio_pow_exact(spec, coeffs, q)) ** (1.0 / q)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    c = _coefficient_array(coeffs)
-    return float(_lq_ratios(c, _vc_rows(spec.p, list(coeffs)), q))
-
-
 def l1_lower_ratio_with_error(
     spec: IndexSpec, coeffs: Mapping[int, object]
 ) -> tuple[float, float]:

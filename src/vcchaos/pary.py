@@ -1,7 +1,7 @@
-"""Exact base-p positional arithmetic on [0, 1): digits, cells, intervals.
+"""Exact base-p digits of integers, carry-free digitwise sums, and the cell cap.
 
-Points are Fractions, digits are exact (no float flooring anywhere), and
-every grid allocation is guarded by a cell cap so that a bad rank argument
+Digits come from integer division (no float flooring anywhere), and every
+grid of base-p cells is guarded by a cell cap so that a bad rank argument
 fails loudly instead of exhausting memory.  This module owns the cap: it is
 the one a run sets with run_cell_cap (the CLI's --cell-cap), else the
 VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and every
@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from fractions import Fraction
 
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "VCCHAOS_CELL_CAP"
@@ -70,29 +68,6 @@ def check_rank(p: int, rank: int) -> int:
     return cells
 
 
-def digits_of_point(x: Fraction | int, p: int, count: int) -> tuple[int, ...]:
-    """First `count` base-p digits of x in [0, 1), terminating expansion.
-
-    Digit j equals floor(x * p**(j+1)) mod p; computed by exact rational
-    long division, so base-p rationals always get the expansion that ends
-    in zeros rather than the one ending in (p-1)s.
-    """
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError(f"point must lie in [0, 1), got {x}")
-    digits = []
-    for _ in range(count):
-        x *= p
-        d = int(x)
-        digits.append(d)
-        x -= d
-    return tuple(digits)
-
-
 def digits_of_integer(n: int, p: int) -> tuple[int, ...]:
     """Base-p digits of n >= 0, least significant first; n = 0 gives ()."""
     if p < 2:
@@ -111,22 +86,6 @@ def digit_count(n: int, p: int) -> int:
     return len(digits_of_integer(n, p))
 
 
-def nonzero_digit_count(n: int, p: int) -> int:
-    return sum(1 for d in digits_of_integer(n, p) if d)
-
-
-def point_from_digits(digits, p: int) -> Fraction:
-    """Exact value of sum(digits[j] * p**-(j+1))."""
-    acc = Fraction(0)
-    scale = Fraction(1, p)
-    for d in digits:
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} out of range for base {p}")
-        acc += d * scale
-        scale /= p
-    return acc
-
-
 def digitwise_add(a: int, b: int, p: int) -> int:
     """Carry-free digitwise sum mod p of two nonnegative integers."""
     if a < 0 or b < 0:
@@ -139,48 +98,3 @@ def digitwise_add(a: int, b: int, p: int) -> int:
         result += ((da + db) % p) * scale
         scale *= p
     return result
-
-
-def digitwise_neg(a: int, p: int) -> int:
-    """Digitwise negation mod p: digitwise_add(a, digitwise_neg(a, p), p) == 0."""
-    result = 0
-    scale = 1
-    while a:
-        a, da = divmod(a, p)
-        result += ((-da) % p) * scale
-        scale *= p
-    return result
-
-
-def digitwise_sub(a: int, b: int, p: int) -> int:
-    return digitwise_add(a, digitwise_neg(b, p), p)
-
-
-@dataclass(frozen=True)
-class PAryInterval:
-    """Half-open interval [m * p**-k, (m+1) * p**-k) of rank k in base p."""
-
-    p: int
-    rank: int
-    position: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"base must be >= 2, got {self.p}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank}")
-        if not 0 <= self.position < self.p**self.rank:
-            raise ValueError(
-                f"position {self.position} out of range for rank {self.rank}"
-            )
-
-    def endpoints(self) -> tuple[Fraction, Fraction]:
-        scale = Fraction(1, self.p**self.rank)
-        return self.position * scale, (self.position + 1) * scale
-
-    def measure(self) -> Fraction:
-        return Fraction(1, self.p**self.rank)
-
-    def contains(self, x) -> bool:
-        lo, hi = self.endpoints()
-        return lo <= Fraction(x) < hi

@@ -4,8 +4,10 @@ A StepFn keeps its cell values in one CycloArray, one row per cell with a
 common order and denominator (rationals are order-1 values), so pointwise
 operations, integrals, even-q norms, level sets and distributions are
 whole-array integer operations and exact.  PArySet stores a union of rank-k
-cells as a bitmask and always keeps the canonical minimal-rank form, which
-makes set equality structural.
+cells as an integer bitmask (cell m at bit m) and always keeps the canonical
+minimal-rank form, which makes set equality structural.  Every view of a mask
+(its cells, its mask at a finer rank, its indicator) unpacks the bits once
+into a numpy array, so each view is linear in the cell count.
 """
 
 from __future__ import annotations
@@ -54,15 +56,6 @@ class StepFn:
         return cls(p, rank, CycloArray.from_values([value]).repeat(check_rank(p, rank)))
 
     # -- structure ---------------------------------------------------------
-
-    def refine(self, new_rank: int) -> "StepFn":
-        """Same function on the finer rank-new_rank grid (values replicated)."""
-        if new_rank < self.rank:
-            raise ValueError(f"cannot refine rank {self.rank} down to {new_rank}")
-        if new_rank == self.rank:
-            return self
-        check_rank(self.p, new_rank)
-        return StepFn(self.p, new_rank, self.values.repeat(self.p ** (new_rank - self.rank)))
 
     def _aligned(self, other) -> tuple[int, CycloArray, object]:
         """Values on the finer operand's existing grid; a number or one-row CycloArray passes through."""
@@ -225,10 +218,6 @@ class PArySet:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def empty(cls, p: int) -> "PArySet":
-        return cls(p, 0, 0)
-
-    @classmethod
     def full(cls, p: int) -> "PArySet":
         return cls(p, 0, 1)
 
@@ -258,45 +247,14 @@ class PArySet:
         if rank == self.rank:
             return self.mask
         check_rank(self.p, rank)
-        reps = self.p ** (rank - self.rank)
-        block = (1 << reps) - 1
-        out = 0
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            m = low.bit_length() - 1
-            out |= block << (m * reps)
-            mask ^= low
-        return out
+        bits = _mask_bits(self.mask, self.p**self.rank)
+        return _bits_mask(np.repeat(bits, self.p ** (rank - self.rank)))
 
     def cells(self) -> list[int]:
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return np.flatnonzero(_mask_bits(self.mask, self.p**self.rank)).tolist()
 
     def measure(self) -> Fraction:
         return Fraction(self.mask.bit_count(), self.p**self.rank)
-
-    def contains_point(self, x) -> bool:
-        x = Fraction(x)
-        if not 0 <= x < 1:
-            raise ValueError(f"point must lie in [0, 1), got {x}")
-        return bool((self.mask >> int(x * self.p**self.rank)) & 1)
-
-    def to_intervals(self) -> list[tuple[Fraction, Fraction]]:
-        scale = Fraction(1, self.p**self.rank)
-        out: list[tuple[Fraction, Fraction]] = []
-        for m in self.cells():
-            lo, hi = m * scale, (m + 1) * scale
-            if out and out[-1][1] == lo:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-        return out
 
     def indicator(self) -> StepFn:
         bits = _mask_bits(self.mask, self.p**self.rank)
@@ -318,18 +276,8 @@ class PArySet:
         rank, a, b = self._aligned(other)
         return PArySet(self.p, rank, a & b)
 
-    def difference(self, other: "PArySet") -> "PArySet":
-        rank, a, b = self._aligned(other)
-        return PArySet(self.p, rank, a & ~b)
-
-    def complement(self) -> "PArySet":
-        full = (1 << self.p**self.rank) - 1
-        return PArySet(self.p, self.rank, full & ~self.mask)
-
     __or__ = union
     __and__ = intersect
-    __sub__ = difference
-    __invert__ = complement
 
     def translate_mod1(self, shift) -> "PArySet":
         """The set {x - shift mod 1}; shift must be a base-p rational."""
@@ -352,8 +300,7 @@ class PArySet:
         return hash((self.p, self.rank, self.mask))
 
     def __repr__(self):
-        spans = ", ".join(f"[{lo}, {hi})" for lo, hi in self.to_intervals())
-        return f"PArySet(p={self.p}: {spans or 'empty'})"
+        return f"PArySet(p={self.p}, rank={self.rank}, cells={self.cells()})"
 
 
 def _pary_exponent(denominator: int, p: int) -> int:

@@ -147,15 +147,23 @@ def _radix_p(tensor: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
 
 
 def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray:
-    """Radix-p transform in complex floats: ring length 1, kernel the p-point DFT."""
+    """Radix-p transform in complex floats: ring length 1, kernel the p-point DFT.
+
+    Kernel entries at whole quarter turns (1, 1j, -1, -1j) are exact, so
+    exactly real or zero results get no spurious rounding parts from them.
+    """
     arr = np.asarray(values, dtype=np.complex128)
     k = _length_rank(arr.size, p)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     if k == 0:
         return arr.copy()
-    sign = -1.0 if direction == "forward" else 1.0
-    kernel = np.exp(sign * 2j * np.pi / p * np.outer(np.arange(p), np.arange(p)))
+    sign = -1 if direction == "forward" else 1
+    exponents = sign * np.outer(np.arange(p), np.arange(p))  # kernel[a, b] = w**exponents[a, b]
+    kernel = np.exp(2j * np.pi / p * exponents)
+    # whole quarter turns come from an exact table: np.exp(-1j * np.pi) is -1 - 1.2e-16j
+    quarter = 4 * exponents % p == 0
+    kernel[quarter] = np.array([1, 1j, -1, -1j])[4 * exponents[quarter] // p % 4]
     out = _radix_p(arr.reshape((p,) * k + (1,)), kernel.reshape(p, 1, p, 1), k)
     out = out.reshape(arr.size)
     if direction == "forward":

@@ -423,6 +423,23 @@ def test_transform_keeps_negative_zero_imaginary_parts(tmp_path):
     assert _transform_bytes(tmp_path, "1 -0.0\n0\n", *exact) == b"0.5 0.0\n0.5 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "text, flags, expected",
+    [
+        ("1 0\n-1 0\n", ["--p", "2"], b"0.0 0.0\n1.0 0.0\n"),
+        (
+            "0\n1\n0\n0\n",
+            ["--p", "4", "--direction", "inverse"],
+            b"1.0 0.0\n0.0 1.0\n-1.0 0.0\n0.0 -1.0\n",
+        ),
+    ],
+    ids=["p2-forward", "p4-inverse"],
+)
+def test_transform_float_kernel_takes_quarter_turns_exactly(tmp_path, text, flags, expected):
+    # np.exp(-1j * np.pi) is -1 - 1.2e-16j; whole quarter turns must not add such parts
+    assert _transform_bytes(tmp_path, text, *flags) == expected
+
+
 def test_transform_output_bytes(tmp_path):
     exact = ["--mode", "exact", "--p"]
     assert _transform_bytes(tmp_path, "0\n1\n0\n", *exact, "3") == (

@@ -20,7 +20,6 @@ from vcchaos.khinchin import (
     independence_check,
     l1_lower_ratio_with_error,
     moment_even_pow_exact,
-    norm_ratio,
     norm_ratio_pow_exact,
     sample_unit_coefficients,
     symmetric_decomposition,
@@ -31,18 +30,18 @@ from vcchaos.vc import rademacher, synthesize
 
 def test_norm_ratio_examples():
     spec = unit_chaos(2, 1)
-    assert norm_ratio(spec, {4: 1.0}, 4) == pytest.approx(1.0)
-    assert norm_ratio(spec, {1: 1, 2: 1}, 4) == pytest.approx(2 ** 0.25)
+    assert norm_ratio_pow_exact(spec, {4: 1.0}, 4) == 1
+    assert norm_ratio_pow_exact(spec, {1: 1, 2: 1}, 4) == 2
     assert norm_ratio_pow_exact(spec, {1: 1, 2: 1}, 2) == 1
-    assert norm_ratio(spec, {1: 0.3, 2: -1.7}, 2) == pytest.approx(1.0)
+    assert norm_ratio_pow_exact(spec, {1: 0.3, 2: -1.7}, 2) == 1
 
 
 def test_norm_ratio_validation():
     spec = unit_chaos(2, 1)
     with pytest.raises(ValueError):
-        norm_ratio(spec, {}, 4)
+        norm_ratio_pow_exact(spec, {}, 4)
     with pytest.raises(ValueError):
-        norm_ratio(spec, {3: 1.0}, 4)  # 3 has two binary ones, not in d=1
+        norm_ratio_pow_exact(spec, {3: 1.0}, 4)  # 3 has two binary ones, not in d=1
     with pytest.raises(ValueError):
         norm_ratio_pow_exact(spec, {1: 0}, 4)
 
@@ -122,8 +121,8 @@ def test_scale_invariance():
     for _ in range(10):
         coeffs = {n: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for n in members[:5]}
         lam = rng.choice([2.0, -0.5, 3.7, 0.1])
-        base = norm_ratio(spec, coeffs, 4)
-        scaled = norm_ratio(spec, {n: lam * c for n, c in coeffs.items()}, 4)
+        base = float(norm_ratio_pow_exact(spec, coeffs, 4))
+        scaled = float(norm_ratio_pow_exact(spec, {n: lam * c for n, c in coeffs.items()}, 4))
         assert scaled == pytest.approx(base, abs=1e-12)
 
 

@@ -10,16 +10,6 @@ from vcchaos.stepfn import Distribution, PArySet, StepFn, at_least_two
 from vcchaos.vc import rademacher, synthesize
 
 
-def test_refine_examples():
-    one = StepFn.constant(3, 1)
-    refined = one.refine(2)
-    assert len(refined.values) == 9 and all(v == 1 for v in refined.values)
-
-    r0 = rademacher(2, 0)
-    assert r0.refine(2).values.rationals() == [1, 1, -1, -1]
-    assert r0.refine(1) is r0
-
-
 def test_pointwise_examples():
     r0 = rademacher(2, 0)
     total = r0 + r0.conj()
@@ -39,7 +29,7 @@ def test_base_mismatch_raises():
 
 def test_rank_overflow():
     with pytest.raises(RankCapError):
-        StepFn.constant(2, 1).refine(40)
+        StepFn.constant(2, 1, rank=40)
 
 
 def test_integral_examples():
@@ -140,8 +130,6 @@ def test_set_algebra_examples():
     assert h == PArySet.from_interval(10, Fraction(3, 10), Fraction(6, 10))
     assert h.measure() == Fraction(3, 10)
 
-    assert PArySet.full(3).complement().measure() == 0
-
 
 def test_set_views_check_the_cap_before_building_masks():
     # each call would build a mask of 2**22 or more bits under a cap of 16 cells
@@ -196,23 +184,71 @@ def _reduce_by_shifts(p, rank, mask):
     return rank, mask
 
 
+def _random_mask(rng):
+    """(p, rank, mask) of a random set refined from a coarser grid.
+
+    One cell is flipped half the time, so reductions stop at every depth.
+    """
+    p = rng.choice([2, 3, 4, 5, 6, 7, 10])
+    rank = rng.randint(0, 5 if p <= 3 else 3)
+    coarse = rng.randint(0, rank)
+    reps = p ** (rank - coarse)
+    mask = 0
+    for m in range(p**coarse):
+        if rng.random() < 0.5:
+            mask |= ((1 << reps) - 1) << (m * reps)
+    if rng.random() < 0.5:
+        mask ^= 1 << rng.randrange(p**rank)
+    return p, rank, mask
+
+
 def test_reduction_matches_the_shift_loop():
     rng = random.Random(17)
     for _ in range(500):
-        p = rng.choice([2, 3, 4, 5, 6, 7, 10])
-        rank = rng.randint(0, 5 if p <= 3 else 3)
-        # a random set refined from a coarser grid, with one cell flipped half the
-        # time, so reductions stop at every depth
-        coarse = rng.randint(0, rank)
-        reps = p ** (rank - coarse)
-        mask = 0
-        for m in range(p**coarse):
-            if rng.random() < 0.5:
-                mask |= ((1 << reps) - 1) << (m * reps)
-        if rng.random() < 0.5:
-            mask ^= 1 << rng.randrange(p**rank)
+        p, rank, mask = _random_mask(rng)
         s = PArySet(p, rank, mask)
         assert (s.rank, s.mask) == _reduce_by_shifts(p, rank, mask)
+
+
+def _cells_by_bits(mask):
+    """Reference cells: clear the lowest set bit of the mask, one cell at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask_at_rank_by_bits(p, rank, mask, new_rank):
+    """Reference refinement: a block of p**(new_rank - rank) ones per set cell."""
+    reps = p ** (new_rank - rank)
+    out = 0
+    for m in _cells_by_bits(mask):
+        out |= ((1 << reps) - 1) << (m * reps)
+    return out
+
+
+def test_mask_views_match_the_bit_loop():
+    rng = random.Random(23)
+    for _ in range(200):
+        s = PArySet(*_random_mask(rng))
+        assert s.cells() == _cells_by_bits(s.mask)
+        finer = s.rank + rng.randint(0, 2)
+        assert s.mask_at_rank(finer) == _mask_at_rank_by_bits(s.p, s.rank, s.mask, finer)
+
+
+def test_mask_views_are_linear_in_the_cells():
+    # on these 2**18 cells, clearing one bit at a time took about 6 s for cells() alone
+    s = PArySet.from_interval(2, 0, 1 - Fraction(1, 2**18))
+    started = time.perf_counter()
+    cells = s.cells()
+    text = repr(s)
+    finer = s.mask_at_rank(19)
+    assert time.perf_counter() - started < 0.5
+    assert cells == list(range(2**18 - 1))
+    assert text.startswith("PArySet(p=2, rank=18, cells=[0, 1, 2, ")
+    assert finer == (1 << (2**19 - 2)) - 1
 
 
 def test_reduction_is_linear_in_the_cells():
@@ -248,5 +284,4 @@ def test_indicator_and_membership():
     # 16 cells span two mask bytes
     wide = PArySet.from_cells(2, 4, [0, 9, 15]).indicator()
     assert [m for m, x in enumerate(wide.values.rationals()) if x] == [0, 9, 15]
-    assert s.contains_point(Fraction(1, 2))
-    assert not s.contains_point(Fraction(2, 3))
+    assert s.cells() == [1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vcchaos.cyclo import CycloArray, root_of_unity
-from vcchaos.pary import digits_of_point, digitwise_add
+from vcchaos.pary import digitwise_add
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import (
     exponent_table,
@@ -46,7 +46,8 @@ def test_rademacher_digit_identity():
                 continue
             fn = rademacher(p, k)
             for m in range(cells):
-                digit = digits_of_point(Fraction(m, cells), p, k + 1)[k]
+                # k-th point digit of m / cells: floor(x * p**(k+1)) mod p
+                digit = int(Fraction(m, cells) * p ** (k + 1)) % p
                 assert _coeffs(fn.values[m]) == _coeffs(root_of_unity(p, digit))
 
 
