@@ -66,23 +66,32 @@ class ConfigError(ValueError):
     pass
 
 
-def _check(name: str, anchor: str, ok: bool, **values) -> dict:
-    record = {"name": name, "anchor": anchor, "status": "pass" if ok else "fail"}
-    if values:
-        record["values"] = values
-    return record
+def _run_report(command: str, args, checks) -> int:
+    """Run (name, anchor, check) triples in order and write the report; 0 iff every check passed.
 
-
-def _finish_report(command: str, config: dict, checks: list[dict], started: float) -> dict:
-    return {
+    Each check() returns (ok, values).  The config echoes every option but
+    --out and --format, so a report reruns from its own config.
+    """
+    started = time.perf_counter()
+    records = []
+    for name, anchor, check in checks:
+        ok, values = check()
+        record = {"name": name, "anchor": anchor, "status": "pass" if ok else "fail"}
+        if values:
+            record["values"] = values
+        records.append(record)
+    skip = ("command", "func", "out", "format")
+    report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "config": config,
-        "checks": checks,
-        "all_passed": all(c["status"] == "pass" for c in checks),
+        "config": {key: value for key, value in vars(args).items() if key not in skip},
+        "checks": records,
+        "all_passed": all(record["status"] == "pass" for record in records),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
+    _write_report(report, args.out, args.format)
+    return 0 if report["all_passed"] else 1
 
 
 def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
@@ -119,173 +128,115 @@ def _validate_base(p: int) -> None:
 # -- verify --------------------------------------------------------------------
 
 
-def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[dict]:
+def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[tuple]:
+    """The suite as (name, anchor, check) triples, in the order run.
+
+    The checks draw from one seeded stream in this order.  A check that draws
+    inside its loop scores a list, not a generator, so that every draw happens
+    even after a failure and the later checks see the same stream.
+    """
     checks = []
+
+    def check(name, anchor):
+        def add(fn):
+            checks.append((name, anchor, fn))
+            return fn
+
+        return add
+
     rng = random.Random(seed)
-
     k_mat = min(max_rank, 3)
-    ok = all(verify_inverse_identity(p, k) for k in range(k_mat + 1))
-    checks.append(
-        _check(
-            "inverse-identity",
-            "VC^(k) inverse equals conj-transpose over p^k",
-            ok,
-            max_rank=k_mat,
-        )
-    )
 
-    # orthonormality through the step-function integral on a sampled grid
-    k_orth = min(max_rank, 2)
-    pairs = [(rng.randrange(p**k_orth), rng.randrange(p**k_orth)) for _ in range(20)]
-    ok = True
-    for n, m in pairs:
-        value = (vc_function_cached(p, n) * vc_function_cached(p, m).conj()).integral()
-        ok = ok and value == int(n == m)
-    checks.append(
-        _check(
-            "orthonormality-sample",
-            "integral of VC_n conj(VC_m) = delta(n,m)",
-            ok,
-            pairs=len(pairs),
-        )
-    )
+    @check("inverse-identity", "VC^(k) inverse equals conj-transpose over p^k")
+    def inverse_identity():
+        return all(verify_inverse_identity(p, k) for k in range(k_mat + 1)), {"max_rank": k_mat}
 
-    # Parseval for a random exact coefficient vector
-    population = range(p ** min(max_rank, 3))
-    support = sorted(rng.sample(population, min(6, p, len(population))))
-    coeffs = {n: Fraction(rng.randint(-3, 3)) for n in support}
-    coeffs = {n: c for n, c in coeffs.items() if c} or {support[0]: Fraction(1)}
-    f = synthesize(coeffs, p)
-    lhs = f.lq_norm_even_pow(2)
-    rhs = sum((c * c for c in coeffs.values()), Fraction(0))
-    checks.append(
-        _check(
-            "parseval",
-            "L2 norm squared of the sum equals sum of |c_n|^2",
-            lhs == rhs,
-            lhs=rational_str(lhs),
-            rhs=rational_str(rhs),
+    @check("orthonormality-sample", "integral of VC_n conj(VC_m) = delta(n,m)")
+    def orthonormality():
+        # through the step-function integral on a sampled grid
+        cells = p ** min(max_rank, 2)
+        pairs = [(rng.randrange(cells), rng.randrange(cells)) for _ in range(20)]
+        ok = all(
+            (vc_function_cached(p, n) * vc_function_cached(p, m).conj()).integral() == int(n == m)
+            for n, m in pairs
         )
-    )
+        return ok, {"pairs": len(pairs)}
 
-    # multiplicativity on random pairs, at rank 2 (rank 1 when max_rank is 0)
-    ok = True
-    k_mul = min(max_rank + 1, 2)
-    for _ in range(10):
-        a, b = rng.randrange(p**k_mul), rng.randrange(p**k_mul)
-        ok = ok and (
+    @check("parseval", "L2 norm squared of the sum equals sum of |c_n|^2")
+    def parseval():
+        # for a random exact coefficient vector
+        population = range(p ** min(max_rank, 3))
+        support = sorted(rng.sample(population, min(6, p, len(population))))
+        coeffs = {n: Fraction(rng.randint(-3, 3)) for n in support}
+        coeffs = {n: c for n, c in coeffs.items() if c} or {support[0]: Fraction(1)}
+        lhs = synthesize(coeffs, p).lq_norm_even_pow(2)
+        rhs = sum((c * c for c in coeffs.values()), Fraction(0))
+        return lhs == rhs, {"lhs": rational_str(lhs), "rhs": rational_str(rhs)}
+
+    @check("multiplicativity", "VC_a * VC_b = VC at the digitwise sum mod p")
+    def multiplicativity():
+        # on random pairs at rank 2 (rank 1 when max_rank is 0)
+        cells = p ** min(max_rank + 1, 2)
+        pairs = [(rng.randrange(cells), rng.randrange(cells)) for _ in range(10)]
+        ok = all(
             vc_function_cached(p, a) * vc_function_cached(p, b)
             == vc_function_cached(p, digitwise_add(a, b, p))
+            for a, b in pairs
         )
-    checks.append(
-        _check(
-            "multiplicativity",
-            "VC_a * VC_b = VC at the digitwise sum mod p",
-            ok,
-            pairs=10,
-        )
-    )
+        return ok, {"pairs": 10}
 
-    # operator norm, the float consequence of the inverse identity
-    ok = True
-    for k in range(min(max_rank, 3) + 1):
-        estimate = matrix_op_norm(p, k)
-        ok = ok and abs(estimate - p ** (k / 2)) <= tolerance
-    checks.append(
-        _check(
-            "operator-norm",
-            "power iteration on VC^(k) returns p^(k/2)",
-            ok,
-            tolerance=tolerance,
-        )
-    )
+    @check("operator-norm", "power iteration on VC^(k) returns p^(k/2)")
+    def operator_norm():
+        # the float consequence of the inverse identity
+        ok = all(abs(matrix_op_norm(p, k) - p ** (k / 2)) <= tolerance for k in range(k_mat + 1))
+        return ok, {"tolerance": tolerance}
 
-    # pair-overlap bound audit
-    ok = True
-    rank = min(max_rank, 4)
-    for _ in range(200):
-        sets = [
-            PArySet.from_cells(p, rank, [m for m in range(p**rank) if rng.random() < 0.6])
-            for _ in range(p)
-        ]
-        _, _, holds = overlap_bound_check(sets)
-        ok = ok and holds
-    checks.append(
-        _check(
-            "overlap-bound-audit",
-            "measure of twice-covered points >= (p*a - 1)/(p - 1)",
-            ok,
-            families=200,
-        )
-    )
+    @check("overlap-bound-audit", "measure of twice-covered points >= (p*a - 1)/(p - 1)")
+    def overlap_audit():
+        rank = min(max_rank, 4)
 
-    # independence of digit functions
-    ok = True
-    for _ in range(20):
-        depth = rng.randint(min(1, max_rank), min(3, max_rank))
-        tables = [
-            [Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)
-        ]
-        ok = ok and independence_check(p, tables)
-    checks.append(
-        _check(
-            "independence-product-rule",
-            "joint law of digit functions factorizes exactly",
-            ok,
-            tables=20,
-        )
-    )
+        def family():
+            cells = range(p**rank)
+            return [
+                PArySet.from_cells(p, rank, [m for m in cells if rng.random() < 0.6])
+                for _ in range(p)
+            ]
 
-    # symmetric decomposition of Re R_k^j
-    ok = True
-    for j in range(1, p):
-        pieces = symmetric_decomposition(p, 0, j)
-        re_part = StepFn(p, 1, CycloArray.roots(p, j * np.arange(p)).real_part())
-        total = pieces[0]
-        for piece in pieces[1:]:
-            total = total + piece
-        ok = ok and total == re_part
-        ok = ok and all(piece.distribution().is_symmetric() for piece in pieces)
-    checks.append(
-        _check(
-            "symmetric-decomposition",
-            "Re R_k^j splits into p-1 symmetric mean-zero pieces",
-            ok,
-            powers=p - 1,
-        )
-    )
+        return all([overlap_bound_check(family())[2] for _ in range(200)]), {"families": 200}
 
-    # index combinatorics
-    ok = True
-    for d in range(1, 4):
-        for levels in range(1, 5):
-            spec = full_chaos(p, d)
-            ok = ok and len(enumerate_members(spec, p**levels - 1)) == count_below_power(
-                spec, levels
+    @check("independence-product-rule", "joint law of digit functions factorizes exactly")
+    def independence():
+        def tables():
+            depth = rng.randint(min(1, max_rank), min(3, max_rank))
+            return [[Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)]
+
+        return all([independence_check(p, tables()) for _ in range(20)]), {"tables": 20}
+
+    @check("symmetric-decomposition", "Re R_k^j splits into p-1 symmetric mean-zero pieces")
+    def symmetric():
+        def splits(j):
+            pieces = symmetric_decomposition(p, 0, j)
+            re_part = StepFn(p, 1, CycloArray.roots(p, j * np.arange(p)).real_part())
+            return sum(pieces[1:], pieces[0]) == re_part and all(
+                piece.distribution().is_symmetric() for piece in pieces
             )
-            spec = unit_chaos(p, d)
-            ok = ok and len(enumerate_members(spec, p**levels - 1)) == count_below_power(
-                spec, levels
-            )
-    checks.append(
-        _check(
-            "index-counts",
-            "enumerated members match binomial closed forms",
-            ok,
-        )
-    )
 
-    # digit-pattern multiplicity
-    ok = True
-    for s in (1, 2):
-        ok = ok and pattern_multiplicity_check(p, s, 2, p**3 - 1)
-    checks.append(
-        _check(
-            "pattern-multiplicity",
-            "each weight-s index lies in (p-1)^(L+1-s) pattern sets",
-            ok,
+        return all(splits(j) for j in range(1, p)), {"powers": p - 1}
+
+    @check("index-counts", "enumerated members match binomial closed forms")
+    def index_counts():
+        ok = all(
+            len(enumerate_members(spec, p**levels - 1)) == count_below_power(spec, levels)
+            for d in range(1, 4)
+            for levels in range(1, 5)
+            for spec in (full_chaos(p, d), unit_chaos(p, d))
         )
-    )
+        return ok, {}
+
+    @check("pattern-multiplicity", "each weight-s index lies in (p-1)^(L+1-s) pattern sets")
+    def pattern_multiplicity():
+        return all(pattern_multiplicity_check(p, s, 2, p**3 - 1) for s in (1, 2)), {}
+
     return checks
 
 
@@ -293,7 +244,6 @@ vc_function_cached = functools.lru_cache(maxsize=4096)(vc_function)
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     _validate_base(args.p)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ConfigError(f"tolerance must be finite and > 0, got {args.tolerance}")
@@ -302,51 +252,31 @@ def cmd_verify(args) -> int:
     # the largest grid of the suite: independence tallies rank depth + 1 <= min(max_rank, 3) + 1
     check_rank(args.p, max(args.max_rank, min(args.max_rank, 3) + 1))
     checks = _verify_checks(args.p, args.max_rank, args.seed, args.tolerance)
-    config = {
-        "p": args.p,
-        "max_rank": args.max_rank,
-        "seed": args.seed,
-        "cell_cap": args.cell_cap,
-        "tolerance": args.tolerance,
-    }
-    report = _finish_report("verify", config, checks, started)
-    _write_report(report, args.out, args.format)
-    return 0 if report["all_passed"] else 1
+    return _run_report("verify", args, checks)
 
 
 # -- sharpness -------------------------------------------------------------------
 
 
 def cmd_sharpness(args) -> int:
-    started = time.perf_counter()
     _validate_base(args.p)
     if args.d < 1:
         raise ConfigError(f"d must be >= 1, got {args.d}")
-    checks = []
-    for label, builder in (
-        ("unit-chaos-witness", witness_unit_chaos),
-        ("full-chaos-witness", witness_full_chaos),
-    ):
-        report_obj = builder(args.p, args.d)
-        ok = (
-            report_obj.level_set_measure + report_obj.threshold == 1
-            and report_obj.support_ok
-            and report_obj.level_value != 0
-        )
-        checks.append(
-            _check(
-                label,
-                "chaos polynomial equals a nonzero constant on measure 1 - threshold",
-                ok,
-                threshold=rational_str(report_obj.threshold),
-                level_set_measure=rational_str(report_obj.level_set_measure),
-                support_size=len(report_obj.witness),
-            )
-        )
-    config = {"p": args.p, "d": args.d, "cell_cap": args.cell_cap}
-    report = _finish_report("sharpness", config, checks, started)
-    _write_report(report, args.out, args.format)
-    return 0 if report["all_passed"] else 1
+
+    def certify(builder):
+        report = builder(args.p, args.d)
+        return report.holds, {
+            "threshold": rational_str(report.threshold),
+            "level_set_measure": rational_str(report.level_set_measure),
+            "support_size": len(report.witness),
+        }
+
+    anchor = "chaos polynomial equals a nonzero constant on measure 1 - threshold"
+    checks = [
+        ("unit-chaos-witness", anchor, functools.partial(certify, witness_unit_chaos)),
+        ("full-chaos-witness", anchor, functools.partial(certify, witness_full_chaos)),
+    ]
+    return _run_report("sharpness", args, checks)
 
 
 # -- khinchin --------------------------------------------------------------------
@@ -373,7 +303,6 @@ def _index_spec_from_args(args) -> IndexSpec:
 
 
 def cmd_khinchin(args) -> int:
-    started = time.perf_counter()
     _validate_base(args.p)
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
@@ -382,58 +311,50 @@ def cmd_khinchin(args) -> int:
     if float(args.q) == int(args.q):
         args.q = int(args.q)
     spec = _index_spec_from_args(args)
-    checks = []
-    report_obj = estimate_constant(
-        spec, args.q, args.N, args.trials, args.seed, args.optimizer, args.mode
-    )
-    values = {
-        "best_ratio": report_obj.best_ratio,
-        "members": report_obj.members,
-        "method": report_obj.method,
-    }
-    if report_obj.best_ratio_err is not None:
-        values["best_ratio_err"] = report_obj.best_ratio_err
-    if report_obj.best_ratio_pow_exact is not None:
-        values["best_ratio_pow_exact"] = rational_str(report_obj.best_ratio_pow_exact)
-    values.update(report_obj.ascent_counters)
-    # Lyapunov on a probability space: ||f||_q >= ||f||_2 = ||c||_2 for q >= 2, <= for q < 2
-    ratio = report_obj.best_ratio
-    ok = ratio >= 1.0 - 1e-12 if args.q >= 2 else ratio <= 1.0 + 1e-12
-    checks.append(
-        _check(
+
+    def estimate():
+        report = estimate_constant(
+            spec, args.q, args.N, args.trials, args.seed, args.optimizer, args.mode
+        )
+        values = {
+            "best_ratio": report.best_ratio,
+            "members": report.members,
+            "method": report.method,
+        }
+        if report.best_ratio_err is not None:
+            values["best_ratio_err"] = report.best_ratio_err
+        if report.best_ratio_pow_exact is not None:
+            values["best_ratio_pow_exact"] = rational_str(report.best_ratio_pow_exact)
+        values.update(report.ascent_counters)
+        # Lyapunov on a probability space: ||f||_q >= ||f||_2 = ||c||_2 for q >= 2, <= for q < 2
+        ratio = report.best_ratio
+        return (ratio >= 1.0 - 1e-12 if args.q >= 2 else ratio <= 1.0 + 1e-12), values
+
+    def l1_estimate():
+        report = estimate_l1_constant(spec, args.N, args.trials, args.seed)
+        ok = report.min_l1_ratio is not None and report.min_l1_ratio > 0
+        return ok, {
+            "min_l1_ratio": report.min_l1_ratio,
+            "min_l1_ratio_err": report.min_l1_ratio_err,
+            "members": report.members,
+        }
+
+    checks = [
+        (
             "lacunarity-constant-estimate",
             "Lq norm of chaos sums bounded by constant times l2 of coefficients",
-            ok,
-            **values,
+            estimate,
         )
-    )
+    ]
     if args.l1:
-        l1_report = estimate_l1_constant(spec, args.N, args.trials, args.seed)
         checks.append(
-            _check(
+            (
                 "l1-lower-constant-estimate",
                 "L1 norm of chaos sums bounded below via the L2 norm",
-                l1_report.min_l1_ratio is not None and l1_report.min_l1_ratio > 0,
-                min_l1_ratio=l1_report.min_l1_ratio,
-                min_l1_ratio_err=l1_report.min_l1_ratio_err,
-                members=l1_report.members,
+                l1_estimate,
             )
         )
-    config = {
-        "p": args.p,
-        "d": args.d,
-        "s": args.s,
-        "set": args.set,
-        "q": args.q,
-        "N": args.N,
-        "trials": args.trials,
-        "seed": args.seed,
-        "optimizer": args.optimizer,
-        "mode": args.mode,
-    }
-    report = _finish_report("khinchin", config, checks, started)
-    _write_report(report, args.out, args.format)
-    return 0 if report["all_passed"] else 1
+    return _run_report("khinchin", args, checks)
 
 
 # -- transform ---------------------------------------------------------------------

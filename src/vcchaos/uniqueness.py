@@ -16,7 +16,7 @@ literal zero set of P - 1 has a different measure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,10 +33,10 @@ from .vc import rademacher, vc_transform_exact
 class SharpnessReport:
     """Certified data of one witness polynomial.
 
-    Invariants checked on construction: the level-set measure and the
-    threshold sum to 1 exactly, the level value is a nonzero constant, and
-    the witness expansion (minus its constant term) is supported inside the
-    index set.
+    The certificate holds when the level-set measure and the threshold sum
+    to 1 exactly, the level value is a nonzero constant, the expansion has a
+    nonzero-index coefficient and (minus its constant term) is supported
+    inside the index set, and every coefficient is the expected one.
     """
 
     p: int
@@ -48,63 +48,64 @@ class SharpnessReport:
     level_set_measure: Fraction
     threshold: Fraction
     support_ok: bool
+    coefficients_ok: bool
 
-    def __post_init__(self):
-        if self.level_set_measure + self.threshold != 1:
-            raise ValueError("level-set measure and threshold must sum to 1")
-        if self.level_value == 0:
-            raise ValueError("level value must be a nonzero constant")
-        if not self.support_ok:
-            raise ValueError("witness expansion escapes the index set")
-        if all(n == 0 for n in self.witness):
-            raise ValueError("witness must have nonzero-index coefficients")
-
-
-def _expand(fn: StepFn) -> tuple[CycloArray, dict[int, CycloArray]]:
-    """Coefficients of fn against the VC system (fast transform), and the nonzero ones by index."""
-    coeffs = vc_transform_exact(fn.values, fn.p, "forward")
-    return coeffs, {int(n): coeffs[int(n)] for n in np.flatnonzero(~coeffs.is_zero())}
+    @property
+    def holds(self) -> bool:
+        return (
+            self.level_set_measure + self.threshold == 1
+            and self.level_value != 0
+            and any(n != 0 for n in self.witness)
+            and self.support_ok
+            and self.coefficients_ok
+        )
 
 
-def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
-    """Sharpness witness P = prod(1 - R_k) for the unit-digit chaos system.
-
-    Certifies: constant coefficient 1 (so P - 1 lives on the chaos indices),
-    expansion coefficients (-1)**s exactly at the indices with s unit digits,
-    and {P - 1 = -1} = {P = 0} of measure exactly 1 - ((p-1)/p)**d.
-    """
+def _product(p: int, d: int, factor) -> StepFn:
+    """prod_{k<d} factor(R_k), its depth d checked and its rank-d grid held to the cell cap."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     check_rank(p, d)
     prod = StepFn.constant(p, 1)
     for k in range(d):
-        prod = prod * (1 - rademacher(p, k))
-    array, coeffs = _expand(prod)
-    digit_sums = (np.arange(p**d)[:, None] // p ** np.arange(d) % p).sum(axis=1)
-    signs = CycloArray.from_values((1 - 2 * (digit_sums % 2)).tolist())
-    wrong = ~(array - signs).is_zero()
-    if wrong[0]:
-        raise ValueError("constant coefficient of the witness must be 1")
-    # every nonzero coefficient must be (-1)**s, s the digit sum of its index
-    n = next((n for n in coeffs if wrong[n]), None)
-    if n is not None:
-        raise ValueError(f"coefficient at {n} is not (-1)**{digit_sums[n]}")
-    spec = unit_chaos(p, d)
-    support_ok = all(n == 0 or contains(spec, n) for n in coeffs)
+        prod = prod * factor(rademacher(p, k))
+    return prod
+
+
+def _report(
+    p: int, d: int, spec: IndexSpec, prod: StepFn, expected, threshold: Fraction
+) -> SharpnessReport:
+    """Certify the witness prod: its whole expansion against expected, and {prod - 1 = -1}."""
+    coeffs = vc_transform_exact(prod.values, p, "forward")
+    witness = {int(n): coeffs[int(n)] for n in np.flatnonzero(~coeffs.is_zero())}
     level_set = (prod - 1).level_set(-1)
-    measure = level_set.measure()
-    threshold = Fraction(p - 1, p) ** d
     return SharpnessReport(
         p=p,
         d=d,
         index_set=spec,
-        witness=coeffs,
+        witness=witness,
         level_value=CycloArray.coerce(-1),
         level_set=level_set,
-        level_set_measure=measure,
+        level_set_measure=level_set.measure(),
         threshold=threshold,
-        support_ok=support_ok,
+        support_ok=all(n == 0 or contains(spec, n) for n in witness),
+        coefficients_ok=coeffs == expected,
     )
+
+
+def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
+    """Sharpness witness P = prod(1 - R_k) for the unit-digit chaos system.
+
+    Certifies: the expansion coefficient at n is (-1)**s if every digit of n
+    is 0 or 1, s of them 1, and 0 otherwise (so the constant coefficient is 1
+    and P - 1 lives on the chaos indices), and {P - 1 = -1} = {P = 0} has
+    measure exactly 1 - ((p-1)/p)**d.
+    """
+    prod = _product(p, d, lambda r_k: 1 - r_k)
+    digits = np.arange(p**d)[:, None] // p ** np.arange(d) % p
+    signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
+    expected = CycloArray.from_values(signs.tolist())
+    return _report(p, d, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)
 
 
 def witness_full_chaos(p: int, d: int) -> SharpnessReport:
@@ -114,37 +115,10 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
     expansion coefficients all 1 below p**d, and {Q - 1 = -1} of measure
     exactly 1 - p**-d.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    cells = check_rank(p, d)
-    prod = StepFn.constant(p, 1)
-    for k in range(d):
-        r_k = rademacher(p, k)
-        total = StepFn.constant(p, 1)
-        for power in range(1, p):
-            total = total + r_k**power
-        prod = prod * total
-    if prod != PArySet(p, d, 1).indicator().scale(cells):
-        raise ValueError("witness is not p**d * indicator of the first cell")
-    array, coeffs = _expand(prod)
-    if not (array - 1).is_zero().all():
-        raise ValueError("witness expansion must be all ones below p**d")
-    spec = full_chaos(p, d)
-    support_ok = all(n == 0 or contains(spec, n) for n in coeffs)
-    level_set = (prod - 1).level_set(-1)
-    measure = level_set.measure()
-    threshold = Fraction(1, p**d)
-    return SharpnessReport(
-        p=p,
-        d=d,
-        index_set=spec,
-        witness=coeffs,
-        level_value=CycloArray.coerce(-1),
-        level_set=level_set,
-        level_set_measure=measure,
-        threshold=threshold,
-        support_ok=support_ok,
-    )
+    prod = _product(p, d, lambda r_k: 1 + sum(r_k**power for power in range(1, p)))
+    report = _report(p, d, full_chaos(p, d), prod, 1, Fraction(1, p**d))
+    identity = prod == PArySet(p, d, 1).indicator().scale(p**d)
+    return replace(report, coefficients_ok=report.coefficients_ok and identity)
 
 
 # -- set-theoretic ingredients -------------------------------------------------

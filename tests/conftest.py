@@ -1,6 +1,6 @@
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion
-    if report.when == "call" and "test_acceptance" in report.nodeid:
+    if report.when == "call" and report.nodeid.split("::")[0].endswith("test_acceptance.py"):
         name = report.nodeid.split("::")[-1]
         status = "PASS" if report.passed else "FAIL"
         print(f"\n[acceptance] {name}: {status}", flush=True)

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcchaos import cli
+from vcchaos import cli, uniqueness
 from vcchaos.cli import main
 from vcchaos.indices import full_chaos
 from vcchaos.khinchin import estimate_l1_constant
 from vcchaos.pary import RankCapError, check_rank
+from vcchaos.vc import vc_function
 
 
 def run(args):
@@ -171,6 +172,18 @@ def test_sharpness_report_values(tmp_path):
     values = {c["name"]: c["values"] for c in report["checks"]}
     assert values["unit-chaos-witness"]["level_set_measure"] == "5/9"
     assert values["full-chaos-witness"]["level_set_measure"] == "8/9"
+
+
+def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
+    # R_k -> VC_(2 p^k) = R_k^2: the unit witness expands onto indices with a
+    # digit 2, the full witness is unchanged since R^2 + R^4 = R^2 + R for p = 3
+    monkeypatch.setattr(uniqueness, "rademacher", lambda p, k: vc_function(p, 2 * p**k))
+    assert uniqueness.witness_unit_chaos(3, 2).holds is False
+    assert uniqueness.witness_full_chaos(3, 2).holds is True
+    out = tmp_path / "sharp.json"
+    assert run(["sharpness", "--p", "3", "--d", "2", "--out", str(out)]) == 1
+    statuses = {c["name"]: c["status"] for c in load_report(out)["checks"]}
+    assert statuses == {"unit-chaos-witness": "fail", "full-chaos-witness": "pass"}
 
 
 def test_sharpness_p2_d3_both_thresholds_one_eighth(tmp_path):
@@ -480,6 +493,78 @@ def test_reports_are_deterministic(tmp_path):
     ra, rb = load_report(a), load_report(b)
     ra.pop("wall_time_s"), rb.pop("wall_time_s")
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def _argv_from_config(command, config):
+    argv = [command]
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["khinchin", "--p", "3", "--set", "aset", "--s", "2", "--pattern", "1,2,1", "--q", "4",
+         "--N", "26", "--trials", "5", "--l1", "--cell-cap", "100000"],
+        ["verify", "--p", "2", "--max-rank", "2", "--seed", "4", "--tolerance", "1e-8"],
+        ["sharpness", "--p", "3", "--d", "2", "--cell-cap", "9"],
+    ],
+    ids=["khinchin-aset", "verify", "sharpness"],
+)
+def test_reports_rerun_from_their_config(tmp_path, args):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(args + ["--out", str(first)]) == 0
+    report = load_report(first)
+    assert run(_argv_from_config(report["command"], report["config"]) + ["--out", str(second)]) == 0
+    rerun = load_report(second)
+    report.pop("wall_time_s"), rerun.pop("wall_time_s")
+    assert rerun == report
+
+
+_VERIFY_ANCHORS = [
+    ("inverse-identity", "VC^(k) inverse equals conj-transpose over p^k"),
+    ("orthonormality-sample", "integral of VC_n conj(VC_m) = delta(n,m)"),
+    ("parseval", "L2 norm squared of the sum equals sum of |c_n|^2"),
+    ("multiplicativity", "VC_a * VC_b = VC at the digitwise sum mod p"),
+    ("operator-norm", "power iteration on VC^(k) returns p^(k/2)"),
+    ("overlap-bound-audit", "measure of twice-covered points >= (p*a - 1)/(p - 1)"),
+    ("independence-product-rule", "joint law of digit functions factorizes exactly"),
+    ("symmetric-decomposition", "Re R_k^j splits into p-1 symmetric mean-zero pieces"),
+    ("index-counts", "enumerated members match binomial closed forms"),
+    ("pattern-multiplicity", "each weight-s index lies in (p-1)^(L+1-s) pattern sets"),
+]
+
+
+@pytest.mark.parametrize("seed, parseval", [("5", "10/1"), ("0", "14/1")])
+def test_verify_checks_golden(tmp_path, seed, parseval):
+    # parseval's coefficients are drawn after orthonormality's 40 draws, so
+    # its value pins the draw order as well as the seed
+    out = tmp_path / "report.json"
+    assert run(["verify", "--p", "3", "--max-rank", "2", "--seed", seed, "--out", str(out)]) == 0
+    values = [
+        {"max_rank": 2},
+        {"pairs": 20},
+        {"lhs": parseval, "rhs": parseval},
+        {"pairs": 10},
+        {"tolerance": 1e-09},
+        {"families": 200},
+        {"tables": 20},
+        {"powers": 2},
+        None,
+        None,
+    ]
+    expected = []
+    for (name, anchor), value in zip(_VERIFY_ANCHORS, values):
+        record = {"name": name, "anchor": anchor, "status": "pass"}
+        if value is not None:
+            record["values"] = value
+        expected.append(record)
+    assert load_report(out)["checks"] == expected
 
 
 def test_csv_projection(tmp_path):
