@@ -96,7 +96,7 @@ def _run_report(command: str, args, checks) -> int:
 
 def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, allow_nan=False, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -107,7 +107,7 @@ def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
                     record["name"],
                     record["status"],
                     record["anchor"],
-                    json.dumps(record.get("values", {}), sort_keys=True),
+                    json.dumps(record.get("values", {}), allow_nan=False, sort_keys=True),
                 ]
             )
         text = buf.getvalue()
@@ -249,8 +249,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"tolerance must be finite and > 0, got {args.tolerance}")
     if args.max_rank < 0:
         raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
-    # the largest grid of the suite: independence tallies rank depth + 1 <= min(max_rank, 3) + 1
-    check_rank(args.p, max(args.max_rank, min(args.max_rank, 3) + 1))
+    # the largest grids of the suite: independence tallies rank depth + 1 <= k_mat + 1, and the
+    # inverse-identity and operator-norm checks build p**k_mat x p**k_mat exponent tables
+    k_mat = min(args.max_rank, 3)
+    check_rank(args.p, max(args.max_rank, k_mat + 1, 2 * k_mat))
     checks = _verify_checks(args.p, args.max_rank, args.seed, args.tolerance)
     return _run_report("verify", args, checks)
 
@@ -471,11 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_seed=True):
+    def common(sp, with_seed=True, report=True):
         sp.add_argument("--p", type=int, required=True, help="base (>= 2)")
         sp.add_argument("--cell-cap", type=int, default=None, help="max cells per grid")
-        sp.add_argument("--out", type=str, default=None, help="report output path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if report:
+            sp.add_argument("--out", type=str, default=None, help="report output path")
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         if with_seed:
             sp.add_argument("--seed", type=int, default=0)
 
@@ -509,8 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l1", action="store_true", help="also estimate the L1 lower constant")
     sp.set_defaults(func=cmd_khinchin)
 
-    sp = sub.add_parser("transform", help="apply the fast transform to an array file")
-    common(sp, with_seed=False)
+    # no abbreviations: --out would otherwise stand for --output
+    sp = sub.add_parser(
+        "transform", help="apply the fast transform to an array file", allow_abbrev=False
+    )
+    common(sp, with_seed=False, report=False)
     sp.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     sp.add_argument("--mode", choices=("exact", "float"), default="float")
     sp.add_argument("--input", type=str, required=True)
@@ -518,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_transform)
 
     sp = sub.add_parser("index", help="list chaos index set members")
-    common(sp, with_seed=False)
+    common(sp, with_seed=False, report=False)
+    sp.add_argument("--out", type=str, default=None, help="member list output path")
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--set", choices=("v", "vtilde", "wtilde", "aset"), default="vtilde")

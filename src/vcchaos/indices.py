@@ -8,24 +8,23 @@ Four families over the base-p digits of n (all exclude n = 0):
   digit pattern   exactly s nonzero digits, the digit at each nonzero
                   position k forced to pattern[k]
 
-Members are generated combinatorially (choose positions, then values), so
-enumeration cost scales with the member count rather than with the range.
+Each family is one rule, IndexSpec.digits_at (the nonzero digits position k
+may hold) and IndexSpec.weights (the allowed counts of nonzero digits), that
+membership, enumeration and the multiplicity check read.  Members are
+generated combinatorially (positions, then values), so enumeration cost
+scales with the member count rather than with the range.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
-from typing import Iterator
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .pary import check_cells, digit_count, digits_of_integer
-
-# pattern_multiplicity_check compares blocks of about this many (pattern, member, digit) entries
-_MATCH_ENTRIES = 2**20
 
 
 class IndexKind(Enum):
@@ -58,6 +57,19 @@ class IndexSpec:
             return f"{self.kind.value}(p={self.p}, s={self.order}, pattern={self.pattern})"
         return f"{self.kind.value}(p={self.p}, {self.order})"
 
+    def digits_at(self, k: int) -> Sequence[int]:
+        """The nonzero digits a member may hold at base-p position k."""
+        if self.kind is IndexKind.UNIT_CHAOS:
+            return (1,)
+        if self.kind is IndexKind.DIGIT_PATTERN:
+            return self.pattern[k : k + 1]
+        return range(1, self.p)
+
+    def weights(self) -> range:
+        """The allowed counts of nonzero digits."""
+        chaos = self.kind in (IndexKind.UNIT_CHAOS, IndexKind.FULL_CHAOS)
+        return range(1 if chaos else self.order, self.order + 1)
+
 
 def unit_chaos(p: int, d: int) -> IndexSpec:
     return IndexSpec(IndexKind.UNIT_CHAOS, p, d)
@@ -78,18 +90,8 @@ def digit_pattern(p: int, s: int, pattern) -> IndexSpec:
 def contains(spec: IndexSpec, n: int) -> bool:
     if n < 1:
         raise ValueError(f"index sets contain positive integers only, got {n}")
-    digits = digits_of_integer(n, spec.p)
-    support = [(k, d) for k, d in enumerate(digits) if d]
-    weight = len(support)
-    if spec.kind is IndexKind.UNIT_CHAOS:
-        return weight <= spec.order and all(d == 1 for _, d in support)
-    if spec.kind is IndexKind.FULL_CHAOS:
-        return weight <= spec.order
-    if spec.kind is IndexKind.EXACT_WEIGHT:
-        return weight == spec.order
-    if weight != spec.order:
-        return False
-    return all(k < len(spec.pattern) and d == spec.pattern[k] for k, d in support)
+    support = [(k, d) for k, d in enumerate(digits_of_integer(n, spec.p)) if d]
+    return len(support) in spec.weights() and all(d in spec.digits_at(k) for k, d in support)
 
 
 def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
@@ -100,31 +102,17 @@ def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
     top = 0
     while p ** (top + 1) <= upper:
         top += 1
-    positions = range(top + 1)
-    # no member has more nonzero digits than there are positions
-    lowest = spec.order if spec.kind is IndexKind.EXACT_WEIGHT else 1
-    weights = range(lowest, min(spec.order, top + 1) + 1)
-    if spec.kind is IndexKind.UNIT_CHAOS:
-        for s in weights:
-            for combo in combinations(positions, s):
-                n = sum(p**k for k in combo)
+    # each position's place values v * p**k, one per digit it may hold
+    terms = [[v * p**k for v in spec.digits_at(k)] for k in range(top + 1)]
+    terms = [values for values in terms if values]
+    weights = spec.weights()
+    # no member has more nonzero digits than there are positions (capped: a huge order overflows)
+    for s in range(weights.start, min(weights.stop, len(terms) + 1)):
+        for combo in combinations(terms, s):
+            for parts in product(*combo):
+                n = sum(parts)
                 if n <= upper:
                     yield n
-        return
-    if spec.kind in (IndexKind.FULL_CHAOS, IndexKind.EXACT_WEIGHT):
-        for s in weights:
-            for combo in combinations(positions, s):
-                for values in product(range(1, p), repeat=s):
-                    n = sum(v * p**k for k, v in zip(combo, values))
-                    if n <= upper:
-                        yield n
-        return
-    allowed = [k for k in positions if k < len(spec.pattern)]
-    # a weight above len(allowed) has no combinations (capped: a huge one overflows)
-    for combo in combinations(allowed, min(spec.order, len(allowed) + 1)):
-        n = sum(spec.pattern[k] * p**k for k in combo)
-        if n <= upper:
-            yield n
 
 
 def enumerate_members(spec: IndexSpec, upper: int) -> list[int]:
@@ -167,26 +155,17 @@ def pattern_multiplicity_check(p: int, s: int, top: int, upper: int) -> bool:
     For p**top <= upper < p**(top+1): every exact-weight-s member n <= upper
     must lie in exactly (p-1)**(top+1-s) of the (p-1)**(top+1) digit-pattern
     sets with pattern length top+1, and the full-chaos set of order d must be
-    the disjoint union of the exact-weight sets with s = 1..d.  A member
-    (exactly s nonzero digits, all at positions <= top) lies in a pattern's
-    set iff each of its nonzero digits equals the pattern's at that position.
-    Pattern i has the base-(p-1) digits of i, plus 1, and the members' digits
-    are compared with a block of consecutive patterns at a time.
+    the disjoint union of the exact-weight sets with s = 1..d.  Every
+    pattern set's members are counted, so a member outside the exact-weight
+    set fails the check too.
     """
     if not p ** top <= upper < p ** (top + 1):
         raise ValueError(f"need p**top <= upper < p**(top+1), got {upper}")
+    hits = Counter()
+    for pattern in product(range(1, p), repeat=top + 1):
+        hits.update(iter_members(digit_pattern(p, s, pattern), upper))
     members = enumerate_members(exact_weight(p, s), upper)
-    digits = np.array([n // p**k % p for n in members for k in range(top + 1)], dtype=np.int64)
-    digits = digits.reshape(len(members), top + 1)
-    free = digits == 0
-    patterns, radix = (p - 1) ** (top + 1), (p - 1) ** np.arange(top + 1, dtype=np.int64)
-    hits = np.zeros(len(members), dtype=np.int64)
-    block = max(1, _MATCH_ENTRIES // max(digits.size, 1))
-    for start in range(0, patterns, block):
-        index = np.arange(start, min(start + block, patterns), dtype=np.int64)
-        pats = 1 + index[:, None, None] // radix % (p - 1)
-        hits += np.all(free | (digits == pats), axis=2).sum(axis=0)
-    if (hits != (p - 1) ** (top + 1 - s)).any():
+    if hits != dict.fromkeys(members, (p - 1) ** (top + 1 - s)):
         return False
     # partition: full chaos of every order d <= top+1 splits by exact weight
     for d in range(1, top + 2):

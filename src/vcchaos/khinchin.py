@@ -166,8 +166,14 @@ def _vc_rows(p: int, members: Sequence[int]) -> np.ndarray:
 
 
 def _cell_ratios(cells: np.ndarray, l2, q) -> np.ndarray:
-    """||f||_q / l2 for the cell values f along the last axis."""
-    return np.mean(np.abs(cells) ** q, axis=-1) ** (1.0 / q) / l2
+    """||f||_q / l2 for the cell values f along the last axis.
+
+    The moduli are divided by their largest, m, before the power and m is
+    multiplied back in, so |f|**q cannot overflow whatever q is.
+    """
+    moduli = np.abs(cells)
+    m = moduli.max(axis=-1, keepdims=True)
+    return np.mean((moduli / m) ** q, axis=-1) ** (1.0 / q) * m[..., 0] / l2
 
 
 def _lq_ratios(c: np.ndarray, rows: np.ndarray, q) -> np.ndarray:
@@ -205,17 +211,25 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
 
     Norm.  For q >= 1, ||.||_q under the uniform measure on cells is a norm,
     so by Minkowski the exact q-norm of the computed cells is within e_cell
-    of ||f||_q.  Evaluating it (abs, power, an N-term mean, the 1/q power,
-    the l2 norm of c over 2M squares and the quotient) multiplies it by a
-    factor k with |k - 1| <= r := gamma(N + 4M + 8*ceil(q) + 30), since
-    |(1 + x)**(1/q) - 1| <= |x| for q >= 1.  With the computed l2 norm L
-    within a factor 1 + r of the true one, and r <= 0.01,
+    of ||f||_q.  It is evaluated as m * ||a/m||_q, with a the computed
+    moduli and m their largest; the identity holds for every m > 0, so m's
+    own error does not count.  Each quotient a/m is rounded once and the
+    largest is 1 exactly, so the power of the largest is 1, the mean is at
+    least 1/N and no power overflows.  A quotient or power that underflows
+    lies below 2**-1021 and is off by less than 2**-1021; N such terms, with
+    N u <= 0.01, against a sum of at least 1 stay within one more rounding.
+    Evaluating it (abs, the quotient, power, an N-term mean, the 1/q power,
+    the product with m, the l2 norm of c over 2M squares and the quotient
+    by it, and the underflow) multiplies it by a factor k with |k - 1| <=
+    r := gamma(N + 4M + 8*ceil(q) + 33), since |(1 + x)**(1/q) - 1| <= |x|
+    for q >= 1.  With the computed l2 norm L within a factor 1 + r of the
+    true one, and r <= 0.01,
         |ratio - exact| <= r/(1 - r) * ratio + (1 + r) e_cell / L,
     and computing sum|c_n| (within 1 + r) and this formula (a few u) stays
     inside the factor 1.03 below.  Returns inf where r > 0.01.
     """
     u = 2.0**-53
-    count = cells + 4 * c.size + 8 * math.ceil(q) + 30
+    count = cells + 4 * c.size + 8 * math.ceil(q) + 33
     if count * u > 0.01:
         return math.inf
     gamma = lambda n: n * u / (1 - n * u)

@@ -26,7 +26,7 @@ from .cyclo import CycloArray
 from .indices import IndexSpec, contains, full_chaos, unit_chaos
 from .pary import check_rank
 from .stepfn import PArySet, StepFn, at_least_two
-from .vc import rademacher, vc_transform_exact
+from .vc import rademacher, vc_function, vc_transform_exact
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ class SharpnessReport:
 
 
 def _product(p: int, d: int, factor) -> StepFn:
-    """prod_{k<d} factor(R_k), its depth d checked and its rank-d grid held to the cell cap."""
+    """prod_{k<d} factor(k), its depth d checked and its rank-d grid held to the cell cap."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     check_rank(p, d)
     prod = StepFn.constant(p, 1)
     for k in range(d):
-        prod = prod * factor(rademacher(p, k))
+        prod = prod * factor(k)
     return prod
 
 
@@ -101,7 +101,7 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     and P - 1 lives on the chaos indices), and {P - 1 = -1} = {P = 0} has
     measure exactly 1 - ((p-1)/p)**d.
     """
-    prod = _product(p, d, lambda r_k: 1 - r_k)
+    prod = _product(p, d, lambda k: 1 - rademacher(p, k))
     digits = np.arange(p**d)[:, None] // p ** np.arange(d) % p
     signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
     expected = CycloArray.from_values(signs.tolist())
@@ -113,9 +113,10 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
 
     Certifies: Q equals p**d times the indicator of [0, p**-d) cellwise,
     expansion coefficients all 1 below p**d, and {Q - 1 = -1} of measure
-    exactly 1 - p**-d.
+    exactly 1 - p**-d.  Paley indexing makes R_k**j = VC_(j * p**k), so each
+    factor is a sum of p VC functions.
     """
-    prod = _product(p, d, lambda r_k: 1 + sum(r_k**power for power in range(1, p)))
+    prod = _product(p, d, lambda k: sum(vc_function(p, j * p**k) for j in range(p)))
     report = _report(p, d, full_chaos(p, d), prod, 1, Fraction(1, p**d))
     identity = prod == PArySet(p, d, 1).indicator().scale(p**d)
     return replace(report, coefficients_ok=report.coefficients_ok and identity)

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .cyclo import CycloArray, _power_residues
-from .pary import check_rank, digit_count
+from .pary import check_cells, check_rank, digit_count
 from .stepfn import StepFn
 
 # power-iteration steps of matrix_op_norm
@@ -69,8 +69,9 @@ def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
 
 
 def exponent_table(p: int, k: int) -> np.ndarray:
-    """(p**k, p**k) table E with VC[n, m] = w**E[n, m]."""
+    """(p**k, p**k) table E with VC[n, m] = w**E[n, m], its entries held to the cell cap."""
     cells = check_rank(p, k)
+    check_cells(cells * cells, f"{p}**{2 * k} exponent table entries")
     return _exponent_rows(p, k, np.arange(cells))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,9 @@ import pytest
 from vcchaos import cli, uniqueness
 from vcchaos.cli import main
 from vcchaos.indices import full_chaos
-from vcchaos.khinchin import estimate_l1_constant
-from vcchaos.pary import RankCapError, check_rank
-from vcchaos.vc import vc_function
+from vcchaos.khinchin import KhinchinReport, estimate_l1_constant
+from vcchaos.pary import RankCapError, check_rank, run_cell_cap
+from vcchaos.vc import exponent_table, vc_function
 
 
 def run(args):
@@ -50,7 +51,7 @@ def test_verify_rank_zero_passes(tmp_path):
 
 
 def test_verify_large_base_at_rank_zero_is_fast():
-    # the pattern-multiplicity check compares 15**3 patterns with 675 members at p = 16
+    # the pattern-multiplicity check counts the 3 members of each of 15**3 pattern sets per weight
     started = time.perf_counter()
     assert run(["verify", "--p", "16", "--max-rank", "0", "--cell-cap", "100"]) == 0
     elapsed = time.perf_counter() - started
@@ -73,6 +74,22 @@ def test_verify_honours_cell_cap(monkeypatch):
     monkeypatch.setattr(cli, "_verify_checks", no_checks)
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "3"]) == 2
     assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "1"]) == 2
+
+
+def test_verify_refuses_its_exponent_tables_up_front(monkeypatch):
+    # at the default max rank 3 the inverse-identity and operator-norm checks
+    # would build a 20**3 x 20**3 exponent table (512 MB of int64)
+    def no_checks(*args):
+        pytest.fail("a check ran although the exponent tables exceed the cap")
+
+    monkeypatch.setattr(cli, "_verify_checks", no_checks)
+    started = time.perf_counter()
+    assert run(["verify", "--p", "20"]) == 2
+    assert time.perf_counter() - started < 1.0
+    with run_cell_cap(100):
+        assert exponent_table(2, 3).shape == (8, 8)
+        with pytest.raises(RankCapError, match="exponent table entries"):
+            exponent_table(2, 4)
 
 
 def test_run_cell_cap_does_not_leak(monkeypatch):
@@ -114,6 +131,36 @@ def test_khinchin_float_mode_reports_error_bound(tmp_path):
 def test_khinchin_bad_input_is_config_error(flag, value):
     args = ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--N", "16", "--trials", "2"]
     assert run(args + [flag, value]) == 2
+
+
+@pytest.mark.parametrize("q", ["2000.5", "100000.5"])
+def test_khinchin_large_non_even_q_reports_finite_values(tmp_path, q):
+    # |f|**q overflows a float once q * log max|f| > 709, and q = 100000.5 is still finite input
+    def no_constant(token):
+        raise AssertionError(f"non-finite {token} in the report")
+
+    out = tmp_path / "report.json"
+    args = ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--q", q, "--N", "8", "--trials", "3"]
+    assert run(args + ["--optimizer", "random", "--out", str(out)]) == 0
+    values = json.loads(out.read_text(), parse_constant=no_constant)["checks"][0]["values"]
+    ratio, err = values["best_ratio"], values["best_ratio_err"]
+    assert math.isfinite(ratio) and math.isfinite(err)
+    # ||f||_q <= max|f| <= sum|c_n| <= sqrt(members) ||c||_2
+    assert 1.0 <= ratio <= math.sqrt(values["members"]) + err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_with_a_non_finite_value_is_config_error(monkeypatch, capsys, fmt):
+    # a report is strict JSON or is not written
+    report = KhinchinReport(
+        spec=full_chaos(2, 1), q=3, upper=4, trials=1, seed=0, method="random x 1",
+        members=3, best_ratio=math.inf, best_ratio_err=math.nan,
+    )
+    monkeypatch.setattr(cli, "estimate_constant", lambda *args: report)
+    args = ["khinchin", "--p", "2", "--q", "3", "--N", "4", "--trials", "1", "--format", fmt]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not JSON compliant" in captured.err
 
 
 def test_khinchin_sum_table_over_cap_is_config_error(capsys):
@@ -163,6 +210,14 @@ def test_sharpness_honours_cell_cap(monkeypatch):
     monkeypatch.setenv("VCCHAOS_CELL_CAP", "3")
     assert run(["sharpness", "--p", "2", "--d", "2", "--cell-cap", "4"]) == 0
     assert run(["sharpness", "--p", "2", "--d", "2", "--cell-cap", "3"]) == 2
+
+
+def test_sharpness_full_witness_builds_its_factors_fast():
+    # each factor is a sum of p VC functions, so no power of R_k is built by repeated products
+    started = time.perf_counter()
+    assert run(["sharpness", "--p", "50", "--d", "1"]) == 0
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"sharpness --p 50 --d 1 took {elapsed:.2f}s (limit 1s)"
 
 
 def test_sharpness_report_values(tmp_path):
@@ -220,6 +275,23 @@ def test_index_member_enumeration_over_cap_is_config_error(capsys):
     assert run(args) == 2
     assert time.perf_counter() - started < 1.0
     assert "candidate members exceed the cell cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--input", "in.txt", "--output", "out.txt", "--out", "report.json"],
+        ["transform", "--input", "in.txt", "--output", "out.txt", "--format", "json"],
+        ["index", "--max", "8", "--format", "json"],
+    ],
+    ids=["transform-out", "transform-format", "index-format"],
+)
+def test_unused_report_flags_are_unknown(tmp_path, monkeypatch, argv):
+    # transform writes --output and index writes plain lines: neither reads these
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_text("1\n2\n")
+    assert run([argv[0], "--p", "2", *argv[1:]]) == 2
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_index_to_file(tmp_path):

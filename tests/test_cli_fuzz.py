@@ -7,11 +7,13 @@ argv carries a --cell-cap of 256 or 4096, or a tiny or malformed one (it is
 never absent or huge): the cap bounds every workload that grows faster than
 linearly, so each example stays small.  --trials is linear work with no
 cap, so it stays below 4 (or is -1, 0 or nan), and verify's --max-rank is
-always given (the default 3 takes about 0.5 s at p = 5).
+always given (the default 3 takes about 0.5 s at p = 5).  Every report a
+run prints on stdout must parse as strict JSON: no NaN or Infinity.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -19,6 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcchaos.cli import main
+
+
+def reject_constant(token):
+    raise AssertionError(f"report is not strict JSON: {token}")
 
 
 def maybe(value):
@@ -54,7 +60,8 @@ def argvs(hostile):
         "sharpness": flags(p=ints(2, 7), d=ints(1, 3), **cap),
         "khinchin": flags(
             p=ints(2, 5), d=maybe(ints(1, 3)), s=maybe(ints(1, 3)), set=sets, pattern=pattern,
-            q=maybe(choice(["1", "1.5", "2", "3", "4", "6"], ["-1", "0", "nan", "1e30", "inf"])),
+            q=maybe(choice(["1", "1.5", "2", "3", "4", "6", "2000.5"],
+                           ["-1", "0", "nan", "1e30", "inf"])),
             N=maybe(ints(1, 200)), trials=ints(1, 3, ("-1", "0", "nan")), seed=maybe(ints(0, 9)),
             optimizer=maybe(choice(["ascent", "random"], ["bogus"])), mode=modes, **cap,
         ).flatmap(lambda argv: st.sampled_from([argv, argv + ["--l1"]])),
@@ -99,3 +106,5 @@ def test_every_command_keeps_the_exit_code_contract(case, as_json):
             code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if argv[0] in ("verify", "sharpness", "khinchin") and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=reject_constant)

@@ -86,11 +86,18 @@ def test_enumeration_matches_brute_force():
         p = rng.choice([2, 3, 4, 5])
         upper = rng.randint(1, 700)
         d = rng.randint(1, 4)
-        for spec in (unit_chaos(p, d), full_chaos(p, d), exact_weight(p, d)):
-            assert enumerate_members(spec, upper) == brute_force_members(spec, upper)
         pattern = tuple(rng.randint(1, p - 1) for _ in range(rng.randint(1, 4)))
-        spec = digit_pattern(p, min(d, len(pattern)), pattern)
-        assert enumerate_members(spec, upper) == brute_force_members(spec, upper)
+        specs = (
+            unit_chaos(p, d),
+            full_chaos(p, d),
+            exact_weight(p, d),
+            digit_pattern(p, min(d, len(pattern)), pattern),
+        )
+        for spec in specs:
+            expected = brute_force_members(spec, upper)
+            assert enumerate_members(spec, upper) == expected
+            # contains holds on every member and on nothing else
+            assert [n for n in range(1, upper + 1) if contains(spec, n)] == expected
 
 
 def test_huge_order_counts_and_enumerates_at_once():
@@ -101,9 +108,23 @@ def test_huge_order_counts_and_enumerates_at_once():
         spec, capped = kind(3, huge), kind(3, 4)
         assert count_below_power(spec, 4) == count_below_power(capped, 4)
         assert enumerate_members(spec, 80) == brute_force_members(capped, 80)
+        assert [n for n in range(1, 81) if contains(spec, n)] == brute_force_members(spec, 80)
     for spec in (exact_weight(3, huge), digit_pattern(3, huge, (1, 2))):
         assert count_below_power(spec, 4) == 0
         assert enumerate_members(spec, 80) == []
+        assert brute_force_members(spec, 80) == []
+        assert not any(contains(spec, n) for n in range(1, 81))
+
+
+def test_each_kind_is_one_rule_of_digits_and_weights():
+    assert unit_chaos(5, 3).digits_at(7) == (1,)
+    for spec in (full_chaos(5, 3), exact_weight(5, 3)):
+        assert list(spec.digits_at(0)) == list(spec.digits_at(7)) == [1, 2, 3, 4]
+    pattern = digit_pattern(5, 2, (3, 1, 4))
+    assert [tuple(pattern.digits_at(k)) for k in range(5)] == [(3,), (1,), (4,), (), ()]
+    assert list(unit_chaos(5, 3).weights()) == list(full_chaos(5, 3).weights()) == [1, 2, 3]
+    assert list(exact_weight(5, 3).weights()) == [3]
+    assert list(pattern.weights()) == [2]
 
 
 def test_enumeration_sorted_and_consistent():
