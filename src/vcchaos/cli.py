@@ -69,14 +69,21 @@ class ConfigError(ValueError):
 def _run_report(command: str, args, checks) -> int:
     """Run (name, anchor, check) triples in order and write the report; 0 iff every check passed.
 
-    Each check() returns (ok, values).  The config echoes every option but
-    --out and --format, so a report reruns from its own config.
+    Each check() returns (ok, values); its record also carries the check's
+    own wall_time_s.  The config echoes every option but --out and --format,
+    so a report reruns from its own config.
     """
     started = time.perf_counter()
     records = []
     for name, anchor, check in checks:
+        check_started = time.perf_counter()
         ok, values = check()
-        record = {"name": name, "anchor": anchor, "status": "pass" if ok else "fail"}
+        record = {
+            "name": name,
+            "anchor": anchor,
+            "status": "pass" if ok else "fail",
+            "wall_time_s": round(time.perf_counter() - check_started, 6),
+        }
         if values:
             record["values"] = values
         records.append(record)
@@ -127,13 +134,33 @@ def _validate_base(p: int) -> None:
 
 # -- verify --------------------------------------------------------------------
 
+# a drawn 16-bit word below this puts its cell in an audit set: probability 0.60001
+_AUDIT_THRESHOLD = 39322
+
+
+def _audit_masks(rng: random.Random, p: int, rank: int, count: int) -> list[int]:
+    """count random cell masks at rank `rank`, from one getrandbits call on rng.
+
+    Each cell holds one 16-bit word of the draw, in order, and is in its set
+    iff the word is below _AUDIT_THRESHOLD.
+    """
+    cells = p**rank
+    words = np.frombuffer(
+        rng.getrandbits(16 * count * cells).to_bytes(2 * count * cells, "little"), dtype="<u2"
+    )
+    bits = (words < _AUDIT_THRESHOLD).reshape(count, cells)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
 
 def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[tuple]:
     """The suite as (name, anchor, check) triples, in the order run.
 
     The checks draw from one seeded stream in this order.  A check that draws
     inside its loop scores a list, not a generator, so that every draw happens
-    even after a failure and the later checks see the same stream.
+    even after a failure and the later checks see the same stream.  The
+    overlap audit takes all its sets' cells in one getrandbits call
+    (_audit_masks), so its share of the stream is a fixed number of bits.
     """
     checks = []
 
@@ -194,15 +221,9 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
     @check("overlap-bound-audit", "measure of twice-covered points >= (p*a - 1)/(p - 1)")
     def overlap_audit():
         rank = min(max_rank, 4)
-
-        def family():
-            cells = range(p**rank)
-            return [
-                PArySet.from_cells(p, rank, [m for m in cells if rng.random() < 0.6])
-                for _ in range(p)
-            ]
-
-        return all([overlap_bound_check(family())[2] for _ in range(200)]), {"families": 200}
+        sets = [PArySet(p, rank, mask) for mask in _audit_masks(rng, p, rank, 200 * p)]
+        families = [sets[i : i + p] for i in range(0, len(sets), p)]
+        return all([overlap_bound_check(family)[2] for family in families]), {"families": 200}
 
     @check("independence-product-rule", "joint law of digit functions factorizes exactly")
     def independence():
@@ -482,18 +503,21 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("verify", help="run the exact verification suite")
+    # no abbreviations: an option added or removed later would change what one means
+    sp = sub.add_parser("verify", help="run the exact verification suite", allow_abbrev=False)
     common(sp)
     sp.add_argument("--max-rank", type=int, default=3)
     sp.add_argument("--tolerance", type=float, default=1e-9, help="float-check tolerance")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("sharpness", help="certify the uniqueness-threshold witnesses")
+    sp = sub.add_parser(
+        "sharpness", help="certify the uniqueness-threshold witnesses", allow_abbrev=False
+    )
     common(sp, with_seed=False)
     sp.add_argument("--d", type=int, required=True)
     sp.set_defaults(func=cmd_sharpness)
 
-    sp = sub.add_parser("khinchin", help="estimate norm-ratio constants")
+    sp = sub.add_parser("khinchin", help="estimate norm-ratio constants", allow_abbrev=False)
     common(sp)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--s", type=int, default=None)
@@ -512,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l1", action="store_true", help="also estimate the L1 lower constant")
     sp.set_defaults(func=cmd_khinchin)
 
-    # no abbreviations: --out would otherwise stand for --output
+    # here --out would otherwise also stand for --output
     sp = sub.add_parser(
         "transform", help="apply the fast transform to an array file", allow_abbrev=False
     )
@@ -523,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", type=str, required=True)
     sp.set_defaults(func=cmd_transform)
 
-    sp = sub.add_parser("index", help="list chaos index set members")
+    sp = sub.add_parser("index", help="list chaos index set members", allow_abbrev=False)
     common(sp, with_seed=False, report=False)
     sp.add_argument("--out", type=str, default=None, help="member list output path")
     sp.add_argument("--d", type=int, default=1)

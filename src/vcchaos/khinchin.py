@@ -30,11 +30,10 @@ evaluation of the final point, for which the float error bounds are proven.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -616,13 +615,16 @@ def independence_check(p: int, tables: Sequence[Sequence[object]]) -> bool:
     if any(len(t) != p for t in tables):
         raise ValueError(f"each value table must have exactly {p} entries")
     check_rank(p, len(tables))
-    keyed = [list(map(tuple, CycloArray.from_values(t).keys().tolist())) for t in tables]
-    marginals = [Counter(keys) for keys in keyed]
-    joint = Counter(
-        tuple(keyed[k][d] for k, d in enumerate(digits))
-        for digits in product(range(p), repeat=len(tables))
-    )
-    return all(
-        joint[combo] == math.prod(m[key] for m, key in zip(marginals, combo))
-        for combo in product(*marginals)
-    )
+    # label each digit by its value's residue key, so equal values share a label
+    labels = []
+    for table in tables:
+        seen: dict[tuple, int] = {}
+        keys = map(tuple, CycloArray.from_values(table).keys().tolist())
+        labels.append([seen.setdefault(key, len(seen)) for key in keys])
+    dims = [max(row) + 1 for row in labels]
+    # the joint label of every cell's digits, counted over the whole p**(n+1) grid
+    joint = np.bincount(
+        np.ravel_multi_index(np.ix_(*labels), dims).ravel(), minlength=math.prod(dims)
+    ).reshape(dims)
+    marginals = [np.bincount(row) for row in labels]
+    return bool((joint == functools.reduce(np.multiply.outer, marginals, 1)).all())

@@ -75,27 +75,66 @@ def exponent_table(p: int, k: int) -> np.ndarray:
     return _exponent_rows(p, k, np.arange(cells))
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _gram_modulus(p: int, bound: int) -> tuple[int, int]:
+    """The least prime l = 1 (mod p) above bound, and an element z of order p mod l."""
+    l = bound // p * p + 1
+    while l <= bound or not _is_prime(l):
+        l += p
+    factors = [q for q in range(2, p + 1) if p % q == 0 and _is_prime(q)]
+    # F_l* is cyclic of order l - 1, a multiple of p, so some g**((l-1)/p) has order exactly p
+    g, z = 1, 1
+    while any(pow(z, p // q, l) == 1 for q in factors):
+        g += 1
+        z = pow(g, (l - 1) // p, l)
+    return l, z
+
+
 def verify_inverse_identity(p: int, k: int) -> bool:
     """Exact check that VC^(k) * conj-transpose(VC^(k)) = p**k * Identity.
 
-    Each Gram entry is a sum of p**k roots of unity; tallying exponent
-    multiplicities and reducing the tally against the p-th cyclotomic
-    polynomial decides entrywise vanishing in exact integer arithmetic.
+    Gram entry (n, n') is g = sum_m w**d_m with d_m = E[n, m] - E[n', m]
+    mod p, E = exponent_table(p, k).  In the power basis 1, w, ..., w**(phi-1)
+    of Z[w], phi = deg Phi_p, the coefficients of w**d are the row
+    R[d] of R = _power_residues(p), so every coefficient of g - N*delta(n, n')
+    lies within N*(rho + 1) of 0, with N = p**k and rho = max|R|.
+
+    Proof that the products below decide g = N*delta exactly.  Let l be a
+    prime = 1 (mod p) with l > N*(rho + 1) and z of order p mod l.  Since l
+    does not divide p, x**p - 1 has p distinct roots mod l, so Phi_p is the
+    product of (x - z**j) over the phi units j mod p, and by the Chinese
+    remainder theorem the map Z[w] -> F_l**phi, w -> (z**j)_j, kills exactly
+    the elements whose coefficients are all divisible by l.  By the bound, the
+    only such element among the g - N*delta is 0.  The image of g at z**j is
+    entry (n, n') of V_j V_(-j)^t mod l, where V_j[n, m] = z**(j*E[n, m]) mod
+    l, and the image at z**-j is its transpose, so the units j <= p/2 suffice,
+    one N x N product each.  The products run in float64 on entries in
+    [0, l): every product and every partial sum is an integer of size at most
+    N*(l - 1)**2, which is checked against 2**53 before any product, so every
+    float operation is exact and the comparison with N*I mod l is a comparison
+    of exact integers.
     """
-    table = exponent_table(p, k)
-    cells = len(table)
-    residue_rows = np.array(_power_residues(p), dtype=np.int64)
-    row_offsets = p * np.arange(cells)[:, None]
-    for i in range(cells):
-        diff = (table[i][None, :] - table) % p
-        counts = np.bincount(
-            (diff + row_offsets).ravel(), minlength=p * cells
-        ).reshape(cells, p)
-        if counts[i, 0] != cells or counts[i, 1:].any():
-            return False
-        residues = counts @ residue_rows
-        residues[i] = 0
-        if residues.any():
+    cells = check_rank(p, k)
+    rho = max(abs(c) for row in _power_residues(p) for c in row)
+    l, z = _gram_modulus(p, cells * (rho + 1))
+    if cells * (l - 1) ** 2 >= 2**53:
+        raise ValueError(
+            f"inverse-identity Gram products at {p}**{k} cells exceed 2**53 (modulus {l}): "
+            "float64 would not be exact"
+        )
+    # exponents are read mod p, so any integer table is judged as the matrix it stands for
+    table = exponent_table(p, k) % p
+    conjugate = -table % p
+    for j in range(1, p // 2 + 1):
+        if math.gcd(j, p) != 1:
+            continue
+        powers = np.array([pow(z, j * e, l) for e in range(p)], dtype=np.float64)
+        gram = powers[table] @ powers[conjugate].T % l
+        gram.flat[:: cells + 1] -= cells
+        if gram.any():
             return False
     return True
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,6 +26,14 @@ def run(args):
 def load_report(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def drop_timings(report):
+    """The report without its wall_time_s fields: the run's and each check's."""
+    report.pop("wall_time_s")
+    for record in report["checks"]:
+        record.pop("wall_time_s")
+    return report
 
 
 def test_verify_passes(tmp_path):
@@ -562,8 +571,7 @@ def test_reports_are_deterministic(tmp_path):
     args = ["verify", "--p", "2", "--max-rank", "3", "--seed", "9"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
-    ra, rb = load_report(a), load_report(b)
-    ra.pop("wall_time_s"), rb.pop("wall_time_s")
+    ra, rb = drop_timings(load_report(a)), drop_timings(load_report(b))
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
@@ -593,9 +601,7 @@ def test_reports_rerun_from_their_config(tmp_path, args):
     assert run(args + ["--out", str(first)]) == 0
     report = load_report(first)
     assert run(_argv_from_config(report["command"], report["config"]) + ["--out", str(second)]) == 0
-    rerun = load_report(second)
-    report.pop("wall_time_s"), rerun.pop("wall_time_s")
-    assert rerun == report
+    assert drop_timings(load_report(second)) == drop_timings(report)
 
 
 _VERIFY_ANCHORS = [
@@ -636,7 +642,21 @@ def test_verify_checks_golden(tmp_path, seed, parseval):
         if value is not None:
             record["values"] = value
         expected.append(record)
-    assert load_report(out)["checks"] == expected
+    assert drop_timings(load_report(out))["checks"] == expected
+
+
+def test_each_check_carries_its_wall_time(tmp_path):
+    # timed around check() alone, outside values: the CSV projection has no timing
+    out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    args = ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"]
+    assert run(args + ["--out", str(out)]) == 0
+    report = load_report(out)
+    times = [record["wall_time_s"] for record in report["checks"]]
+    assert all(isinstance(t, float) and t >= 0 for t in times)
+    assert sum(times) <= report["wall_time_s"] + 1e-5
+    assert not any("wall_time_s" in record.get("values", {}) for record in report["checks"])
+    assert run(args + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert "wall_time_s" not in csv_out.read_text()
 
 
 def test_csv_projection(tmp_path):
@@ -673,3 +693,70 @@ def test_layer_tracer_runs_a_command(tmp_path, args):
     assert done.returncode == 0, done.stderr
     stats = json.loads(dump.read_text())["stats"]
     assert any(name.startswith("cyclo.CycloArray.") for name in stats)
+
+
+@pytest.mark.parametrize(
+    "abbreviated, full",
+    [
+        (
+            ["verify", "--p", "2", "--max", "0", "--tol", "0.5"],
+            ["verify", "--p", "2", "--max-rank", "0", "--tolerance", "0.5"],
+        ),
+        (
+            ["index", "--set", "v", "--p", "2", "--d", "1", "--ma", "9"],
+            ["index", "--set", "v", "--p", "2", "--d", "1", "--max", "9"],
+        ),
+    ],
+    ids=["verify", "index"],
+)
+def test_abbreviated_options_are_refused(capsys, abbreviated, full):
+    assert run(abbreviated) == 2
+    assert run(full) == 0
+    if full[0] == "index":
+        assert capsys.readouterr().out.split() == ["1", "2", "4", "8"]
+
+
+def test_no_command_accepts_abbreviations():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(commands) == ["index", "khinchin", "sharpness", "transform", "verify"]
+    assert not any(sp.allow_abbrev for sp in commands.values())
+
+
+def test_audit_masks_draw():
+    p, rank, count = 6, 3, 1200
+    masks = cli._audit_masks(random.Random(5), p, rank, count)
+    assert len(masks) == count and all(0 <= mask < 1 << p**rank for mask in masks)
+    density = sum(mask.bit_count() for mask in masks) / (count * p**rank)
+    assert abs(density - 0.6) <= 0.005
+    assert cli._audit_masks(random.Random(5), p, rank, count) == masks
+    # one getrandbits call: the stream moves on by 16 bits a cell, and cell m of
+    # set i reads word i * cells + m
+    rng, twin = random.Random(5), random.Random(5)
+    small = cli._audit_masks(rng, 3, 1, 4)
+    bits = twin.getrandbits(16 * 12)
+    words = [(bits >> (16 * w)) & 0xFFFF for w in range(12)]
+    assert small == [
+        sum(1 << m for m in range(3) if words[3 * i + m] < 39322) for i in range(4)
+    ]
+    assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # importing numpy.random costs about 14 ms a process; the suite draws from random.Random
+    root = Path(__file__).resolve().parents[1]
+    argv = ["verify", "--p", "3", "--max-rank", "2", "--out", str(tmp_path / "r.json")]
+    code = (
+        "import sys\n"
+        "from vcchaos.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,14 +1,16 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 
 from vcchaos import khinchin
-from vcchaos.cyclo import root_of_unity
+from vcchaos.cyclo import CycloArray, root_of_unity
 from vcchaos.indices import enumerate_members, full_chaos, unit_chaos
 from vcchaos.khinchin import (
     _CHUNK_ENTRIES,
@@ -415,6 +417,36 @@ def test_independence_random_tables():
                 for _ in range(depth + 1)
             ]
             assert independence_check(p, tables)
+
+
+def _independence_oracle(p, tables):
+    """The product rule tallied with Counters over every digit tuple."""
+    keyed = [list(map(tuple, CycloArray.from_values(t).keys().tolist())) for t in tables]
+    marginals = [Counter(keys) for keys in keyed]
+    joint = Counter(
+        tuple(keyed[k][d] for k, d in enumerate(digits))
+        for digits in product(range(p), repeat=len(tables))
+    )
+    return all(
+        joint[combo] == math.prod(m[key] for m, key in zip(marginals, combo))
+        for combo in product(*marginals)
+    )
+
+
+def test_independence_agrees_with_the_counter_tally():
+    rng = random.Random(23)
+    for p in (2, 3, 5, 6):
+        # few distinct values, so digits repeat them; some irrational (root-of-unity) values
+        pool = [
+            Fraction(0), Fraction(1), Fraction(-3, 2), root_of_unity(p, 1), root_of_unity(p, p - 1) * 2
+        ]
+        for depth in range(4):
+            for _ in range(5):
+                tables = [[rng.choice(pool) for _ in range(p)] for _ in range(depth + 1)]
+                assert independence_check(p, tables) == _independence_oracle(p, tables) is True
+    # a table given as one CycloArray
+    tables = [CycloArray.roots(3, [0, 1, 1]), [1, 2, 1]]
+    assert independence_check(3, tables) == _independence_oracle(3, tables) is True
 
 
 def test_independence_validation():

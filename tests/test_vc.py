@@ -1,12 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vcchaos.cyclo import CycloArray, root_of_unity
-from vcchaos.pary import digitwise_add
+from vcchaos import vc
+from vcchaos.cyclo import CycloArray, _power_residues, root_of_unity
+from vcchaos.pary import digitwise_add, run_cell_cap
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import (
     exponent_table,
@@ -100,6 +102,76 @@ def test_inverse_identity():
         for k in range(4):
             if p**k <= 400:
                 assert verify_inverse_identity(p, k)
+
+
+def _gram_oracle(table, p):
+    """The exponent-tally check: each Gram row's exponent counts reduced against Phi_p."""
+    cells = len(table)
+    residue_rows = np.array(_power_residues(p), dtype=np.int64)
+    row_offsets = p * np.arange(cells)[:, None]
+    for i in range(cells):
+        diff = (table[i][None, :] - table) % p
+        counts = np.bincount(
+            (diff + row_offsets).ravel(), minlength=p * cells
+        ).reshape(cells, p)
+        if counts[i, 0] != cells or counts[i, 1:].any():
+            return False
+        residues = counts @ residue_rows
+        residues[i] = 0
+        if residues.any():
+            return False
+    return True
+
+
+_GRAM_CASES = [(2, 0), (2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (6, 3), (7, 2), (10, 2)]
+
+
+@pytest.mark.parametrize("p, k", _GRAM_CASES)
+def test_inverse_identity_agrees_with_the_exponent_tally(p, k):
+    assert verify_inverse_identity(p, k) == _gram_oracle(exponent_table(p, k), p) is True
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (6, 3), (10, 2)])
+def test_inverse_identity_rejects_corrupted_tables(monkeypatch, p, k):
+    rng = random.Random(p * 100 + k)
+    table = exponent_table(p, k)
+    n, m = rng.randrange(len(table)), rng.randrange(len(table))
+    bumped = table.copy()
+    bumped[n, m] += 1  # may read p: the check takes exponents mod p
+    duplicated = table.copy()
+    duplicated[(n + 1) % len(table)] = table[n]
+    for corrupted in (bumped, duplicated):
+        monkeypatch.setattr(vc, "exponent_table", lambda p_, k_, t=corrupted: t.copy())
+        assert verify_inverse_identity(p, k) is False
+        assert _gram_oracle(corrupted, p) is False
+
+
+def test_inverse_identity_gate():
+    for p, k in [(2, 10), (3, 6)]:
+        started = time.perf_counter()
+        assert verify_inverse_identity(p, k)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"verify_inverse_identity({p}, {k}) took {elapsed:.2f}s (limit 1s)"
+
+
+def test_gram_modulus():
+    for p in range(2, 40):
+        for bound in (1, 2 * p, 1000):
+            l, z = vc._gram_modulus(p, bound)
+            assert l > bound and l % p == 1 and vc._is_prime(l)
+            assert [e for e in range(1, p + 1) if pow(z, e, l) == 1] == [p]  # order exactly p
+
+
+def test_inverse_identity_refuses_inexact_float_products():
+    # 2**18 cells need a modulus above 2**19, so N * (l - 1)**2 exceeds 2**53; the
+    # refusal comes before the 2**36-entry exponent table (which this cap would refuse too)
+    with run_cell_cap(2**18):
+        with pytest.raises(ValueError, match=r"exceed 2\*\*53"):
+            verify_inverse_identity(2, 18)
+    # the largest exact case at p = 2, N = 2**16, passes the bound (and then meets the cap)
+    with run_cell_cap(2**16):
+        with pytest.raises(ValueError, match="exponent table entries"):
+            verify_inverse_identity(2, 16)
 
 
 def test_matrix_op_norm():
