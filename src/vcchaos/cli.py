@@ -6,6 +6,11 @@ exact rationals are serialized as "numerator/denominator" strings, and float
 values carry their error bounds.  Exit codes: 0 all checks passed, 1 a
 mathematical check failed, 2 configuration or resource error, and any other
 exception (one "error: <Type>: <message>" line on stderr, no traceback).
+
+Each command imports the layers it calls when it runs, so a process loads
+only those: `transform` loads pary, cyclo and vc, `index` pary and indices,
+`sharpness` every layer but khinchin, `khinchin` every layer but uniqueness,
+and `verify` every layer.
 """
 
 from __future__ import annotations
@@ -19,46 +24,17 @@ import math
 import random
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .cyclo import CycloArray
-from .indices import (
-    IndexSpec,
-    check_candidates,
-    count_below_power,
-    digit_pattern,
-    enumerate_members,
-    exact_weight,
-    full_chaos,
-    pattern_multiplicity_check,
-    unit_chaos,
-)
-from .khinchin import (
-    estimate_constant,
-    estimate_l1_constant,
-    independence_check,
-    symmetric_decomposition,
-)
 from .pary import check_rank, digitwise_add, run_cell_cap
-from .stepfn import PArySet, StepFn
-from .uniqueness import overlap_bound_check, witness_full_chaos, witness_unit_chaos
-from .vc import (
-    _length_rank,
-    matrix_op_norm,
-    synthesize,
-    vc_function,
-    vc_transform_exact,
-    vc_transform_float,
-    verify_inverse_identity,
-)
 
 SCHEMA_VERSION = 1
 
 
-def rational_str(q: Fraction) -> str:
+def rational_str(q) -> str:
+    """A Fraction as "numerator/denominator"."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -162,6 +138,22 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
     overlap audit takes all its sets' cells in one getrandbits call
     (_audit_masks), so its share of the stream is a fixed number of bits.
     """
+    from fractions import Fraction
+
+    from .cyclo import CycloArray
+    from .indices import (
+        count_below_power,
+        enumerate_members,
+        full_chaos,
+        pattern_multiplicity_check,
+        unit_chaos,
+    )
+    from .khinchin import independence_check, symmetric_decomposition
+    from .stepfn import PArySet, StepFn
+    from .uniqueness import overlap_bound_check
+    from .vc import matrix_op_norm, synthesize, vc_function, verify_inverse_identity
+
+    vc_function_cached = functools.lru_cache(maxsize=4096)(vc_function)
     checks = []
 
     def check(name, anchor):
@@ -261,9 +253,6 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
     return checks
 
 
-vc_function_cached = functools.lru_cache(maxsize=4096)(vc_function)
-
-
 def cmd_verify(args) -> int:
     _validate_base(args.p)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
@@ -282,6 +271,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    from .uniqueness import witness_full_chaos, witness_unit_chaos
+
     _validate_base(args.p)
     if args.d < 1:
         raise ConfigError(f"d must be >= 1, got {args.d}")
@@ -305,7 +296,10 @@ def cmd_sharpness(args) -> int:
 # -- khinchin --------------------------------------------------------------------
 
 
-def _index_spec_from_args(args) -> IndexSpec:
+def _index_spec_from_args(args):
+    """The IndexSpec that --set, --p, --d, --s and --pattern name."""
+    from .indices import digit_pattern, exact_weight, full_chaos, unit_chaos
+
     kind = args.set
     if kind == "v":
         return unit_chaos(args.p, args.d)
@@ -326,6 +320,8 @@ def _index_spec_from_args(args) -> IndexSpec:
 
 
 def cmd_khinchin(args) -> int:
+    from .khinchin import estimate_constant, estimate_l1_constant
+
     _validate_base(args.p)
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
@@ -451,6 +447,8 @@ def _write_array(path: str, values: np.ndarray, as_json: bool) -> None:
 
 
 def cmd_transform(args) -> int:
+    from .vc import _length_rank, vc_transform_exact, vc_transform_float
+
     _validate_base(args.p)
     values = _read_array(args.input)
     check_rank(args.p, _length_rank(len(values), args.p))
@@ -459,8 +457,9 @@ def cmd_transform(args) -> int:
     else:
         if values.imag.any():
             raise ConfigError("exact mode accepts real inputs only; use --mode float")
-        out = vc_transform_exact(list(map(Fraction, values.real.tolist())), args.p, args.direction)
-        result = np.array(out.float_parts(), dtype=complex)
+        # each float is its exact integer ratio (float.as_integer_ratio)
+        out = vc_transform_exact(values.real.tolist(), args.p, args.direction)
+        result = out.float_parts()
     _write_array(args.output, result, args.output.endswith(".json"))
     return 0
 
@@ -469,6 +468,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .indices import check_candidates, enumerate_members
+
     _validate_base(args.p)
     spec = _index_spec_from_args(args)
     check_candidates(spec, args.max)

@@ -274,44 +274,55 @@ class CycloArray:
             raise ValueError("value is not rational")
         return [Fraction(k, self.denom) for k in keys[:, 0]]
 
+    def _evaluate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float real parts, imaginary parts and coefficient l1 masses of the rows.
+
+        Each coefficient n / denom is one correctly rounded integer division.
+        The terms are summed in ring order j = 0, 1, ..., as the scalar sum
+        `total += cf * cmath.exp(2j * pi * j / r)` would: that product's real
+        part is cf * cos - 0 * sin, which differs from cf * cos at most in
+        the sign of a zero, and a sum that starts at +0.0 never becomes -0.0,
+        so neither signed zeros nor zero coefficients change a total.
+        """
+        r = self.order
+        coeffs = (self.nums / self.denom).astype(np.float64)
+        re, im, mag = (np.zeros(len(self)) for _ in range(3))
+        for j in range(r):
+            root = cmath.exp(2j * math.pi * j / r)
+            column = coeffs[:, j]
+            re += column * root.real
+            im += column * root.imag
+            mag += np.abs(column)
+        return re, im, mag
+
     def eval_complex(self) -> list[tuple[complex, float]]:
         """Float value of each row with a rigorous absolute error bound.
 
         The bound covers rational-to-float rounding, the root-of-unity
-        evaluations, the products, and the length-order summation.  Each
-        coefficient n / denom is one correctly rounded integer division.
+        evaluations, the products, and the length-order summation.
         """
-        r = self.order
-        out = []
-        for row in self.nums:
-            total = 0j
-            mag = 0.0
-            for j, n in enumerate(row):
-                if n:
-                    cf = n / self.denom
-                    total += cf * cmath.exp(2j * math.pi * j / r)
-                    mag += abs(cf)
-            out.append((total, mag * _EPS * (r + 8) + 4 * math.ulp(1.0) * (abs(total) + 1e-300)))
-        return out
+        re, im, mag = self._evaluate()
+        bound = mag * _EPS * (self.order + 8) + 4 * math.ulp(1.0) * (np.hypot(re, im) + 1e-300)
+        return list(zip(map(complex, re.tolist(), im.tolist()), bound.tolist()))
 
-    def float_parts(self) -> list[complex]:
-        """Float view of the rows, exact where a real or imaginary part is rational.
+    def float_parts(self) -> np.ndarray:
+        """Complex float view of the rows, exact where a real or imaginary part is rational.
 
-        A real or imaginary part that is a rational number prints as the
-        nearest float to it (an exactly real value gets imaginary part 0.0);
-        irrational parts come from eval_complex.  A part is rational when its
-        key has no terms beyond the constant one.
+        A real or imaginary part that is a rational number is the nearest
+        float to it (an exactly real value gets imaginary part 0.0); the
+        other parts come from _evaluate, run on the rows that have one.  A
+        part is rational when its key has no terms beyond the constant one.
         """
-        re, im = self.real_part(), self.imag_part()
-        re_keys, im_keys = re.keys(), im.keys()
-        re_exact = ~(re_keys[:, 1:] != 0).any(axis=1)
-        im_exact = ~(im_keys[:, 1:] != 0).any(axis=1)
-        out = []
-        for i in range(len(self)):
-            approx = 0j if re_exact[i] and im_exact[i] else self[i].eval_complex()[0][0]
-            re_i = re_keys[i, 0] / re.denom if re_exact[i] else approx.real
-            im_i = im_keys[i, 0] / im.denom if im_exact[i] else approx.imag
-            out.append(complex(re_i, im_i))
+        parts = (self.real_part(), self.imag_part())
+        keys = [part.keys() for part in parts]
+        rational = [~(key[:, 1:] != 0).any(axis=1) for key in keys]
+        rows = np.flatnonzero(~(rational[0] & rational[1]))
+        approx = self[rows]._evaluate()[:2]
+        out = np.zeros(len(self), dtype=np.complex128)
+        for view, part, key, exact, floats in zip((out.real, out.imag), parts, keys, rational, approx):
+            # one correctly rounded integer division per rational part
+            view[exact] = key[exact, 0] / part.denom
+            view[rows] = np.where(exact[rows], view[rows], floats)
         return out
 
 

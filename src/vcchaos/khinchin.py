@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -251,6 +252,22 @@ def l1_lower_ratio_with_error(
 # -- seeded sampling and sphere ascent ----------------------------------------
 
 
+# each thread's Philox generator, made on its first draw
+_generators = threading.local()
+
+
+def _philox() -> np.random.Generator:
+    """The calling thread's Philox generator, which sample_unit_coefficients re-keys per trial.
+
+    Setting a state costs a fraction of building a generator.  Made on first
+    use, so commands that draw nothing never import numpy.random.
+    """
+    rng = getattr(_generators, "philox", None)
+    if rng is None:
+        rng = _generators.philox = np.random.Generator(np.random.Philox())
+    return rng
+
+
 def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
     """Complex standard Gaussian vector normalized to the unit sphere.
 
@@ -260,8 +277,16 @@ def sample_unit_coefficients(count: int, seed: int, trial: int) -> np.ndarray:
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    key = np.array([seed, trial], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _philox()
+    # the state np.random.Philox(key=[seed, trial]) starts in: counter 0, empty buffer
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, trial)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     z = rng.standard_normal(2 * count)
     c = z[0::2] + 1j * z[1::2]
     norm = np.linalg.norm(c)

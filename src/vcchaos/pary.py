@@ -22,25 +22,30 @@ class RankCapError(ValueError):
     """An operation would materialize more base-p cells than the active cap."""
 
 
-# the cap of the running command; run_cell_cap resets it when the command
-# returns or raises, so a caller that runs several commands in one process
-# never sees one command's cap in the next
+# the cap of the running command, resolved once when it starts; run_cell_cap
+# resets it when the command returns or raises, so a caller that runs several
+# commands in one process never sees one command's cap in the next
 _run_cap: ContextVar[int | None] = ContextVar("vcchaos_cell_cap", default=None)
 
 
-def cell_cap() -> int:
-    """The cap set by run_cell_cap, else $VCCHAOS_CELL_CAP, else DEFAULT_CELL_CAP."""
-    cap = _run_cap.get()
-    if cap is not None:
-        return cap
+def _environment_cap() -> int:
     raw = os.environ.get(CELL_CAP_ENV)
     return int(raw) if raw else DEFAULT_CELL_CAP
 
 
+def cell_cap() -> int:
+    """The cap of the running command, else $VCCHAOS_CELL_CAP, else DEFAULT_CELL_CAP.
+
+    Outside a run_cell_cap body the environment is read on every call.
+    """
+    cap = _run_cap.get()
+    return _environment_cap() if cap is None else cap
+
+
 @contextmanager
 def run_cell_cap(limit: int | None):
-    """Make limit the cell cap of everything run in the body (None: the environment's)."""
-    token = _run_cap.set(limit)
+    """Make limit (None: the environment's cap, read once here) the cell cap of the body."""
+    token = _run_cap.set(_environment_cap() if limit is None else limit)
     try:
         yield
     finally:

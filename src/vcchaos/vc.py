@@ -11,15 +11,15 @@ where x_j(m) is the j-th point digit of cell m's left endpoint, i.e. the
 the p-point DFT matrix composed with a digit reversal of the index, and the
 matrix is symmetric and satisfies VC * conj(VC)^t = p**k * I.
 
-One transform kernel, _radix_p, serves both modes: the length-p**k input
-becomes a (p,)*k tensor of ring elements, a p-point kernel is applied along
+One transform driver, _radix_p, serves both modes: the length-p**k input is
+read as a (p,)*k tensor of ring elements, a p-point stage is applied along
 each digit axis (no twiddle factors exist for this group), and reversing the
 digit axes at the end aligns coefficient order with Paley order.  The float
-binding uses ring length 1 and the complex p-point DFT; the exact binding
+stage is one product with the complex p-point DFT matrix; the exact stage
 works on the integer numerators of a CycloArray of common order r, whose
 ring axis of length r is the one w_p**e acts on as a rotation by e*r/p, so
-its kernel is a 0/1 block-circulant and all arithmetic is on integers
-(int64 when max|numerator| * p**k fits in it, Python integers otherwise).
+it is a sum of p rotated gathers and all arithmetic is on integers (int64
+when max|numerator| * p**k fits in it, Python integers otherwise).
 Forward = conjugate kernel and 1/p**k scaling, so forward output n is the
 coefficient of VC_n; inverse rebuilds cell values.
 """
@@ -27,13 +27,15 @@ coefficient of VC_n; inverse rebuilds cell values.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .cyclo import CycloArray, _power_residues
 from .pary import check_cells, check_rank, digit_count
-from .stepfn import StepFn
+
+if TYPE_CHECKING:
+    from .stepfn import StepFn
 
 # power-iteration steps of matrix_op_norm
 _POWER_ITERATIONS = 30
@@ -48,6 +50,8 @@ def rademacher(p: int, k: int) -> StepFn:
 
 def vc_function(p: int, n: int) -> StepFn:
     """VC_n as a step function at rank digit_count(n); VC_0 is constant 1."""
+    from .stepfn import StepFn  # imported here, so the transforms never load stepfn
+
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     rank = digit_count(n, p)
@@ -170,24 +174,25 @@ def _length_rank(length: int, p: int) -> int:
     return k
 
 
-def _radix_p(tensor: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
-    """Apply a (p, r, p, r) kernel along each of the k digit axes of a (p,)*k + (r,) tensor.
+def _radix_p(values: np.ndarray, p: int, k: int, stage) -> np.ndarray:
+    """Apply stage along each of the k digit axes of a (p**k, *ring) array; Paley order out.
 
-    out[.., a, .., s] = sum over (b, t) of kernel[a, s, b, t] * tensor[.., b, .., t]
-    on every digit axis in turn; the trailing ring axis of length r rides
-    along.  Digit axis `axis` is the second axis of the C-order view
-    (p**axis, p, rest, r), so each stage is one einsum whose output has that
-    same shape: the digit stays in place, no stage transposes, and only the
-    final reversal of the digit axes moves them, into Paley order.
+    The C-order index of values is the digit tuple (d_0, ..., d_(k-1)), most
+    significant first, then the ring axes.  stage maps the (p, M, *ring)
+    view, leading digit first, to the (M, p, *ring) array with that digit
+    transformed and moved last, so after k stages every digit is back in its
+    place, and only the final reversal of the digit axes moves them, into
+    Paley order.
     """
-    p, r = kernel.shape[:2]
-    for axis in range(k):
-        tensor = np.einsum("asbt,ibjt->iajs", kernel, tensor.reshape(p**axis, p, -1, r))
-    return tensor.reshape((p,) * k + (r,)).transpose(*reversed(range(k)), k)
+    ring = values.shape[1:]
+    for _ in range(k):
+        values = stage(values.reshape(p, -1, *ring))
+    digits = values.reshape((p,) * k + ring)
+    return digits.transpose(*reversed(range(k)), *range(k, digits.ndim)).reshape(-1, *ring)
 
 
 def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray:
-    """Radix-p transform in complex floats: ring length 1, kernel the p-point DFT.
+    """Radix-p transform in complex floats: one product with the (p, p) DFT matrix per stage.
 
     Kernel entries at whole quarter turns (1, 1j, -1, -1j) are exact, so
     exactly real or zero results get no spurious rounding parts from them.
@@ -204,22 +209,25 @@ def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray
     # whole quarter turns come from an exact table: np.exp(-1j * np.pi) is -1 - 1.2e-16j
     quarter = 4 * exponents % p == 0
     kernel[quarter] = np.array([1, 1j, -1, -1j])[4 * exponents[quarter] // p % 4]
-    out = _radix_p(arr.reshape((p,) * k + (1,)), kernel.reshape(p, 1, p, 1), k)
-    out = out.reshape(arr.size)
+    # out[j, a] = sum_b kernel[a, b] * t[b, j].  np.einsum, not BLAS: after a complex
+    # BLAS product (zgemm) this process formats floats about a third slower, which
+    # costs transform's text writer more than the product saves
+    out = _radix_p(arr.reshape(arr.size), p, k, lambda t: np.einsum("bj,ab->ja", t, kernel))
     if direction == "forward":
         out = out / arr.size
     return out
 
 
 def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray:
-    """Radix-p transform in exact cyclotomic arithmetic.
+    """Radix-p transform in exact cyclotomic arithmetic, by ring rotations.
 
     The values (a CycloArray, or anything CycloArray.from_values takes)
     live in the group ring of their common order r, promoted to a multiple
     of p, as integer numerators over one denominator: a (cells, r) array.
-    Multiplying by w_p**e rotates the ring axis by e * r / p, so the kernel
-    is the 0/1 block-circulant whose block (a, b) is that rotation for
-    e = sign * a * b.
+    Multiplying by w_p**e rotates the ring axis by e * r / p, so a stage is
+    a gather, out[.., a, .., s] = sum_b in[.., b, .., (s - shift[a, b]) mod r]
+    with shift[a, b] = sign * a * b * r / p: O(p * cells * r) work, and
+    temporaries the size of the array.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -229,18 +237,24 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     k = _length_rank(length, p)
     sign = -1 if direction == "forward" else 1
     digit = np.arange(p)
-    ring = np.arange(order)
     shift = sign * np.outer(digit, digit) * (order // p)
-    # kernel[a, s, b, t] = 1 where t = s - shift[a, b] (mod order)
-    hits = (ring[None, :, None, None] - shift[:, None, :, None] - ring) % order == 0
-    nums = vals.promote(order).nums
+    # gather[a, b, s] = (s - shift[a, b]) mod order
+    gather = (np.arange(order) - shift[:, :, None]) % order
     # a stage sums p rotated entries, so no sum exceeds max|nums| * p**k: when
-    # that fits in int64 the kernel runs on machine integers, else on Python ints
-    peak = max(map(abs, nums.ravel().tolist()), default=0)
+    # that fits in int64 the stages run on machine integers, else on Python ints
+    peak = max(map(abs, vals.nums.ravel().tolist()), default=0)
     dtype = np.int64 if peak * length <= np.iinfo(np.int64).max else object
-    kernel = hits.astype(np.int64).astype(dtype)
-    out = _radix_p(nums.astype(dtype).reshape((p,) * k + (order,)), kernel, k)
-    out = out.reshape(length, order).astype(object)
+    nums = np.zeros((length, order), dtype=dtype)
+    nums[:, :: order // vals.order] = vals.nums
+
+    def stage(t):
+        # t[b] is (M, order); t[b][:, gather[:, b]] is (M, p, order), every a at once
+        out = t[0][:, gather[:, 0]]
+        for b in range(1, p):
+            out += t[b][:, gather[:, b]]
+        return out
+
+    out = _radix_p(nums, p, k, stage).astype(object)
     denom = vals.denom * (length if direction == "forward" else 1)
     return CycloArray(order, out, denom)
 
@@ -250,6 +264,8 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
 
 def synthesize(coeffs: Mapping[int, object], p: int) -> StepFn:
     """Exact sum of coeffs[n] * VC_n, evaluated via the inverse fast transform."""
+    from .stepfn import StepFn
+
     if any(n < 0 for n in coeffs):
         raise ValueError("indices must be nonnegative")
     rank = max((digit_count(n, p) for n in coeffs), default=0)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcchaos import cli, uniqueness
+from vcchaos import cli, khinchin, uniqueness
 from vcchaos.cli import main
 from vcchaos.indices import full_chaos
 from vcchaos.khinchin import KhinchinReport, estimate_l1_constant
@@ -165,7 +165,8 @@ def test_report_with_a_non_finite_value_is_config_error(monkeypatch, capsys, fmt
         spec=full_chaos(2, 1), q=3, upper=4, trials=1, seed=0, method="random x 1",
         members=3, best_ratio=math.inf, best_ratio_err=math.nan,
     )
-    monkeypatch.setattr(cli, "estimate_constant", lambda *args: report)
+    # cmd_khinchin imports estimate_constant from its module when it runs
+    monkeypatch.setattr(khinchin, "estimate_constant", lambda *args: report)
     args = ["khinchin", "--p", "2", "--q", "3", "--N", "4", "--trials", "1", "--format", fmt]
     assert run(args) == 2
     captured = capsys.readouterr()
@@ -564,6 +565,22 @@ def test_transform_memory_stays_linear_in_the_input(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * src.stat().st_size
+
+
+def test_exact_transform_memory_at_a_large_base(tmp_path):
+    # each stage gathers p rotated copies of the (cells, ring) numerators; a
+    # dense (p, r, p, r) kernel would hold 70**4 entries here (390 MB traced)
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("".join(f"{m % 19 - 9}\n" for m in range(70)))
+    tracemalloc.start()
+    try:
+        assert run(["transform", "--p", "70", "--mode", "exact", "--input", str(src),
+                    "--output", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert len(out.read_text().splitlines()) == 70
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -1,8 +1,10 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,9 +199,61 @@ def test_float_parts_agree_with_exact_parts():
                     assert got == want, part
                 else:
                     assert got == float(Fraction(key[0], exact.denom)), part
-    assert CycloArray.from_values([]).float_parts() == []
+    empty = CycloArray.from_values([]).float_parts()
+    assert empty.dtype == complex and empty.tolist() == []
     mixed = [Fraction(1, 3), root_of_unity(3), root_of_unity(8, 2)]
-    assert CycloArray.from_values(mixed).float_parts()[::2] == [1 / 3, 1j]
+    assert CycloArray.from_values(mixed).float_parts()[::2].tolist() == [1 / 3, 1j]
+
+
+
+def _scalar_eval(value):
+    """Row by row, term by term: the Python complex sum and bound that eval_complex reproduces."""
+    r = value.order
+    out = []
+    for row in value.nums:
+        total, mag = 0j, 0.0
+        for j, n in enumerate(row):
+            if n:
+                cf = n / value.denom
+                total += cf * cmath.exp(2j * math.pi * j / r)
+                mag += abs(cf)
+        out.append((total, mag * 2.0**-52 * (r + 8) + 4 * math.ulp(1.0) * (abs(total) + 1e-300)))
+    return out
+
+
+def _scalar_float_parts(value):
+    """Per row: the nearest float to each rational part, else the scalar evaluation's part."""
+    out = []
+    for i in range(len(value)):
+        row = value[i]
+        z = _scalar_eval(row)[0][0]
+        parts = []
+        for exact, approx in ((row.real_part(), z.real), (row.imag_part(), z.imag)):
+            key = exact.keys()[0]
+            parts.append(approx if any(key[1:]) else key[0] / exact.denom)
+        out.append(complex(*parts))
+    return out
+
+
+def test_array_evaluation_is_bitwise_the_scalar_sum():
+    # same correctly rounded coefficients, same summation order, so the same bits,
+    # signed zeros included.  Numerators and denominators past 2**53 must divide
+    # exactly: rounding both to floats first changes about a third of such quotients
+    rng = random.Random(43)
+    for order in (1, 2, 3, 4, 5, 6, 8, 12, 15, 30):
+        for bits in (3, 60, 200):
+            nums = np.array(
+                [[rng.choice((0, 0, rng.randint(-(2**bits), 2**bits))) for _ in range(order)]
+                 for _ in range(12)],
+                dtype=object,
+            )
+            for denom in (1, 6, rng.randint(2**64, 2**80)):
+                value = CycloArray(order, nums, denom)
+                for (z, err), (z_ref, err_ref) in zip(value.eval_complex(), _scalar_eval(value)):
+                    assert repr(z) == repr(z_ref) and repr(err) == repr(err_ref)
+                parts = value.float_parts()
+                assert parts.dtype == complex
+                assert list(map(repr, parts.tolist())) == list(map(repr, _scalar_float_parts(value)))
 
 
 # -- CycloArray against an independent Fraction reference ----------------------

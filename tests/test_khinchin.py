@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -452,3 +454,41 @@ def test_independence_agrees_with_the_counter_tally():
 def test_independence_validation():
     with pytest.raises(ValueError):
         independence_check(3, [[1, 2]])  # wrong table size
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_draws_match_a_fresh_philox_generator(seed):
+    # the one re-keyed generator draws what Generator(Philox(key=[seed, trial])) draws, in
+    # any call order: each call starts from counter 0 with an empty buffer
+    for count, trial in [(5, 3), (1, 0), (64, 2**64 - 1), (5, 3), (7, 12)]:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+        z = rng.standard_normal(2 * count)
+        c = z[0::2] + 1j * z[1::2]
+        expected = c / np.linalg.norm(c)
+        got = sample_unit_coefficients(count, seed, trial)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_threads_draw_independently():
+    # each thread re-keys its own generator, so concurrent draws stay the keyed ones
+    expected = {t: sample_unit_coefficients(8, 3, t).tobytes() for t in range(50)}
+    mismatches = []
+
+    def draw(offset):
+        for i in range(400):
+            t = (i + offset) % 50
+            if sample_unit_coefficients(8, 3, t).tobytes() != expected[t]:
+                mismatches.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=draw, args=(13 * w,)) for w in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert mismatches == []

@@ -41,3 +41,25 @@ def test_cell_cap_env_override(monkeypatch):
     assert check_rank(2, 6) == 64
     monkeypatch.delenv("VCCHAOS_CELL_CAP")
     assert check_rank(2, 7) == 128
+
+
+def test_a_run_resolves_its_cap_once(monkeypatch):
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "100")
+    with run_cell_cap(None):
+        # the environment was read when the run started; later changes do not reach it
+        monkeypatch.setenv("VCCHAOS_CELL_CAP", "not a number")
+        assert check_rank(10, 2) == 100
+        with pytest.raises(RankCapError, match="cell cap 100"):
+            check_rank(2, 7)
+    # an explicit limit wins over the environment
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "100")
+    with run_cell_cap(1000):
+        assert check_rank(2, 9) == 512
+    # outside a run every call reads the environment
+    with pytest.raises(RankCapError, match="cell cap 100"):
+        check_rank(2, 7)
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "200")
+    assert check_rank(2, 7) == 128
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "not a number")
+    with pytest.raises(ValueError, match="invalid literal"):
+        check_rank(2, 1)

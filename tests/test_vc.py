@@ -272,6 +272,56 @@ def test_transform_kernel_matches_dense_exponent_table(p, k):
         assert err <= bound
 
 
+def _einsum_transform_exact(values, p, direction):
+    """The dense-kernel exact transform: one 4-D einsum per digit axis.
+
+    kernel[a, s, b, t] = 1 where t = s - shift[a, b] (mod r), applied along
+    each digit axis of the (p,)*k + (r,) numerator tensor, then the digit
+    axes reversed; O(p**2 r**2) kernel memory.
+    """
+    vals = CycloArray.from_values(values)
+    order = math.lcm(vals.order, p)
+    length = len(vals)
+    k = round(math.log(length, p)) if length > 1 else 0
+    sign = -1 if direction == "forward" else 1
+    digit, ring = np.arange(p), np.arange(order)
+    shift = sign * np.outer(digit, digit) * (order // p)
+    hits = (ring[None, :, None, None] - shift[:, None, :, None] - ring) % order == 0
+    tensor = vals.promote(order).nums
+    peak = max(map(abs, tensor.ravel().tolist()), default=0)
+    dtype = np.int64 if peak * length <= np.iinfo(np.int64).max else object
+    kernel, tensor = hits.astype(np.int64).astype(dtype), tensor.astype(dtype)
+    for axis in range(k):
+        tensor = np.einsum("asbt,ibjt->iajs", kernel, tensor.reshape(p**axis, p, -1, order))
+    tensor = tensor.reshape((p,) * k + (order,)).transpose(*reversed(range(k)), k)
+    denom = vals.denom * (length if direction == "forward" else 1)
+    return CycloArray(order, tensor.reshape(length, order).astype(object), denom)
+
+
+_KERNEL_GRIDS = [(2, 0), (2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (5, 1), (5, 2), (6, 2),
+                 (12, 1)]
+
+
+@pytest.mark.parametrize("p, k", _KERNEL_GRIDS)
+def test_exact_transform_matches_the_dense_kernel(p, k):
+    rng = random.Random(p * 100 + k)
+    cells = p**k
+    mixed = [
+        Fraction(rng.randint(-5, 5), rng.choice((1, 3, 7))) if m % 3 else
+        _value(2 * p, [Fraction(rng.randint(-2, 2), 2) for _ in range(2 * p)])
+        for m in range(cells)
+    ]
+    integers = [rng.randint(-9, 9) for _ in range(cells)]
+    huge = [2**70 * rng.randint(-9, 9) + 1 for _ in range(cells)]  # the Python-int path
+    for values in (mixed, integers, huge):
+        for direction in ("forward", "inverse"):
+            fast = vc_transform_exact(values, p, direction)
+            dense = _einsum_transform_exact(values, p, direction)
+            assert (fast.order, fast.denom) == (dense.order, dense.denom)
+            assert fast.nums.dtype == object and fast.nums.shape == dense.nums.shape
+            assert fast.nums.tolist() == dense.nums.tolist()
+
+
 def test_exact_transform_at_the_int64_bound():
     # coefficient 0 of a constant input sums every cell: 8 * peak is int64's
     # maximum or just past it, on either side of the kernel's dtype choice
