@@ -112,21 +112,30 @@ def _validate_base(p: int) -> None:
 
 # a drawn 16-bit word below this puts its cell in an audit set: probability 0.60001
 _AUDIT_THRESHOLD = 39322
+# one getrandbits call of _audit_masks draws the words of at most this many cells,
+# or of two sets where two sets hold more
+_AUDIT_CHUNK = 1 << 18
 
 
 def _audit_masks(rng: random.Random, p: int, rank: int, count: int) -> list[int]:
-    """count random cell masks at rank `rank`, from one getrandbits call on rng.
+    """count random cell masks at rank `rank`, drawn from rng a chunk of sets at a time.
 
-    Each cell holds one 16-bit word of the draw, in order, and is in its set
-    iff the word is below _AUDIT_THRESHOLD.
+    Each cell holds one 16-bit word of the stream, in order, and is in its
+    set iff the word is below _AUDIT_THRESHOLD.  getrandbits fills 32-bit
+    words low first, and every chunk but the last holds an even number of
+    sets, so an even number of 16-bit words: the chunks read the stream as
+    one call for all the sets would, and leave it where that call would.
     """
     cells = p**rank
-    words = np.frombuffer(
-        rng.getrandbits(16 * count * cells).to_bytes(2 * count * cells, "little"), dtype="<u2"
-    )
-    bits = (words < _AUDIT_THRESHOLD).reshape(count, cells)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    sets = 2 * max(1, _AUDIT_CHUNK // (2 * cells))
+    masks = []
+    for start in range(0, count, sets):
+        words = min(sets, count - start) * cells
+        drawn = rng.getrandbits(16 * words).to_bytes(2 * words, "little")
+        bits = (np.frombuffer(drawn, dtype="<u2") < _AUDIT_THRESHOLD).reshape(-1, cells)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return masks
 
 
 def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[tuple]:
@@ -135,7 +144,7 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
     The checks draw from one seeded stream in this order.  A check that draws
     inside its loop scores a list, not a generator, so that every draw happens
     even after a failure and the later checks see the same stream.  The
-    overlap audit takes all its sets' cells in one getrandbits call
+    overlap audit reads 16 bits of the stream per cell of its sets
     (_audit_masks), so its share of the stream is a fixed number of bits.
     """
     from fractions import Fraction
@@ -282,7 +291,7 @@ def cmd_sharpness(args) -> int:
         return report.holds, {
             "threshold": rational_str(report.threshold),
             "level_set_measure": rational_str(report.level_set_measure),
-            "support_size": len(report.witness),
+            "support_size": len(report.support),
         }
 
     anchor = "chaos polynomial equals a nonzero constant on measure 1 - threshold"

@@ -24,7 +24,9 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .pary import check_cells, digit_count, digits_of_integer
+import numpy as np
+
+from .pary import check_cells, digit_array, digit_count, integer_array
 
 
 class IndexKind(Enum):
@@ -87,11 +89,32 @@ def digit_pattern(p: int, s: int, pattern) -> IndexSpec:
     return IndexSpec(IndexKind.DIGIT_PATTERN, p, s, tuple(pattern))
 
 
+def member_mask(spec: IndexSpec, values) -> np.ndarray:
+    """Which of the integers `values` are members of spec, as a bool array of their shape.
+
+    Each rule is asked once per digit count (spec.weights()) and once per
+    (position k, digit value present) (spec.digits_at(k)), then looked up.
+    """
+    values = integer_array(values)
+    positive = values >= 1
+    digits = digit_array(np.where(positive, values, 0), spec.p)
+    length = digits.shape[-1]
+    # the distinct digits, sorted; np.unique would load numpy.ma, about 10 ms a process
+    ordered = np.sort(digits, axis=None)
+    present = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    held = [spec.digits_at(k) for k in range(length)]
+    allowed = np.array([[v == 0 or v in row for v in present.tolist()] for row in held], dtype=bool)
+    allowed = allowed.reshape(length, len(present))
+    digits_ok = allowed[np.arange(length), np.searchsorted(present, digits)].all(axis=-1)
+    weights = spec.weights()
+    by_weight = np.array([s in weights for s in range(length + 1)])
+    return positive & digits_ok & by_weight[(digits != 0).sum(axis=-1)]
+
+
 def contains(spec: IndexSpec, n: int) -> bool:
     if n < 1:
         raise ValueError(f"index sets contain positive integers only, got {n}")
-    support = [(k, d) for k, d in enumerate(digits_of_integer(n, spec.p)) if d]
-    return len(support) in spec.weights() and all(d in spec.digits_at(k) for k, d in support)
+    return bool(member_mask(spec, n))
 
 
 def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
@@ -99,9 +122,7 @@ def iter_members(spec: IndexSpec, upper: int) -> Iterator[int]:
     if upper < 1:
         return
     p = spec.p
-    top = 0
-    while p ** (top + 1) <= upper:
-        top += 1
+    top = digit_count(upper, p) - 1
     # each position's place values v * p**k, one per digit it may hold
     terms = [[v * p**k for v in spec.digits_at(k)] for k in range(top + 1)]
     terms = [values for values in terms if values]

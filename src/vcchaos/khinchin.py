@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cyclo import CycloArray, root_of_unity
-from .indices import IndexSpec, check_candidates, contains, enumerate_members
+from .indices import IndexSpec, check_candidates, enumerate_members, member_mask
 from .pary import check_cells, check_rank, digit_count, digitwise_add
 from .stepfn import StepFn
 from .vc import _exponent_rows
@@ -60,9 +60,10 @@ def _sum_tables(p: int, members: Sequence[int], h: int) -> list[tuple]:
     """Index tables (flat, bins) of the h-fold digitwise convolution over `members`.
 
     Level-1 targets are the members in order; level j+1 targets are the
-    sorted digitwise sums of a level-j target and a member, and flat maps
-    (target i, member m), at i * len(members) + m, to the position of their
-    sum among the bins level-(j+1) targets.  There are h - 1 tables of at
+    sorted digitwise sums of a level-j target and a member, taken by one
+    broadcast digitwise_add, and flat maps (target i, member m), at
+    i * len(members) + m, to the position of their sum among the bins
+    level-(j+1) targets (np.unique's inverse).  There are h - 1 tables of at
     most members**h entries, and both counts are checked against the cell
     cap before any sum is taken (a huge h never builds the big integer).
     """
@@ -71,12 +72,11 @@ def _sum_tables(p: int, members: Sequence[int], h: int) -> list[tuple]:
     check_cells(max(h, count ** min(h, 64)), f"{count}**{h} digitwise sums")
     check_cells(count**h, f"{count}**{h} digitwise sums")
     tables = []
-    targets = list(members)
+    targets = members = np.array(members, dtype=object)
     for _ in range(h - 1):
-        sums = [digitwise_add(t, m, p) for t in targets for m in members]
-        targets = sorted(set(sums))
-        position = {t: i for i, t in enumerate(targets)}
-        tables.append((np.array([position[s] for s in sums], dtype=np.intp), len(targets)))
+        sums = digitwise_add(targets[:, None], members, p)
+        targets, flat = np.unique(sums.ravel(), return_inverse=True)
+        tables.append((flat, len(targets)))
     return tables
 
 
@@ -139,9 +139,11 @@ def _members(spec: IndexSpec, upper: int) -> list[int]:
 def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
     if not coeffs:
         raise ValueError("coefficient vector is empty")
-    for n in coeffs:
-        if n < 1 or not contains(spec, n):
-            raise ValueError(f"index {n} is outside the index set {spec.describe()}")
+    indices = list(coeffs)
+    inside = member_mask(spec, indices)
+    if not inside.all():
+        n = indices[inside.argmin()]
+        raise ValueError(f"index {n} is outside the index set {spec.describe()}")
 
 
 def norm_ratio_pow_exact(spec: IndexSpec, coeffs: Mapping[int, object], q: int) -> Fraction:
@@ -236,6 +238,66 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     mass = float(np.sum(np.abs(c)))
     cell_err = (math.sqrt(2) * gamma(2 * c.size) * (1 + _ROOT_ERR) + _ROOT_ERR) * mass
     return 1.03 * (cell_err / float(np.linalg.norm(c)) + gamma(count) * ratio)
+
+
+def _moment_error_bound(c: np.ndarray, tables: list[tuple], ratio: float) -> float:
+    """Absolute error bound for ratio = _EvenRatio(p, members, q)(c), tables its _sum_tables.
+
+    Model as in _synthesis_error_bound: u = 2**-53, gamma(n) = n*u/(1 - n*u),
+    each real product and sum rounded once in any order, abs and power
+    within 8u, sqrt and quotients rounded once, and a real product that
+    underflows off by at most 2**-1075.  Let q = 2h, M = c.size, B the
+    level-h bins (M when h = 1), T = M**h, mass = sum|c_m| and n = ||c||_2.
+    The code returns inf unless h (B + 4M + 64) u <= 0.005, h T <= 2**40,
+    n**h >= 2**-399, max(1, mass)**h <= 2**399 and rho, r <= 0.009.
+
+    Levels.  G_1 = c and G_(j+1)(b) = sum of G_j(t) c_m over the pairs (t, m)
+    with digitwise sum b, and G^_j is the computed G_j.  A_j is the same
+    recursion on |c|, so |G_j| <= A_j, and by Young's inequality on the group
+    of digit vectors, ||A_h||_2 <= mass**(h-1) n.  Each part of a complex product a*b sums two
+    real products, so the product is off by at most sqrt(2) gamma(2) |a||b|
+    (|a_r b_r| + |a_i b_i| <= |a||b|), plus 2**-1073 from underflow.  A bin
+    sums at most M products, one per member m (its t is b minus m
+    digitwise), and np.add.at adds them off by sqrt(2) gamma(M - 1) times
+    the sum of their moduli.  As (1 + gamma(2))**2 (1 + gamma(M - 1)) <=
+    1 + gamma(M + 3), with eps = sqrt(2) gamma(M + 3) each computed level
+    has |G^_(j+1) - (G^_j conv c)| <= eps (|G^_j| conv |c|) + M 2**-1072 per
+    bin.  By induction |G^_j - G_j| <= e_j A_j + U_j with
+    e_j = (1 + eps)**(j-1) - 1 <= (j-1) eps / (1 - (j-1) eps), and
+    ||U_h||_2 <= 2 h T**1.5 max(1, mass)**h 2**-1072 <= 2**-200 n**h.
+
+    Relative error.  By Parseval and Lyapunov (q >= 2),
+    ||G_h||_2 = ||f||_q**h >= ||f||_2**h = n**h, so ||G^_h||_2 =
+    ||G_h||_2 (1 + eta) with |eta| <= rho := e_h (mass/n)**(h-1) + 2**-200.
+    A square of a bin or of a c_m that underflows is off by 2**-1075, which
+    moves no sum of at least 2**-800 by a relative 2**-200.  So the computed
+    sum of squares over the B bins is ||G^_h||**2 (1 + t) with
+    |t| <= gamma(B + 18), and sum|c_m|**2 is n**2 (1 + t'),
+    |t'| <= gamma(M + 18).  The power's exponent fl(1/q) is off by u/q, a
+    factor exp(e) on it with |e| <= lam := u (|ln ratio| + |ln n| + 1).
+    So the powers, roots and roundings multiply ||G^_h||**(1/h) / n by k
+    with |k - 1| <= r := gamma(B + 2M + 64) + 2 lam.  With R =
+    ||G_h||**(1/h) / n the exact ratio of c, ratio = R (1 + eta)**(1/h) k,
+    and |(1 + eta)**(1/h) - 1| <= rho, so
+        |ratio - R| <= R (rho + r + rho r) <= 1.03 ratio (rho + r)
+    for rho, r <= 0.01.  The computed mass and n are each within a factor
+    1 + gamma(2M + 20) of the true ones, so (mass/n)**(h-1) is within a
+    factor 1 + gamma(h (4M + 40)) <= 1.006, and this formula in floats stays
+    inside the factor 1.04 below.
+    """
+    u = 2.0**-53
+    gamma = lambda n: n * u / (1 - n * u)
+    h, count = len(tables) + 1, c.size
+    bins = tables[-1][1] if tables else count
+    mass, norm = float(np.sum(np.abs(c))), float(np.linalg.norm(c))
+    if h * (bins + 4 * count + 64) * u > 0.005 or h * count**h > 2**40 or not norm > 0:
+        return math.inf
+    if h * math.log2(norm) < -399 or h * math.log2(max(1.0, mass)) > 399:
+        return math.inf
+    levels_err = (h - 1) * math.sqrt(2) * gamma(count + 3)
+    rho = levels_err / (1 - levels_err) * (mass / norm) ** (h - 1) + 2.0**-200
+    r = gamma(bins + 2 * count + 64) + 2 * u * (abs(math.log(ratio)) + abs(math.log(norm)) + 1)
+    return 1.04 * ratio * (rho + r) if max(rho, r) <= 0.009 else math.inf
 
 
 def l1_lower_ratio_with_error(
@@ -543,9 +605,7 @@ def estimate_constant(
         exact_pow = _ratio_pow_exact(coeffs, objective.tables)
         best_val = float(exact_pow) ** (1.0 / q)
     elif _is_even(q):
-        # float mode: the moment-formula objective is already accurate to
-        # roundoff; charge a few ulps per coefficient product
-        ratio_err = len(members) ** 2 * 2.0**-50 * (1 + best_val) + 8 * math.ulp(best_val)
+        ratio_err = _moment_error_bound(best_c, objective.tables, best_val)
     else:
         cells = spec.p ** digit_count(max(members), spec.p)
         ratio_err = _synthesis_error_bound(best_c, cells, q, best_val)

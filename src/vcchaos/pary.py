@@ -1,8 +1,11 @@
 """Exact base-p digits of integers, carry-free digitwise sums, and the cell cap.
 
-Digits come from integer division (no float flooring anywhere), and every
-grid of base-p cells is guarded by a cell cap so that a bad rank argument
-fails loudly instead of exhausting memory.  This module owns the cap: it is
+One array primitive, digit_array, gives the digits of many integers at once
+by integer division (no float flooring anywhere): int64 while p**L < 2**63
+for L digits, Python integers beyond.  digitwise_add and every digit rule
+elsewhere read it, and digit_count is the one digit counter.  Every grid of
+base-p cells is guarded by a cell cap so that a bad rank argument fails
+loudly instead of exhausting memory.  This module owns the cap: it is
 the one a run sets with run_cell_cap (the CLI's --cell-cap), else the
 VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and every
 refusal goes through check_cells, so no caller threads a cap through.
@@ -13,6 +16,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
+
+import numpy as np
 
 DEFAULT_CELL_CAP = 10_000_000
 CELL_CAP_ENV = "VCCHAOS_CELL_CAP"
@@ -73,33 +78,61 @@ def check_rank(p: int, rank: int) -> int:
     return cells
 
 
-def digits_of_integer(n: int, p: int) -> tuple[int, ...]:
-    """Base-p digits of n >= 0, least significant first; n = 0 gives ()."""
+def digit_count(n: int, p: int) -> int:
+    """Number of base-p digits of n >= 0 (0 for n = 0)."""
     if p < 2:
         raise ValueError(f"base must be >= 2, got {p}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    digits = []
-    while n:
-        n, r = divmod(n, p)
-        digits.append(r)
-    return tuple(digits)
+    count, power = 0, 1
+    while power <= n:
+        count, power = count + 1, power * p
+    return count
 
 
-def digit_count(n: int, p: int) -> int:
-    """Number of base-p digits of n (0 for n = 0)."""
-    return len(digits_of_integer(n, p))
+def integer_array(values) -> np.ndarray:
+    """values as an array; a list of Python ints as object (numpy reads [5, 2**63] as floats)."""
+    return values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
 
 
-def digitwise_add(a: int, b: int, p: int) -> int:
-    """Carry-free digitwise sum mod p of two nonnegative integers."""
-    if a < 0 or b < 0:
+def digit_array(values, p: int, length: int | None = None) -> np.ndarray:
+    """Base-p digits of integers >= 0, least significant first: shape values.shape + (length,).
+
+    length defaults to the digit count of the largest value.  The digits are
+    int64 while p**length < 2**63 and Python integers beyond, so no value,
+    and no sum of `length` digits at their place values, overflows.  Each
+    position divides every value by p, so a value of L digits costs
+    O(L**2) work and O(L) memory, as a scalar divmod loop does.
+    """
+    if p < 2:
+        raise ValueError(f"base must be >= 2, got {p}")
+    values = integer_array(values)
+    if values.size and values.min() < 0:
+        raise ValueError(f"n must be >= 0, got {values.min()}")
+    if length is None:
+        length = digit_count(int(values.max(initial=0)), p)
+    values = values.astype(np.int64 if p**length < 2**63 else object)
+    digits = np.empty(values.shape + (length,), dtype=values.dtype)
+    for k in range(length):
+        digits[..., k] = values % p
+        values = values // p
+    return digits
+
+
+def digits_of_integer(n: int, p: int) -> tuple[int, ...]:
+    """Base-p digits of n >= 0, least significant first; n = 0 gives ()."""
+    return tuple(digit_array(n, p).tolist())
+
+
+def digitwise_add(a, b, p: int):
+    """Carry-free digitwise sum mod p of integers >= 0, broadcast; a scalar call gives an int."""
+    a, b = integer_array(a), integer_array(b)
+    if (a.size and a.min() < 0) or (b.size and b.min() < 0):
         raise ValueError("operands must be nonnegative")
-    result = 0
-    scale = 1
-    while a or b:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        result += ((da + db) % p) * scale
-        scale *= p
-    return result
+    length = digit_count(max(int(a.max(initial=0)), int(b.max(initial=0))), p)
+    digits = (digit_array(a, p, length) + digit_array(b, p, length)) % p
+    total = np.zeros(digits.shape[:-1], dtype=digits.dtype)
+    for k in reversed(range(length)):
+        total = total * p + digits[..., k]
+    total = np.asarray(total)
+    return total.item() if total.ndim == 0 else total

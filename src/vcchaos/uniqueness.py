@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .cyclo import CycloArray
-from .indices import IndexSpec, contains, full_chaos, unit_chaos
-from .pary import check_rank
+from .indices import IndexSpec, full_chaos, member_mask, unit_chaos
+from .pary import check_rank, digit_array
 from .stepfn import PArySet, StepFn, at_least_two
 from .vc import rademacher, vc_function, vc_transform_exact
 
@@ -33,8 +33,10 @@ from .vc import rademacher, vc_function, vc_transform_exact
 class SharpnessReport:
     """Certified data of one witness polynomial.
 
-    The certificate holds when the level-set measure and the threshold sum
-    to 1 exactly, the level value is a nonzero constant, the expansion has a
+    The witness is its exact expansion (coefficients[n] is that of VC_n) and
+    the ascending indices of its nonzero coefficients (support).  The
+    certificate holds when the level-set measure and the threshold sum to 1
+    exactly, the level value is a nonzero constant, the expansion has a
     nonzero-index coefficient and (minus its constant term) is supported
     inside the index set, and every coefficient is the expected one.
     """
@@ -42,7 +44,8 @@ class SharpnessReport:
     p: int
     d: int
     index_set: IndexSpec
-    witness: dict[int, CycloArray]
+    support: np.ndarray
+    coefficients: CycloArray
     level_value: CycloArray
     level_set: PArySet
     level_set_measure: Fraction
@@ -55,7 +58,7 @@ class SharpnessReport:
         return (
             self.level_set_measure + self.threshold == 1
             and self.level_value != 0
-            and any(n != 0 for n in self.witness)
+            and bool((self.support != 0).any())
             and self.support_ok
             and self.coefficients_ok
         )
@@ -77,18 +80,19 @@ def _report(
 ) -> SharpnessReport:
     """Certify the witness prod: its whole expansion against expected, and {prod - 1 = -1}."""
     coeffs = vc_transform_exact(prod.values, p, "forward")
-    witness = {int(n): coeffs[int(n)] for n in np.flatnonzero(~coeffs.is_zero())}
+    support = np.flatnonzero(~coeffs.is_zero())
     level_set = (prod - 1).level_set(-1)
     return SharpnessReport(
         p=p,
         d=d,
         index_set=spec,
-        witness=witness,
+        support=support,
+        coefficients=coeffs,
         level_value=CycloArray.coerce(-1),
         level_set=level_set,
         level_set_measure=level_set.measure(),
         threshold=threshold,
-        support_ok=all(n == 0 or contains(spec, n) for n in witness),
+        support_ok=bool(member_mask(spec, support[support != 0]).all()),
         coefficients_ok=coeffs == expected,
     )
 
@@ -102,7 +106,7 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     measure exactly 1 - ((p-1)/p)**d.
     """
     prod = _product(p, d, lambda k: 1 - rademacher(p, k))
-    digits = np.arange(p**d)[:, None] // p ** np.arange(d) % p
+    digits = digit_array(np.arange(p**d), p, d)
     signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
     expected = CycloArray.from_values(signs.tolist())
     return _report(p, d, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .cyclo import CycloArray, _power_residues
-from .pary import check_cells, check_rank, digit_count
+from .pary import check_cells, check_rank, digit_array, digit_count
 
 if TYPE_CHECKING:
     from .stepfn import StepFn
@@ -66,10 +66,8 @@ def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
     of cell m, is the (k-1-j)-th integer digit of m.  Callers check p**k
     against the cell cap.
     """
-    powers = p ** np.arange(max(k, 1), dtype=np.int64)
-    index_digits = np.asarray(indices, dtype=np.int64)[:, None] // powers % p
-    point_digits = (np.arange(p**k, dtype=np.int64)[:, None] // powers % p)[:, ::-1]
-    return index_digits @ point_digits.T % p
+    point_digits = digit_array(np.arange(p**k), p, k)[:, ::-1]
+    return digit_array(indices, p, k) @ point_digits.T % p
 
 
 def exponent_table(p: int, k: int) -> np.ndarray:
@@ -162,15 +160,11 @@ def matrix_op_norm(p: int, k: int) -> float:
 
 
 def _length_rank(length: int, p: int) -> int:
-    k = 0
-    n = length
-    while n > 1:
-        if n % p:
-            raise ValueError(f"length {length} is not a power of the base {p}")
-        n //= p
-        k += 1
     if length < 1:
         raise ValueError("length must be positive")
+    k = digit_count(length, p) - 1
+    if p**k != length:
+        raise ValueError(f"length {length} is not a power of the base {p}")
     return k
 
 

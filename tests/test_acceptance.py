@@ -146,13 +146,13 @@ def test_criterion_04_sharpness_thresholds():
             assert unit.level_set_measure == 1 - Fraction(p - 1, p) ** d
             assert unit.support_ok
             assert all(
-                n == 0 or v.contains(v.unit_chaos(p, d), n) for n in unit.witness
+                n == 0 or v.contains(v.unit_chaos(p, d), n) for n in unit.support
             )
             full = v.witness_full_chaos(p, d)
             assert full.level_set_measure == 1 - Fraction(1, p**d)
             assert full.support_ok
             assert all(
-                n == 0 or v.contains(v.full_chaos(p, d), n) for n in full.witness
+                n == 0 or v.contains(v.full_chaos(p, d), n) for n in full.support
             )
     # cited classical constants: p = 2, d = 1 gives 1/2; p = 2 gives 1/2**d
     assert v.witness_unit_chaos(2, 1).threshold == Fraction(1, 2)

@@ -251,6 +251,60 @@ def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
     assert statuses == {"unit-chaos-witness": "fail", "full-chaos-witness": "pass"}
 
 
+@pytest.mark.parametrize(
+    "p, d, unit, full",
+    [
+        (2, 8, ("255/256", 256, "1/256"), ("255/256", 256, "1/256")),
+        (3, 5, ("211/243", 32, "32/243"), ("242/243", 243, "1/243")),
+        (6, 3, ("91/216", 8, "125/216"), ("215/216", 216, "1/216")),
+    ],
+)
+def test_sharpness_values_golden(tmp_path, p, d, unit, full):
+    out = tmp_path / "sharp.json"
+    assert run(["sharpness", "--p", str(p), "--d", str(d), "--out", str(out)]) == 0
+    fields = ("level_set_measure", "support_size", "threshold")
+    values = {c["name"]: c["values"] for c in load_report(out)["checks"]}
+    assert values == {
+        "unit-chaos-witness": dict(zip(fields, unit)),
+        "full-chaos-witness": dict(zip(fields, full)),
+    }
+
+
+# the three khinchin-even benchmark configurations at seed 1: the certified
+# ratio**q and the ascent counters (sweeps, halvings, scored, accepted), which
+# any change to the sum tables' bin order would move
+_KHINCHIN_EVEN_GOLDEN = [
+    (
+        ["--p", "2", "--d", "2", "--set", "v", "--q", "6", "--N", "15", "--trials", "20"],
+        "364891514809721228701851411538936923725286702528457584280590769716209784212792936852056571321594223196/"
+        "5832668599421370781300835101443944964134025411923550283290954678436599306047139656632598135433161277",
+        (32, 10, 1280, 104),
+    ),
+    (
+        ["--p", "2", "--d", "1", "--set", "v", "--q", "4", "--N", "1024", "--trials", "500", "--l1"],
+        "4905604592012772931492272305252938775952833814916229546732689771/"
+        "1740699035843921301573227310896488415413944219979382250774365192",
+        (54, 10, 2376, 183),
+    ),
+    (
+        ["--p", "3", "--d", "2", "--set", "vtilde", "--q", "4", "--N", "242", "--trials", "100"],
+        "2991530869597424235796542123537394704988361843319319741446922144591264559/"
+        "196316340530931633107612578245537150032073913022060296678068220645600441",
+        (61, 10, 12200, 627),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, ratio_pow, counters", _KHINCHIN_EVEN_GOLDEN, ids=["q6", "q4-l1", "q4-vtilde"])
+def test_khinchin_even_golden(tmp_path, args, ratio_pow, counters):
+    out = tmp_path / "report.json"
+    assert run(["khinchin", *args, "--seed", "1", "--out", str(out)]) == 0
+    values = load_report(out)["checks"][0]["values"]
+    assert values["best_ratio_pow_exact"] == ratio_pow
+    names = ("ascent_sweeps", "step_halvings", "moves_scored", "moves_accepted")
+    assert tuple(values[name] for name in names) == counters
+
+
 def test_sharpness_p2_d3_both_thresholds_one_eighth(tmp_path):
     out = tmp_path / "sharp.json"
     assert run(["sharpness", "--p", "2", "--d", "3", "--out", str(out)]) == 0
@@ -756,6 +810,41 @@ def test_audit_masks_draw():
         sum(1 << m for m in range(3) if words[3 * i + m] < 39322) for i in range(4)
     ]
     assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+def _audit_masks_one_call(rng, p, rank, count):
+    """The one-call draw _audit_masks replaced, kept as its oracle."""
+    cells = p**rank
+    words = np.frombuffer(
+        rng.getrandbits(16 * count * cells).to_bytes(2 * count * cells, "little"), dtype="<u2"
+    )
+    packed = np.packbits((words < cli._AUDIT_THRESHOLD).reshape(count, cells), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@pytest.mark.parametrize("chunk", [1, 30, 200, None])
+def test_chunked_audit_draw_is_the_one_call_draw(monkeypatch, chunk):
+    # odd cell counts (27, 25, 49) put the chunk boundaries inside 32-bit words
+    # unless every chunk but the last holds an even number of sets
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_AUDIT_CHUNK", chunk)
+    for p, rank, count in [(3, 3, 61), (5, 2, 33), (6, 3, 41), (7, 2, 71), (3, 1, 5)]:
+        rng, twin = random.Random(p * rank), random.Random(p * rank)
+        assert cli._audit_masks(rng, p, rank, count) == _audit_masks_one_call(twin, p, rank, count)
+        assert rng.getrandbits(80) == twin.getrandbits(80)
+
+
+def test_audit_draw_memory_per_cell():
+    # 2,000 sets of 10**4 cells: the one-call draw peaked at about 4 bytes a cell
+    p, rank, count = 10, 4, 2000
+    tracemalloc.start()
+    try:
+        masks = cli._audit_masks(random.Random(1), p, rank, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == count
+    assert peak <= 1.5 * count * p**rank
 
 
 def test_verify_does_not_import_numpy_random(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from vcchaos.indices import (
@@ -10,10 +11,17 @@ from vcchaos.indices import (
     exact_weight,
     full_chaos,
     iter_members,
+    member_mask,
     pattern_multiplicity_check,
     unit_chaos,
 )
 from vcchaos.pary import digits_of_integer, digitwise_add
+
+
+def contains_loop(spec, n):
+    """The per-index membership test member_mask replaced, kept as its oracle."""
+    support = [(k, d) for k, d in enumerate(digits_of_integer(n, spec.p)) if d]
+    return len(support) in spec.weights() and all(d in spec.digits_at(k) for k, d in support)
 
 
 def brute_force_members(spec, upper):
@@ -98,6 +106,9 @@ def test_enumeration_matches_brute_force():
             assert enumerate_members(spec, upper) == expected
             # contains holds on every member and on nothing else
             assert [n for n in range(1, upper + 1) if contains(spec, n)] == expected
+            assert [n for n in range(1, upper + 1) if contains_loop(spec, n)] == expected
+            mask = member_mask(spec, np.arange(1, upper + 1))
+            assert np.flatnonzero(mask).tolist() == [n - 1 for n in expected]
 
 
 def test_huge_order_counts_and_enumerates_at_once():
@@ -181,3 +192,23 @@ def test_spec_validation():
         unit_chaos(3, 0)
     with pytest.raises(ValueError):
         digit_pattern(3, 1, (0, 1))
+
+
+def test_array_membership_matches_the_loop_past_the_pattern_and_past_int64():
+    rng = random.Random(23)
+    for p in (2, 3, 5, 6):
+        big = [2**63 - 1, 2**63, 2**63 + 1, 2**64, p**40, p**40 + p**3, 2 * p**45 + 1]
+        big += [p**k * rng.randint(1, p - 1) + p**j for k in range(30, 50) for j in (0, 7, 29)]
+        small = list(range(1, min(p**5, 600)))
+        specs = [
+            unit_chaos(p, 2), full_chaos(p, 3), exact_weight(p, 2),
+            # members may not use a digit past the pattern's end
+            digit_pattern(p, 1, (p - 1, 1)), digit_pattern(p, 2, (1,) * 3),
+        ]
+        for spec in specs:
+            for values in (small, big):
+                assert member_mask(spec, values).tolist() == [contains_loop(spec, n) for n in values]
+            assert [contains(spec, n) for n in big] == [contains_loop(spec, n) for n in big]
+    # the mask is False at 0 and below, where contains refuses
+    assert member_mask(unit_chaos(3, 2), [0, -4, 1, 3**70]).tolist() == [False, False, True, True]
+    assert member_mask(unit_chaos(3, 2), np.array([[3, 5], [0, 9]])).tolist() == [[True, False], [False, True]]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -11,9 +12,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from vcchaos import khinchin
+from vcchaos import cli, khinchin
 from vcchaos.cyclo import CycloArray, root_of_unity
-from vcchaos.indices import enumerate_members, full_chaos, unit_chaos
+from vcchaos.indices import (
+    digit_pattern,
+    enumerate_members,
+    exact_weight,
+    full_chaos,
+    unit_chaos,
+)
 from vcchaos.khinchin import (
     _CHUNK_ENTRIES,
     _ascent,
@@ -30,6 +37,36 @@ from vcchaos.khinchin import (
 )
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import rademacher, synthesize
+
+
+def _digitwise_add_loop(a, b, p):
+    result, scale = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        result += ((da + db) % p) * scale
+        scale *= p
+    return result
+
+
+def _sum_tables_loop(p, members, h):
+    """The per-pair sum tables _sum_tables replaced, with the scalar divmod sum, kept as its oracle."""
+    tables = []
+    targets = list(members)
+    for _ in range(h - 1):
+        sums = [_digitwise_add_loop(t, m, p) for t in targets for m in members]
+        targets = sorted(set(sums))
+        position = {t: i for i, t in enumerate(targets)}
+        tables.append((np.array([position[s] for s in sums], dtype=np.intp), len(targets)))
+    return tables
+
+
+def _assert_same_tables(p, members, h):
+    tables = khinchin._sum_tables(p, members, h)
+    oracle = _sum_tables_loop(p, members, h)
+    assert [bins for _, bins in tables] == [bins for _, bins in oracle]
+    for (flat, _), (expected, _) in zip(tables, oracle):
+        assert flat.dtype == np.intp and flat.tolist() == expected.tolist()
 
 
 def test_norm_ratio_examples():
@@ -139,15 +176,89 @@ def test_sampled_ratios_below_ceiling():
         assert norm_ratio_pow_exact(spec, coeffs, 4) <= 3
 
 
+def test_sum_tables_match_the_per_pair_loop():
+    rng = random.Random(5)
+    for _ in range(30):
+        p = rng.choice([2, 3, 4, 5])
+        upper = rng.randint(1, 700)
+        d = rng.randint(1, 4)
+        pattern = tuple(rng.randint(1, p - 1) for _ in range(rng.randint(1, 4)))
+        specs = (
+            unit_chaos(p, d),
+            full_chaos(p, d),
+            exact_weight(p, d),
+            digit_pattern(p, min(d, len(pattern)), pattern),
+        )
+        for spec in specs:
+            members = enumerate_members(spec, upper)
+            if members:
+                _assert_same_tables(p, members, 2 if len(members) > 20 else 3)
+    # members past 2**63, and members that fit int64 while their sums do not
+    _assert_same_tables(2, enumerate_members(unit_chaos(2, 1), 2**100), 2)
+    _assert_same_tables(3, enumerate_members(full_chaos(3, 1), 2 * 3**39)[-12:], 3)
+    # in the caller's member order, not sorted
+    _assert_same_tables(3, [9, 1, 6, 2, 3], 4)
+
+
+def test_khinchin_where_member_sums_pass_int64(tmp_path):
+    # every member of vtilde(3, 1) below 2 * 3**39 fits int64, but 2 * 3**39
+    # plus 2 * 3**38 digitwise does not; golden values from the per-pair tables
+    out = tmp_path / "report.json"
+    args = ["khinchin", "--p", "3", "--d", "1", "--set", "vtilde", "--q", "4",
+            "--N", str(2 * 3**39), "--trials", "3", "--seed", "1", "--out", str(out)]
+    assert cli.main(args) == 0
+    values = json.loads(out.read_text())["checks"][0]["values"]
+    assert values["members"] == 80
+    assert values["best_ratio_pow_exact"] == (
+        "6755115565620108918832941748602969187093459914147714877585867996771571830772869/"
+        "2280213449596379531473777408875632489279633713094068413717309752815217065810053"
+    )
+    assert (values["ascent_sweeps"], values["moves_scored"], values["moves_accepted"]) == (
+        308, 98560, 3199
+    )
+    # an int64 pass wraps those sums injectively, so the report above holds;
+    # only the bins' order, and so the tables, show it
+    _assert_same_tables(3, enumerate_members(full_chaos(3, 1), 2 * 3**39), 2)
+
+
+def test_support_validation_names_the_first_index_outside():
+    spec = unit_chaos(3, 1)
+    with pytest.raises(ValueError, match="index 5 is outside the index set v"):
+        norm_ratio_pow_exact(spec, {1: 1.0, 5: 1.0, 0: 1.0}, 4)
+    with pytest.raises(ValueError, match="index 0 is outside"):
+        norm_ratio_pow_exact(spec, {0: 1.0, 3: 1.0}, 4)
+    with pytest.raises(ValueError, match="index -3 is outside"):
+        l1_lower_ratio_with_error(spec, {3: 1.0, -3: 1.0})
+    assert norm_ratio_pow_exact(spec, {1: 1.0, 3**50: 1.0}, 4) == Fraction(3, 2)
+
+
 @pytest.mark.parametrize(
     "spec, upper, q",
-    [(unit_chaos(2, 1), 64, 4), (full_chaos(3, 2), 80, 6), (unit_chaos(2, 1), 64, 8)],
+    [
+        (unit_chaos(2, 1), 64, 4),
+        (full_chaos(3, 2), 80, 6),
+        (unit_chaos(2, 1), 64, 8),
+        (full_chaos(3, 2), 242, 4),  # 50 members
+    ],
 )
 def test_float_mode_error_bound_holds(spec, upper, q):
     report = estimate_constant(spec, q, upper, 5, seed=3, mode="float")
     exact = norm_ratio_pow_exact(spec, report.best_coefficients, q)
     ratio, err = Fraction(report.best_ratio), Fraction(report.best_ratio_err)
     assert (ratio - err) ** q <= exact <= (ratio + err) ** q
+
+
+def test_moment_error_bound_is_infinite_outside_its_proof():
+    tables = khinchin._sum_tables(2, [1, 2, 4], 2)
+    c = np.ones(3, dtype=complex) / math.sqrt(3)
+    bound = khinchin._moment_error_bound(c, tables, 1.2)
+    assert 0 < bound < 1e-13
+    assert khinchin._moment_error_bound(np.zeros(3, dtype=complex), tables, 1.0) == math.inf
+    # ||c||**h below 2**-399: underflow could swamp the rounding terms
+    assert khinchin._moment_error_bound(c * 2.0**-300, tables, 1.2) == math.inf
+    # 2**14 members at q = 6: more products (h * M**h) than the underflow argument covers
+    wide = np.ones(2**14, dtype=complex) / 2**7
+    assert khinchin._moment_error_bound(wide, [(None, 2**10)] * 2, 1.5) == math.inf
 
 
 @pytest.mark.parametrize("q", [4, 6])

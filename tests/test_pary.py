@@ -1,12 +1,36 @@
+import random
+
+import numpy as np
 import pytest
 
 from vcchaos.pary import (
     RankCapError,
     check_rank,
+    digit_array,
+    digit_count,
     digits_of_integer,
     digitwise_add,
     run_cell_cap,
 )
+
+
+def _digitwise_add_loop(a, b, p):
+    """The scalar divmod loop digitwise_add replaced, kept as its oracle."""
+    result, scale = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        result += ((da + db) % p) * scale
+        scale *= p
+    return result
+
+
+def _digits_loop(n, p):
+    digits = []
+    while n:
+        n, r = divmod(n, p)
+        digits.append(r)
+    return digits
 
 
 def test_digits_of_integer_examples():
@@ -63,3 +87,56 @@ def test_a_run_resolves_its_cap_once(monkeypatch):
     monkeypatch.setenv("VCCHAOS_CELL_CAP", "not a number")
     with pytest.raises(ValueError, match="invalid literal"):
         check_rank(2, 1)
+
+
+def _samples(rng, p):
+    """Nonnegative integers of every size up to past 2**64, powers of p and their neighbours."""
+    values = [0, 1, p - 1, p, 2**63 - 1, 2**63, 2**64 + 5]
+    values += [p**k + e for k in range(1, 45) for e in (-1, 0, 1)]
+    values += [rng.randrange(p ** rng.randint(1, 45)) for _ in range(60)]
+    return values
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 6, 10])
+def test_digit_primitive_matches_the_divmod_loop(p):
+    rng = random.Random(p)
+    values = _samples(rng, p)
+    for n in values:
+        assert digit_count(n, p) == len(_digits_loop(n, p))
+        assert digits_of_integer(n, p) == tuple(_digits_loop(n, p))
+    digits = digit_array(values, p)
+    assert digits.shape == (len(values), digit_count(max(values), p))
+    for n, row in zip(values, digits.tolist()):
+        loop = _digits_loop(n, p)
+        assert row == loop + [0] * (len(row) - len(loop))
+    a, b = values, rng.sample(values, 12)
+    sums = digitwise_add(np.array(a, dtype=object)[:, None], np.array(b, dtype=object), p)
+    assert sums.tolist() == [[_digitwise_add_loop(x, y, p) for y in b] for x in a]
+    for x, y in zip(a, rng.sample(values, len(values))):
+        assert digitwise_add(x, y, p) == _digitwise_add_loop(x, y, p)
+
+
+def test_digit_dtype_follows_the_place_values_not_the_values():
+    # every value fits int64, but 3**40 does not: the digits, and any sum of
+    # 40 digits at their place values, are Python integers
+    assert digit_array([2 * 3**38, 5], 3, 40).dtype == object
+    assert digit_array([2 * 3**38, 5], 3, 39).dtype == np.int64
+    assert digit_array(np.arange(9), 3).dtype == np.int64
+    total = digitwise_add(2 * 3**39, 2 * 3**38, 3)
+    assert total == 8 * 3**38 > 2**63 and type(total) is int
+    assert digitwise_add(np.array([2 * 3**39]), np.array([2 * 3**38]), 3).tolist() == [8 * 3**38]
+
+
+def test_digit_primitive_validation():
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        digit_array([1], 1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+        digit_array([4, -3], 2)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        digits_of_integer(-1, 2)
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        digit_count(5, 1)
+    with pytest.raises(ValueError, match="operands must be nonnegative"):
+        digitwise_add(np.array([1, -1]), 2, 3)
+    assert digit_array([], 3).shape == (0, 0)
+    assert digit_array(0, 3).shape == (0,)

@@ -33,11 +33,11 @@ def test_unit_witness_p2_d1_classical_constant():
 def test_unit_witness_coefficients_d2():
     for p in (2, 3, 5):
         report = witness_unit_chaos(p, 2)
-        assert sorted(report.witness) == [0, 1, p, p + 1]
-        assert report.witness[0] == 1
-        assert report.witness[1] == -1
-        assert report.witness[p] == -1
-        assert report.witness[p + 1] == 1
+        assert sorted(report.support) == [0, 1, p, p + 1]
+        assert report.coefficients[0] == 1
+        assert report.coefficients[1] == -1
+        assert report.coefficients[p] == -1
+        assert report.coefficients[p + 1] == 1
 
 
 def test_witness_pair_runtime_p2_d12():
@@ -46,7 +46,7 @@ def test_witness_pair_runtime_p2_d12():
     full = witness_full_chaos(2, 12)
     elapsed = time.perf_counter() - started
     assert unit.level_set_measure == full.level_set_measure == 1 - Fraction(1, 2**12)
-    assert len(unit.witness) == len(full.witness) == 2**12
+    assert len(unit.support) == len(full.support) == 2**12
     assert elapsed < 1.2, f"p = 2, d = 12 witness pair took {elapsed:.2f}s (limit 1.2s)"
 
 
@@ -66,17 +66,17 @@ def test_full_witness_p2_matches_dyadic_chaos_constant():
 def test_full_witness_all_ones_coefficients():
     for p, d in [(2, 3), (3, 2), (5, 1)]:
         report = witness_full_chaos(p, d)
-        assert sorted(report.witness) == list(range(p**d))
-        assert all(c == 1 for c in report.witness.values())
+        assert sorted(report.support) == list(range(p**d))
+        assert all(c == 1 for c in report.coefficients[report.support])
 
 
 def test_witness_support_lies_in_index_set():
     for p in (2, 3, 5):
         for d in (1, 2, 3):
             unit = witness_unit_chaos(p, d)
-            assert all(n == 0 or contains(unit.index_set, n) for n in unit.witness)
+            assert all(n == 0 or contains(unit.index_set, n) for n in unit.support)
             full = witness_full_chaos(p, d)
-            assert all(n == 0 or contains(full.index_set, n) for n in full.witness)
+            assert all(n == 0 or contains(full.index_set, n) for n in full.support)
 
 
 def test_measure_plus_threshold_is_one():

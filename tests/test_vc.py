@@ -11,6 +11,7 @@ from vcchaos.cyclo import CycloArray, _power_residues, root_of_unity
 from vcchaos.pary import digitwise_add, run_cell_cap
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import (
+    _length_rank,
     exponent_table,
     matrix_op_norm,
     rademacher,
@@ -427,3 +428,13 @@ def test_multiplicativity():
         assert vc_function(p, a) * vc_function(p, b) == vc_function(
             p, digitwise_add(a, b, p)
         )
+
+
+def test_length_rank_reads_the_digit_count():
+    assert [_length_rank(n, 3) for n in (1, 3, 9, 3**40)] == [0, 1, 2, 40]
+    for length in (2, 6, 10, 3**40 + 3):
+        with pytest.raises(ValueError, match=f"length {length} is not a power of the base 3"):
+            _length_rank(length, 3)
+    for length in (0, -9):
+        with pytest.raises(ValueError, match="length must be positive"):
+            _length_rank(length, 3)
