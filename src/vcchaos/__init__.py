@@ -39,12 +39,10 @@ _EXPORTS = {
             "KhinchinReport",
             "estimate_constant",
             "estimate_l1_constant",
-            "independence_check",
             "l1_lower_ratio_with_error",
             "moment_even_pow_exact",
             "norm_ratio_pow_exact",
             "sample_unit_coefficients",
-            "symmetric_decomposition",
         ),
         "khinchin",
     ),
@@ -59,7 +57,17 @@ _EXPORTS = {
         ),
         "pary",
     ),
-    **dict.fromkeys(("Distribution", "PArySet", "StepFn", "at_least_two"), "stepfn"),
+    **dict.fromkeys(
+        (
+            "Distribution",
+            "PArySet",
+            "StepFn",
+            "at_least_two",
+            "independence_check",
+            "symmetric_decomposition",
+        ),
+        "stepfn",
+    ),
     **dict.fromkeys(
         (
             "SharpnessReport",

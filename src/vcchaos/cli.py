@@ -9,8 +9,8 @@ exception (one "error: <Type>: <message>" line on stderr, no traceback).
 
 Each command imports the layers it calls when it runs, so a process loads
 only those: `transform` loads pary, cyclo and vc, `index` pary and indices,
-`sharpness` every layer but khinchin, `khinchin` every layer but uniqueness,
-and `verify` every layer.
+`khinchin` pary, indices and khinchin (and cyclo when it certifies an even-q
+ratio exactly), and `sharpness` and `verify` every layer but khinchin.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
         pattern_multiplicity_check,
         unit_chaos,
     )
-    from .khinchin import independence_check, symmetric_decomposition
-    from .stepfn import PArySet, StepFn
+    from .stepfn import PArySet, StepFn, independence_check, symmetric_decomposition
     from .uniqueness import overlap_bound_check
     from .vc import matrix_op_norm, synthesize, vc_function, verify_inverse_identity
 

@@ -30,7 +30,6 @@ evaluation of the final point, for which the float error bounds are proven.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -39,11 +38,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cyclo import CycloArray, root_of_unity
 from .indices import IndexSpec, check_candidates, enumerate_members, member_mask
-from .pary import check_cells, check_rank, digit_count, digitwise_add
-from .stepfn import StepFn
-from .vc import _exponent_rows
+from .pary import _exponent_rows, check_cells, check_rank, digit_count, digitwise_add
 
 # bound on |fl(w**e) - w**e| for the rounded unit roots in _vc_rows
 _ROOT_ERR = 2.0**-47
@@ -94,6 +90,8 @@ def _exact_power_sums(coeffs: Mapping[int, object], tables: list[tuple]) -> tupl
     S_1 and S_h are the sums of |g|**2 over the numerators of c and of their
     h-fold convolution, so integral |f|**q = S_h / D**q and ratio**q = S_h / S_1**h.
     """
+    from .cyclo import CycloArray  # imported here, so float-mode runs never load cyclo
+
     parts = []
     for v in coeffs.values():
         if isinstance(v, complex):
@@ -181,6 +179,14 @@ def _cell_ratios(cells: np.ndarray, l2, q) -> np.ndarray:
 def _lq_ratios(c: np.ndarray, rows: np.ndarray, q) -> np.ndarray:
     """||sum c_n VC_n||_q / ||c||_l2 for every coefficient vector along c's last axis."""
     return _cell_ratios(c @ rows, np.linalg.norm(c, axis=-1), q)
+
+
+def _sum_sq(values: np.ndarray) -> float:
+    """sum |values|**2, exactly as np.sum takes it.
+
+    np.add.reduce with axis=None is the reduction np.sum calls, without np.sum's dispatch.
+    """
+    return float(np.add.reduce(np.abs(values) ** 2, axis=None))
 
 
 def _coefficient_array(coeffs: Mapping[int, object]) -> np.ndarray:
@@ -388,7 +394,7 @@ class _MoveScorer:
 
     def _l2_sq(self, i: int, deltas: Sequence[complex]) -> list[float]:
         """||point + delta e_i||**2 for every delta, from the cached ||point||**2."""
-        ci = complex(self.point[i]).conjugate()
+        ci = self.conjugates[i]
         return [self.l2_sq + 2 * (ci * d).real + abs(d) ** 2 for d in deltas]
 
 
@@ -415,9 +421,18 @@ class _EvenRatio(_MoveScorer):
         count = len(members)
         self.tables = _sum_tables(p, members, self.h)
         # shifts[l][:, i]: bins among the level-(l+1) targets of every level-l
-        # target plus member i; level 0 is the single target 0
-        self.shifts = [np.arange(count).reshape(1, count)]
-        self.shifts += [flat.reshape(-1, count) for flat, _ in self.tables]
+        # target plus member i; level 0 is the single target 0.  columns[i][l]
+        # is that column as a contiguous row, made once, so scores gathers
+        # through no strided view
+        shifts = [np.arange(count).reshape(1, count)]
+        shifts += [flat.reshape(-1, count) for flat, _ in self.tables]
+        self.columns = list(zip(*(np.ascontiguousarray(shift.T) for shift in shifts)))
+        # chains[i][l]: the level-(l+1) bin of G_0 = e_0 shifted l + 1 times by member i
+        chain, targets = [], np.zeros(count, dtype=np.intp)
+        for shift in shifts:
+            targets = shift[targets, np.arange(count)]
+            chain.append(targets)
+        self.chains = np.array(chain).T.tolist()
         # pairs[r]: (j, C(h, j) C(h, j + r)) for the Gram entries (j, j + r) but (0, 0)
         binomial = [math.comb(self.h, j) for j in range(self.h + 1)]
         self.pairs = [
@@ -436,39 +451,36 @@ class _EvenRatio(_MoveScorer):
 
     def __call__(self, c: np.ndarray) -> float:
         g = self._levels(c)[-1]
-        l2_sq = float(np.sum(np.abs(c) ** 2))
-        return float(np.sum(np.abs(g) ** 2)) ** (1.0 / self.q) / math.sqrt(l2_sq)
+        return _sum_sq(g) ** (1.0 / self.q) / math.sqrt(_sum_sq(c))
 
     def reset(self, c: np.ndarray) -> float:
-        self.point, self.levels = c, self._levels(c)
-        self.norms = [float(np.sum(np.abs(g) ** 2)) for g in self.levels]
+        self.point, self.levels, self.conjugates = c, self._levels(c), c.conj().tolist()
+        # |G_0|**2 sums to 1 exactly
+        self.norms = [1.0, *map(_sum_sq, self.levels[1:])]
         self.l2_sq = self.norms[1]
         return self.norms[-1] ** (1.0 / self.q) / math.sqrt(self.l2_sq)
 
     def scores(self, i: int, deltas: Sequence[complex]) -> list[float]:
-        h, levels, norms = self.h, self.levels, self.norms
-        gram = [[0j] * (h + 1) for _ in range(h + 1)]
+        h, levels, norms, columns = self.h, self.levels, self.norms, self.columns[i]
+        # row j starts as the diagonal B_jj = |G_{h-j}|**2; the entries right of it are set below
+        gram = [[norms[h - j]] * (h + 1) for j in range(h + 1)]
         for k in range(1, h):
             bins = None
             for level in range(h - k, h):
-                shift = self.shifts[level]
-                bins = shift[:, i] if bins is None else shift[bins, i]
+                bins = columns[level] if bins is None else columns[level][bins]
                 gram[h - 1 - level][k] = complex(np.vdot(levels[level + 1][bins], levels[h - k]))
         # V_h is G_0 = e_0 shifted h - 1 times: one bin
-        target = 0
-        for level in range(h):
-            target = self.shifts[level][target, i]
+        for level, target in enumerate(self.chains[i]):
             gram[h - 1 - level][h] = complex(levels[level + 1][target]).conjugate()
         # with t = |delta|**2, conj(w_j) w_k = C_j C_k t**j delta**(k - j), so the
         # gain is P_0(t) + 2 Re sum_{r >= 1} delta**r P_r(t), where
         # P_r(t) = sum_j C_j C_{j+r} t**j B_{j,j+r}; the deltas of one sweep share t
-        polys = {}
-        values = []
+        polys, values, root = {}, [], 1.0 / self.q
         for d, l2_sq in zip(deltas, self._l2_sq(i, deltas)):
             t = abs(d) ** 2
             if t not in polys:
                 polys[t] = [
-                    sum(c * t**j * (norms[h - j] if r == 0 else gram[j][j + r]) for j, c in terms)
+                    sum(c * t**j * gram[j][j + r] for j, c in terms)
                     for r, terms in enumerate(self.pairs)
                 ]
             poly = polys[t]
@@ -476,7 +488,7 @@ class _EvenRatio(_MoveScorer):
             for r in range(1, h + 1):
                 power *= d
                 gain += 2 * (power * poly[r]).real
-            values.append((norms[h] + gain) ** (1.0 / self.q) / math.sqrt(l2_sq))
+            values.append((norms[h] + gain) ** root / math.sqrt(l2_sq))
         return values
 
 
@@ -490,8 +502,8 @@ class _RowRatio(_MoveScorer):
         return float(_lq_ratios(c, self.rows, self.q))
 
     def reset(self, c: np.ndarray) -> float:
-        self.point, self.cells = c, c @ self.rows
-        self.l2_sq = float(np.sum(np.abs(c) ** 2))
+        self.point, self.cells, self.conjugates = c, c @ self.rows, c.conj().tolist()
+        self.l2_sq = _sum_sq(c)
         return float(_cell_ratios(self.cells, np.linalg.norm(c, axis=-1), self.q))
 
     def scores(self, i: int, deltas: Sequence[complex]) -> list[float]:
@@ -662,54 +674,3 @@ def estimate_l1_constant(spec: IndexSpec, upper: int, trials: int, seed: int) ->
         min_l1_ratio_err=worst_err,
         best_coefficients={n: complex(c) for n, c in zip(members, worst_c)},
     )
-
-
-# -- symmetric decomposition and independence ---------------------------------
-
-
-def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
-    """The p-1 symmetric pieces whose sum is Re(R_k**j), exactly.
-
-    Piece m (m = 1..p-1) takes the value cos(2*pi*m*j/p) on cells with k-th
-    digit m, minus the same value on cells with k-th digit 0, and 0 elsewhere;
-    cosines are stored exactly as (w**(mj) + w**(-mj)) / 2.
-    """
-    if not 1 <= j <= p - 1:
-        raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
-    digits = np.arange(check_rank(p, k + 1)) % p
-    pieces = []
-    for m in range(1, p):
-        cos_m = root_of_unity(p, m * j).real_part()
-        # row 1 (cos_m) where the digit is m, row 2 (-cos_m) where it is 0, else row 0
-        rows = np.select([digits == m, digits == 0], [1, 2])
-        values = CycloArray.from_values([0, cos_m, -cos_m])[rows]
-        pieces.append(StepFn(p, k + 1, values))
-    return pieces
-
-
-def independence_check(p: int, tables: Sequence[Sequence[object]]) -> bool:
-    """Exhaustively verify the product rule for digit-functions f_k(x) = g_k(x_k).
-
-    For every combination of attainable values (e_0, ..., e_n) the joint
-    measure mu{f_k = e_k for all k} must equal the product of the marginal
-    measures.  Over the p**(n+1) rank-(n+1) cells both are integer counts
-    times p**-(n+1): the joint count of cells against the product of the
-    digit preimage counts, compared exactly.
-    """
-    tables = [list(t) for t in tables]
-    if any(len(t) != p for t in tables):
-        raise ValueError(f"each value table must have exactly {p} entries")
-    check_rank(p, len(tables))
-    # label each digit by its value's residue key, so equal values share a label
-    labels = []
-    for table in tables:
-        seen: dict[tuple, int] = {}
-        keys = map(tuple, CycloArray.from_values(table).keys().tolist())
-        labels.append([seen.setdefault(key, len(seen)) for key in keys])
-    dims = [max(row) + 1 for row in labels]
-    # the joint label of every cell's digits, counted over the whole p**(n+1) grid
-    joint = np.bincount(
-        np.ravel_multi_index(np.ix_(*labels), dims).ravel(), minlength=math.prod(dims)
-    ).reshape(dims)
-    marginals = [np.bincount(row) for row in labels]
-    return bool((joint == functools.reduce(np.multiply.outer, marginals, 1)).all())

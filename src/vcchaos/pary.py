@@ -3,12 +3,13 @@
 One array primitive, digit_array, gives the digits of many integers at once
 by integer division (no float flooring anywhere): int64 while p**L < 2**63
 for L digits, Python integers beyond.  digitwise_add and every digit rule
-elsewhere read it, and digit_count is the one digit counter.  Every grid of
-base-p cells is guarded by a cell cap so that a bad rank argument fails
-loudly instead of exhausting memory.  This module owns the cap: it is
-the one a run sets with run_cell_cap (the CLI's --cell-cap), else the
-VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and every
-refusal goes through check_cells, so no caller threads a cap through.
+elsewhere read it, _exponent_rows among them: the VC exponents from which vc
+and khinchin build their value tables.  digit_count is the one digit
+counter.  Every grid of base-p cells is guarded by a cell cap so that a bad
+rank argument fails loudly instead of exhausting memory.  This module owns
+the cap: it is the one a run sets with run_cell_cap (the CLI's --cell-cap),
+else the VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and
+every refusal goes through check_cells, so no caller threads a cap through.
 """
 
 from __future__ import annotations
@@ -136,3 +137,14 @@ def digitwise_add(a, b, p: int):
         total = total * p + digits[..., k]
     total = np.asarray(total)
     return total.item() if total.ndim == 0 else total
+
+
+def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
+    """(len(indices), p**k) exponents E with VC_n(cell m) = w**E[i, m] for n = indices[i].
+
+    E[i, m] = sum_j n_j * x_j(m) mod p, where x_j(m), the j-th point digit
+    of cell m, is the (k-1-j)-th integer digit of m.  Callers check p**k
+    against the cell cap.
+    """
+    point_digits = digit_array(np.arange(p**k), p, k)[:, ::-1]
+    return digit_array(indices, p, k) @ point_digits.T % p

@@ -7,11 +7,15 @@ whole-array integer operations and exact.  PArySet stores a union of rank-k
 cells as an integer bitmask (cell m at bit m) and always keeps the canonical
 minimal-rank form, which makes set equality structural.  Every view of a mask
 (its cells, its mask at a finer rank, its indicator) unpacks the bits once
-into a numpy array, so each view is linear in the cell count.
+into a numpy array, so each view is linear in the cell count.  Two lemmas
+that verify checks are built from these types: symmetric_decomposition
+splits Re(R_k**j) into symmetric step functions, and independence_check
+tests the product rule for functions of distinct digits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclo import CycloArray
+from .cyclo import CycloArray, root_of_unity
 from .pary import check_rank
 
 
@@ -335,3 +339,54 @@ def at_least_two(sets: Sequence[PArySet]) -> PArySet:
         twice |= once & m
         once |= m
     return PArySet(p, rank, twice)
+
+
+# -- symmetric decomposition and independence ---------------------------------
+
+
+def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
+    """The p-1 symmetric pieces whose sum is Re(R_k**j), exactly.
+
+    Piece m (m = 1..p-1) takes the value cos(2*pi*m*j/p) on cells with k-th
+    digit m, minus the same value on cells with k-th digit 0, and 0 elsewhere;
+    cosines are stored exactly as (w**(mj) + w**(-mj)) / 2.
+    """
+    if not 1 <= j <= p - 1:
+        raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
+    digits = np.arange(check_rank(p, k + 1)) % p
+    pieces = []
+    for m in range(1, p):
+        cos_m = root_of_unity(p, m * j).real_part()
+        # row 1 (cos_m) where the digit is m, row 2 (-cos_m) where it is 0, else row 0
+        rows = np.select([digits == m, digits == 0], [1, 2])
+        values = CycloArray.from_values([0, cos_m, -cos_m])[rows]
+        pieces.append(StepFn(p, k + 1, values))
+    return pieces
+
+
+def independence_check(p: int, tables: Sequence[Sequence[object]]) -> bool:
+    """Exhaustively verify the product rule for digit-functions f_k(x) = g_k(x_k).
+
+    For every combination of attainable values (e_0, ..., e_n) the joint
+    measure mu{f_k = e_k for all k} must equal the product of the marginal
+    measures.  Over the p**(n+1) rank-(n+1) cells both are integer counts
+    times p**-(n+1): the joint count of cells against the product of the
+    digit preimage counts, compared exactly.
+    """
+    tables = [list(t) for t in tables]
+    if any(len(t) != p for t in tables):
+        raise ValueError(f"each value table must have exactly {p} entries")
+    check_rank(p, len(tables))
+    # label each digit by its value's residue key, so equal values share a label
+    labels = []
+    for table in tables:
+        seen: dict[tuple, int] = {}
+        keys = map(tuple, CycloArray.from_values(table).keys().tolist())
+        labels.append([seen.setdefault(key, len(seen)) for key in keys])
+    dims = [max(row) + 1 for row in labels]
+    # the joint label of every cell's digits, counted over the whole p**(n+1) grid
+    joint = np.bincount(
+        np.ravel_multi_index(np.ix_(*labels), dims).ravel(), minlength=math.prod(dims)
+    ).reshape(dims)
+    marginals = [np.bincount(row) for row in labels]
+    return bool((joint == functools.reduce(np.multiply.outer, marginals, 1)).all())

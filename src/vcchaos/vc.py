@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .cyclo import CycloArray, _power_residues
-from .pary import check_cells, check_rank, digit_array, digit_count
+from .pary import _exponent_rows, check_cells, check_rank, digit_count
 
 if TYPE_CHECKING:
     from .stepfn import StepFn
@@ -57,17 +57,6 @@ def vc_function(p: int, n: int) -> StepFn:
     rank = digit_count(n, p)
     check_rank(p, rank)
     return StepFn(p, rank, CycloArray.roots(p, _exponent_rows(p, rank, [n])[0]))
-
-
-def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
-    """(len(indices), p**k) exponents E with VC_n(cell m) = w**E[i, m] for n = indices[i].
-
-    E[i, m] = sum_j n_j * x_j(m) mod p, where x_j(m), the j-th point digit
-    of cell m, is the (k-1-j)-th integer digit of m.  Callers check p**k
-    against the cell cap.
-    """
-    point_digits = digit_array(np.arange(p**k), p, k)[:, ::-1]
-    return digit_array(indices, p, k) @ point_digits.T % p
 
 
 def exponent_table(p: int, k: int) -> np.ndarray:
@@ -146,9 +135,10 @@ def matrix_op_norm(p: int, k: int) -> float:
     a = np.exp(2j * np.pi * exponent_table(p, k) / p)
     cells = len(a)
     x = np.ones(cells) / math.sqrt(cells)
+    adjoint = a.conj().T
     for _ in range(_POWER_ITERATIONS):
         y = a @ x
-        x = a.conj().T @ y
+        x = adjoint @ y
         norm = np.linalg.norm(x)
         if norm == 0:
             return 0.0

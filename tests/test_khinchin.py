@@ -28,14 +28,12 @@ from vcchaos.khinchin import (
     _ratio_objective,
     estimate_constant,
     estimate_l1_constant,
-    independence_check,
     l1_lower_ratio_with_error,
     moment_even_pow_exact,
     norm_ratio_pow_exact,
     sample_unit_coefficients,
-    symmetric_decomposition,
 )
-from vcchaos.stepfn import StepFn
+from vcchaos.stepfn import StepFn, independence_check, symmetric_decomposition
 from vcchaos.vc import rademacher, synthesize
 
 
@@ -449,6 +447,63 @@ def test_move_scores_match_full_evaluation(q):
     moved = _moved(c, 3, 0.5j)
     assert scorer.accept(3, 0.5j, 0.0) == scorer(moved)
     assert np.array_equal(scorer.point, moved)
+
+
+def _even_scores_oracle(scorer, i, deltas):
+    """The earlier _EvenRatio.scores: columns gathered from the strided sum tables, each score
+    summed in the same order.  The scorer must match it bit for bit."""
+    count = scorer.point.size
+    shifts = [np.arange(count).reshape(1, count)]
+    shifts += [flat.reshape(-1, count) for flat, _ in scorer.tables]
+    h, levels, norms = scorer.h, scorer.levels, scorer.norms
+    gram = [[0j] * (h + 1) for _ in range(h + 1)]
+    for k in range(1, h):
+        bins = None
+        for level in range(h - k, h):
+            shift = shifts[level]
+            bins = shift[:, i] if bins is None else shift[bins, i]
+            gram[h - 1 - level][k] = complex(np.vdot(levels[level + 1][bins], levels[h - k]))
+    target = 0
+    for level in range(h):
+        target = shifts[level][target, i]
+        gram[h - 1 - level][h] = complex(levels[level + 1][target]).conjugate()
+    ci = complex(scorer.point[i]).conjugate()
+    polys = {}
+    values = []
+    for d in deltas:
+        l2_sq = scorer.l2_sq + 2 * (ci * d).real + abs(d) ** 2
+        t = abs(d) ** 2
+        if t not in polys:
+            polys[t] = [
+                sum(c * t**j * (norms[h - j] if r == 0 else gram[j][j + r]) for j, c in terms)
+                for r, terms in enumerate(scorer.pairs)
+            ]
+        poly = polys[t]
+        gain, power = poly[0], 1
+        for r in range(1, h + 1):
+            power *= d
+            gain += 2 * (power * poly[r]).real
+        values.append((norms[h] + gain) ** (1.0 / scorer.q) / math.sqrt(l2_sq))
+    return values
+
+
+@pytest.mark.parametrize("q", [4, 6, 8])
+def test_even_move_scores_are_bit_identical_to_the_oracle(q):
+    spec = full_chaos(3, 2)
+    members = enumerate_members(spec, 26)
+    scorer = _ratio_objective(3, members, q)
+    # the mixed-magnitude deltas above, plus two whose |delta|**2 is not dyadic
+    deltas = (0.25, -0.25, 0.25j, -0.25j, 0.3 - 0.1j, 2.0, -0.15 + 0.4j, 0.7)
+    for trial in (0, 1):
+        c = sample_unit_coefficients(len(members), 5, trial)
+        scorer.reset(c)
+        # the cached sums and the full evaluation, against their np.sum forms
+        assert scorer.norms == [float(np.sum(np.abs(g) ** 2)) for g in scorer.levels]
+        l2_sq = float(np.sum(np.abs(c) ** 2))
+        g = scorer.levels[-1]
+        assert scorer(c) == float(np.sum(np.abs(g) ** 2)) ** (1.0 / q) / math.sqrt(l2_sq)
+        for i in (0, 1, 7, 11, len(members) - 1):
+            assert scorer.scores(i, deltas) == _even_scores_oracle(scorer, i, deltas)
 
 
 def test_estimate_constant_q6_runtime():

@@ -22,15 +22,17 @@ EXPORTS = {
         "pattern_multiplicity_check", "unit_chaos",
     ],
     "khinchin": [
-        "KhinchinReport", "estimate_constant", "estimate_l1_constant", "independence_check",
-        "l1_lower_ratio_with_error", "moment_even_pow_exact", "norm_ratio_pow_exact",
-        "sample_unit_coefficients", "symmetric_decomposition",
+        "KhinchinReport", "estimate_constant", "estimate_l1_constant", "l1_lower_ratio_with_error",
+        "moment_even_pow_exact", "norm_ratio_pow_exact", "sample_unit_coefficients",
     ],
     "pary": [
         "DEFAULT_CELL_CAP", "RankCapError", "digit_count", "digits_of_integer", "digitwise_add",
         "run_cell_cap",
     ],
-    "stepfn": ["Distribution", "PArySet", "StepFn", "at_least_two"],
+    "stepfn": [
+        "Distribution", "PArySet", "StepFn", "at_least_two", "independence_check",
+        "symmetric_decomposition",
+    ],
     "uniqueness": [
         "SharpnessReport", "common_core", "overlap_bound_check", "shifted_family",
         "witness_full_chaos", "witness_unit_chaos",
@@ -95,3 +97,15 @@ def test_transform_and_index_load_only_their_layers(tmp_path):
     loaded = _layers_loaded(tmp_path, ["index", "--set", "v", "--p", "2", "--d", "1", "--max", "9"])
     assert "vcchaos.indices" in loaded
     assert not loaded & {"vcchaos.khinchin", "vcchaos.uniqueness", "vcchaos.vc", "vcchaos.cyclo"}
+
+
+def test_khinchin_and_verify_load_only_their_layers(tmp_path):
+    khinchin = ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--N", "64", "--trials", "5"]
+    khinchin += ["--seed", "1"]
+    layers = {"vcchaos", "vcchaos.cli", "vcchaos.pary", "vcchaos.indices", "vcchaos.khinchin"}
+    assert _layers_loaded(tmp_path, [*khinchin, "--q", "3", "--mode", "float"]) == layers
+    # only the exact certificate of an even-q ratio adds the cyclotomic layer
+    exact = _layers_loaded(tmp_path, [*khinchin, "--q", "4", "--mode", "exact", "--l1"])
+    assert exact == layers | {"vcchaos.cyclo"}
+    loaded = _layers_loaded(tmp_path, ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"])
+    assert "vcchaos.stepfn" in loaded and "vcchaos.khinchin" not in loaded
