@@ -8,9 +8,10 @@ mathematical check failed, 2 configuration or resource error, and any other
 exception (one "error: <Type>: <message>" line on stderr, no traceback).
 
 Each command imports the layers it calls when it runs, so a process loads
-only those: `transform` loads pary, cyclo and vc, `index` pary and indices,
-`khinchin` pary, indices and khinchin (and cyclo when it certifies an even-q
-ratio exactly), and `sharpness` and `verify` every layer but khinchin.
+only those: a float `transform` loads pary and vc (an exact one cyclo too),
+`index` pary and indices, `khinchin` pary, indices and khinchin (its exact
+even-q certificate included), and `sharpness` and `verify` every layer but
+khinchin.
 """
 
 from __future__ import annotations
@@ -387,14 +388,57 @@ def cmd_khinchin(args) -> int:
 # -- transform ---------------------------------------------------------------------
 
 
-# lines parsed per numpy call: bounds the token lists alive at once
+# lines parsed per numpy call: bounds the token lists alive at once; also the
+# entries formatted per write
 _PARSE_BLOCK = 1 << 14
+
+# the bytes of a file of plain numerals: on these alone lines break only at
+# "\n", fields split only at space and tab, and numpy's field parser accepts
+# and rounds exactly as float() does (they differ only on "_" and non-ASCII digits)
+_NUMERAL_BYTES = b"0123456789+-.eE \t\n"
 
 
 def _read_array(path: str) -> np.ndarray:
-    """Complex entries of a JSON array or of text lines of 1 (real) or 2 (re im) fields."""
-    with open(path) as fh:
-        text = fh.read()
+    """Complex entries of a JSON array or of text lines of 1 (real) or 2 (re im) fields.
+
+    A file of plain numerals in 1 or 2 columns is read by numpy's C
+    tokenizer; any other file, including every malformed one, by the
+    decoded text as open(path).read() gives it, so that parser alone
+    decides what else is accepted and words every error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    out = _read_numerals(data)
+    if out is None:
+        # locale encoding and universal newlines, as a text-mode open reads it
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+        del data
+        out = _parse_text(text, path)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"non-finite entry in {path}")
+    return out
+
+
+def _read_numerals(data: bytes) -> np.ndarray | None:
+    """The entries of a file of plain numerals in 1 or 2 columns, else None."""
+    # blank data never reaches loadtxt, which warns on stderr when it finds no rows
+    if not data or data.isspace() or data.translate(None, _NUMERAL_BYTES):
+        return None
+    try:
+        table = np.loadtxt(
+            io.BytesIO(data), dtype=float, comments=None, quotechar=None, ndmin=2, encoding="latin1"
+        )
+    except ValueError:  # a malformed field or ragged rows
+        return None
+    if table.shape[1] == 1:
+        return table[:, 0].astype(complex)
+    if table.shape[1] == 2:
+        return table.view(complex)[:, 0]
+    return None
+
+
+def _parse_text(text: str, path: str) -> np.ndarray:
+    """The entries of a decoded file: a JSON array, else text lines parsed _PARSE_BLOCK at a time."""
     if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
@@ -403,22 +447,18 @@ def _read_array(path: str) -> np.ndarray:
         # a bare number is a real entry; an empty list fails float() below
         rows = (item if isinstance(item, list) and item else [item] for item in data)
         try:
-            out = np.array([complex(*map(float, row)) for row in rows], dtype=complex)
+            return np.array([complex(*map(float, row)) for row in rows], dtype=complex)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed entry in {path}: {exc}") from None
-    else:
-        # drop the text and then the line list once consumed: together they
-        # are most of the reader's peak memory
-        lines = text.splitlines()
-        del text
-        blocks = []
-        for lo in range(0, len(lines), _PARSE_BLOCK):
-            blocks.append(_parse_lines(lines[lo : lo + _PARSE_BLOCK], path))
-        del lines
-        out = np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
-    if not np.isfinite(out).all():
-        raise ConfigError(f"non-finite entry in {path}")
-    return out
+    # drop the text and then the line list once consumed: together they
+    # are most of the reader's peak memory
+    lines = text.splitlines()
+    del text
+    blocks = []
+    for lo in range(0, len(lines), _PARSE_BLOCK):
+        blocks.append(_parse_lines(lines[lo : lo + _PARSE_BLOCK], path))
+    del lines
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
 
 
 def _parse_lines(lines: list[str], path: str) -> np.ndarray:
@@ -444,14 +484,16 @@ def _parse_lines(lines: list[str], path: str) -> np.ndarray:
 
 
 def _write_array(path: str, values: np.ndarray, as_json: bool) -> None:
-    # Python floats, so repr prints the shortest round-trip digits
-    re, im = values.real.tolist(), values.imag.tolist()
+    # Python floats, so repr (%r) prints the shortest round-trip digits
     with open(path, "w") as fh:
         if as_json:
-            json.dump(list(zip(re, im)), fh)
-            fh.write("\n")
-        else:
-            fh.writelines(f"{a!r} {b!r}\n" for a, b in zip(re, im))
+            fh.write(json.dumps(list(zip(values.real.tolist(), values.imag.tolist()))) + "\n")
+            return
+        # re, im interleaved; each block is one %-format of 2 * n floats
+        parts = np.ascontiguousarray(values, dtype=complex).view(float)
+        for lo in range(0, len(parts), 2 * _PARSE_BLOCK):
+            block = parts[lo : lo + 2 * _PARSE_BLOCK].tolist()
+            fh.write(("%r %r\n" * (len(block) // 2)) % tuple(block))
 
 
 def cmd_transform(args) -> int:

@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .pary import over_common_denominator
+
 _EPS = 2.0**-52
 
 
@@ -131,9 +133,7 @@ class CycloArray:
             return values
         values = list(values)
         if not any(isinstance(v, CycloArray) for v in values):
-            ratios = [x.as_integer_ratio() for x in values]
-            denom = math.lcm(*(d for _, d in ratios))
-            nums = np.array([n * (denom // d) for n, d in ratios], dtype=object)
+            nums, denom = over_common_denominator(values)
             return cls(1, nums.reshape(len(values), 1), denom)
         rows = [cls.coerce(v) for v in values]
         order = math.lcm(*(a.order for a in rows))

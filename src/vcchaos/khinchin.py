@@ -39,7 +39,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .indices import IndexSpec, check_candidates, enumerate_members, member_mask
-from .pary import _exponent_rows, check_cells, check_rank, digit_count, digitwise_add
+from .pary import (
+    _exponent_rows,
+    check_cells,
+    check_rank,
+    digit_count,
+    digitwise_add,
+    over_common_denominator,
+)
 
 # bound on |fl(w**e) - w**e| for the rounded unit roots in _vc_rows
 _ROOT_ERR = 2.0**-47
@@ -90,8 +97,6 @@ def _exact_power_sums(coeffs: Mapping[int, object], tables: list[tuple]) -> tupl
     S_1 and S_h are the sums of |g|**2 over the numerators of c and of their
     h-fold convolution, so integral |f|**q = S_h / D**q and ratio**q = S_h / S_1**h.
     """
-    from .cyclo import CycloArray  # imported here, so float-mode runs never load cyclo
-
     parts = []
     for v in coeffs.values():
         if isinstance(v, complex):
@@ -100,8 +105,8 @@ def _exact_power_sums(coeffs: Mapping[int, object], tables: list[tuple]) -> tupl
             parts += (v, 0)
         else:
             raise TypeError(f"cannot convert {type(v).__name__} to an exact complex")
-    column = CycloArray.from_values(parts)
-    re, im, denom = column.nums[0::2, 0], column.nums[1::2, 0], column.denom
+    nums, denom = over_common_denominator(parts)
+    re, im = nums[0::2], nums[1::2]
     g_re, g_im, outer = re, im, np.multiply.outer
     for flat, bins in tables:
         next_re, next_im = np.zeros(bins, dtype=object), np.zeros(bins, dtype=object)

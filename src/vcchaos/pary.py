@@ -10,10 +10,13 @@ rank argument fails loudly instead of exhausting memory.  This module owns
 the cap: it is the one a run sets with run_cell_cap (the CLI's --cell-cap),
 else the VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and
 every refusal goes through check_cells, so no caller threads a cap through.
+over_common_denominator puts exact rationals over one denominator, the
+integer form that cyclo's arrays and khinchin's exact certificate share.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -94,6 +97,17 @@ def digit_count(n: int, p: int) -> int:
 def integer_array(values) -> np.ndarray:
     """values as an array; a list of Python ints as object (numpy reads [5, 2**63] as floats)."""
     return values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+
+
+def over_common_denominator(values) -> tuple[np.ndarray, int]:
+    """(numerators, D): exact rationals (ints, floats, Fractions) as Python ints over their lcm D.
+
+    A float is its exact binary ratio (float.as_integer_ratio); the
+    numerators come as an object array, in the order of values.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    denom = math.lcm(*(d for _, d in ratios))
+    return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
 
 
 def digit_array(values, p: int, length: int | None = None) -> np.ndarray:

@@ -31,10 +31,11 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .cyclo import CycloArray, _power_residues
 from .pary import _exponent_rows, check_cells, check_rank, digit_count
 
+# cyclo and stepfn are imported where used, so the float transform loads neither
 if TYPE_CHECKING:
+    from .cyclo import CycloArray
     from .stepfn import StepFn
 
 # power-iteration steps of matrix_op_norm
@@ -50,7 +51,8 @@ def rademacher(p: int, k: int) -> StepFn:
 
 def vc_function(p: int, n: int) -> StepFn:
     """VC_n as a step function at rank digit_count(n); VC_0 is constant 1."""
-    from .stepfn import StepFn  # imported here, so the transforms never load stepfn
+    from .cyclo import CycloArray
+    from .stepfn import StepFn
 
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
@@ -108,6 +110,8 @@ def verify_inverse_identity(p: int, k: int) -> bool:
     float operation is exact and the comparison with N*I mod l is a comparison
     of exact integers.
     """
+    from .cyclo import _power_residues
+
     cells = check_rank(p, k)
     rho = max(abs(c) for row in _power_residues(p) for c in row)
     l, z = _gram_modulus(p, cells * (rho + 1))
@@ -213,6 +217,8 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     with shift[a, b] = sign * a * b * r / p: O(p * cells * r) work, and
     temporaries the size of the array.
     """
+    from .cyclo import CycloArray
+
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     vals = CycloArray.from_values(values)
@@ -248,6 +254,7 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
 
 def synthesize(coeffs: Mapping[int, object], p: int) -> StepFn:
     """Exact sum of coeffs[n] * VC_n, evaluated via the inverse fast transform."""
+    from .cyclo import CycloArray
     from .stepfn import StepFn
 
     if any(n < 0 for n in coeffs):

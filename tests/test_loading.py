@@ -90,9 +90,13 @@ def _layers_loaded(tmp_path, argv):
 
 def test_transform_and_index_load_only_their_layers(tmp_path):
     (tmp_path / "in.txt").write_text("1\n2\n3\n4\n")
-    transform = ["transform", "--p", "2", "--mode", "exact", "--input", "in.txt", "--output", "out.txt"]
-    loaded = _layers_loaded(tmp_path, transform)
-    assert "vcchaos.vc" in loaded
+    transform = ["transform", "--p", "2", "--input", "in.txt", "--output", "out.txt"]
+    # the float transform needs no cyclotomic layer; the exact one loads it
+    assert _layers_loaded(tmp_path, [*transform, "--mode", "float"]) == {
+        "vcchaos", "vcchaos.cli", "vcchaos.pary", "vcchaos.vc"
+    }
+    loaded = _layers_loaded(tmp_path, [*transform, "--mode", "exact"])
+    assert {"vcchaos.vc", "vcchaos.cyclo"} <= loaded
     assert not loaded & {"vcchaos.khinchin", "vcchaos.uniqueness", "vcchaos.indices", "vcchaos.stepfn"}
     loaded = _layers_loaded(tmp_path, ["index", "--set", "v", "--p", "2", "--d", "1", "--max", "9"])
     assert "vcchaos.indices" in loaded
@@ -104,8 +108,8 @@ def test_khinchin_and_verify_load_only_their_layers(tmp_path):
     khinchin += ["--seed", "1"]
     layers = {"vcchaos", "vcchaos.cli", "vcchaos.pary", "vcchaos.indices", "vcchaos.khinchin"}
     assert _layers_loaded(tmp_path, [*khinchin, "--q", "3", "--mode", "float"]) == layers
-    # only the exact certificate of an even-q ratio adds the cyclotomic layer
+    # the exact certificate of an even-q ratio needs no cyclotomic layer either
     exact = _layers_loaded(tmp_path, [*khinchin, "--q", "4", "--mode", "exact", "--l1"])
-    assert exact == layers | {"vcchaos.cyclo"}
+    assert exact == layers
     loaded = _layers_loaded(tmp_path, ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"])
     assert "vcchaos.stepfn" in loaded and "vcchaos.khinchin" not in loaded
