@@ -8,10 +8,10 @@ mathematical check failed, 2 configuration or resource error, and any other
 exception (one "error: <Type>: <message>" line on stderr, no traceback).
 
 Each command imports the layers it calls when it runs, so a process loads
-only those: a float `transform` loads pary and vc (an exact one cyclo too),
-`index` pary and indices, `khinchin` pary, indices and khinchin (its exact
-even-q certificate included), and `sharpness` and `verify` every layer but
-khinchin.
+only those: a float `transform` loads pary, vc and textio (an exact one
+cyclo too), `index` pary and indices, `khinchin` pary, indices and khinchin
+(its exact even-q certificate included), and `sharpness` and `verify` every
+layer but khinchin and textio.
 """
 
 from __future__ import annotations
@@ -387,113 +387,22 @@ def cmd_khinchin(args) -> int:
 
 # -- transform ---------------------------------------------------------------------
 
-
-# lines parsed per numpy call: bounds the token lists alive at once; also the
-# entries formatted per write
-_PARSE_BLOCK = 1 << 14
-
-# the bytes of a file of plain numerals: on these alone lines break only at
-# "\n", fields split only at space and tab, and numpy's field parser accepts
-# and rounds exactly as float() does (they differ only on "_" and non-ASCII digits)
-_NUMERAL_BYTES = b"0123456789+-.eE \t\n"
+# The file reader and writer live in textio, which only transform imports;
+# these two names are the CLI's file I/O, as perfbench's tracer times it.
 
 
 def _read_array(path: str) -> np.ndarray:
-    """Complex entries of a JSON array or of text lines of 1 (real) or 2 (re im) fields.
+    """The complex entries of a transform input file (textio.read_array)."""
+    from .textio import read_array
 
-    A file of plain numerals in 1 or 2 columns is read by numpy's C
-    tokenizer; any other file, including every malformed one, by the
-    decoded text as open(path).read() gives it, so that parser alone
-    decides what else is accepted and words every error.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    out = _read_numerals(data)
-    if out is None:
-        # locale encoding and universal newlines, as a text-mode open reads it
-        text = io.TextIOWrapper(io.BytesIO(data)).read()
-        del data
-        out = _parse_text(text, path)
-    if not np.isfinite(out).all():
-        raise ConfigError(f"non-finite entry in {path}")
-    return out
-
-
-def _read_numerals(data: bytes) -> np.ndarray | None:
-    """The entries of a file of plain numerals in 1 or 2 columns, else None."""
-    # blank data never reaches loadtxt, which warns on stderr when it finds no rows
-    if not data or data.isspace() or data.translate(None, _NUMERAL_BYTES):
-        return None
-    try:
-        table = np.loadtxt(
-            io.BytesIO(data), dtype=float, comments=None, quotechar=None, ndmin=2, encoding="latin1"
-        )
-    except ValueError:  # a malformed field or ragged rows
-        return None
-    if table.shape[1] == 1:
-        return table[:, 0].astype(complex)
-    if table.shape[1] == 2:
-        return table.view(complex)[:, 0]
-    return None
-
-
-def _parse_text(text: str, path: str) -> np.ndarray:
-    """The entries of a decoded file: a JSON array, else text lines parsed _PARSE_BLOCK at a time."""
-    if text.lstrip().startswith("["):
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ConfigError(f"arrays nested too deeply in {path}") from None
-        # a bare number is a real entry; an empty list fails float() below
-        rows = (item if isinstance(item, list) and item else [item] for item in data)
-        try:
-            return np.array([complex(*map(float, row)) for row in rows], dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed entry in {path}: {exc}") from None
-    # drop the text and then the line list once consumed: together they
-    # are most of the reader's peak memory
-    lines = text.splitlines()
-    del text
-    blocks = []
-    for lo in range(0, len(lines), _PARSE_BLOCK):
-        blocks.append(_parse_lines(lines[lo : lo + _PARSE_BLOCK], path))
-    del lines
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
-
-
-def _parse_lines(lines: list[str], path: str) -> np.ndarray:
-    """One complex entry per line of 1 or 2 whitespace-separated fields; blank lines skipped."""
-    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
-    if (counts > 2).any():
-        raise ConfigError(f"malformed entry in {path}: more than 2 fields on a line")
-    try:
-        # the joined block splits into every line's fields in order; float()
-        # semantics for each, as on the JSON path
-        fields = np.array(" ".join(lines).split(), dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"malformed entry in {path}: {exc}") from None
-    counts = counts[counts > 0]
-    if len(fields) == 2 * len(counts):
-        return fields.view(complex)
-    out = np.zeros(len(counts), dtype=complex)
-    starts = np.cumsum(counts) - counts
-    out.real = fields[starts]
-    pairs = counts == 2
-    out.imag[pairs] = fields[starts[pairs] + 1]
-    return out
+    return read_array(path)
 
 
 def _write_array(path: str, values: np.ndarray, as_json: bool) -> None:
-    # Python floats, so repr (%r) prints the shortest round-trip digits
-    with open(path, "w") as fh:
-        if as_json:
-            fh.write(json.dumps(list(zip(values.real.tolist(), values.imag.tolist()))) + "\n")
-            return
-        # re, im interleaved; each block is one %-format of 2 * n floats
-        parts = np.ascontiguousarray(values, dtype=complex).view(float)
-        for lo in range(0, len(parts), 2 * _PARSE_BLOCK):
-            block = parts[lo : lo + 2 * _PARSE_BLOCK].tolist()
-            fh.write(("%r %r\n" * (len(block) // 2)) % tuple(block))
+    """Write transform output as text lines or JSON (textio.write_array)."""
+    from .textio import write_array
+
+    write_array(path, values, as_json)
 
 
 def cmd_transform(args) -> int:
@@ -502,14 +411,22 @@ def cmd_transform(args) -> int:
     _validate_base(args.p)
     values = _read_array(args.input)
     check_rank(args.p, _length_rank(len(values), args.p))
-    if args.mode == "float":
-        result = vc_transform_float(values, args.p, args.direction)
-    else:
-        if values.imag.any():
-            raise ConfigError("exact mode accepts real inputs only; use --mode float")
-        # each float is its exact integer ratio (float.as_integer_ratio)
-        out = vc_transform_exact(values.real.tolist(), args.p, args.direction)
-        result = out.float_parts()
+    if args.mode == "exact" and values.imag.any():
+        raise ConfigError("exact mode accepts real inputs only; use --mode float")
+    # finite entries can sum past the float range: the float transform then
+    # holds inf or nan, and the exact one's float view fails or holds inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.mode == "float":
+            result = vc_transform_float(values, args.p, args.direction)
+        else:
+            # each float is its exact integer ratio (float.as_integer_ratio)
+            out = vc_transform_exact(values.real.tolist(), args.p, args.direction)
+            try:
+                result = out.float_parts()
+            except OverflowError:
+                result = None
+    if result is None or not np.isfinite(result).all():
+        raise ConfigError(f"the transform of {args.input} overflows the float range")
     _write_array(args.output, result, args.output.endswith(".json"))
     return 0
 

@@ -93,14 +93,16 @@ def test_transform_and_index_load_only_their_layers(tmp_path):
     transform = ["transform", "--p", "2", "--input", "in.txt", "--output", "out.txt"]
     # the float transform needs no cyclotomic layer; the exact one loads it
     assert _layers_loaded(tmp_path, [*transform, "--mode", "float"]) == {
-        "vcchaos", "vcchaos.cli", "vcchaos.pary", "vcchaos.vc"
+        "vcchaos", "vcchaos.cli", "vcchaos.pary", "vcchaos.vc", "vcchaos.textio"
     }
     loaded = _layers_loaded(tmp_path, [*transform, "--mode", "exact"])
-    assert {"vcchaos.vc", "vcchaos.cyclo"} <= loaded
+    assert {"vcchaos.vc", "vcchaos.cyclo", "vcchaos.textio"} <= loaded
     assert not loaded & {"vcchaos.khinchin", "vcchaos.uniqueness", "vcchaos.indices", "vcchaos.stepfn"}
     loaded = _layers_loaded(tmp_path, ["index", "--set", "v", "--p", "2", "--d", "1", "--max", "9"])
     assert "vcchaos.indices" in loaded
-    assert not loaded & {"vcchaos.khinchin", "vcchaos.uniqueness", "vcchaos.vc", "vcchaos.cyclo"}
+    assert not loaded & {
+        "vcchaos.khinchin", "vcchaos.uniqueness", "vcchaos.vc", "vcchaos.cyclo", "vcchaos.textio"
+    }
 
 
 def test_khinchin_and_verify_load_only_their_layers(tmp_path):
@@ -112,4 +114,4 @@ def test_khinchin_and_verify_load_only_their_layers(tmp_path):
     exact = _layers_loaded(tmp_path, [*khinchin, "--q", "4", "--mode", "exact", "--l1"])
     assert exact == layers
     loaded = _layers_loaded(tmp_path, ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"])
-    assert "vcchaos.stepfn" in loaded and "vcchaos.khinchin" not in loaded
+    assert "vcchaos.stepfn" in loaded and not loaded & {"vcchaos.khinchin", "vcchaos.textio"}
