@@ -16,16 +16,13 @@ single value is a one-row CycloArray.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .pary import over_common_denominator
-
-_EPS = 2.0**-52
+from .pary import over_common_denominator, unit_roots
 
 
 def _polydiv_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
@@ -277,19 +274,16 @@ class CycloArray:
     def _evaluate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float real parts, imaginary parts and coefficient l1 masses of the rows.
 
-        Each coefficient n / denom is one correctly rounded integer division.
-        The terms are summed in ring order j = 0, 1, ..., as the scalar sum
-        `total += cf * cmath.exp(2j * pi * j / r)` would: that product's real
-        part is cf * cos - 0 * sin, which differs from cf * cos at most in
-        the sign of a zero, and a sum that starts at +0.0 never becomes -0.0,
-        so neither signed zeros nor zero coefficients change a total.
+        Each coefficient n / denom is one correctly rounded integer division,
+        and w**j is pary.unit_roots(order)[j].  The terms are summed in ring
+        order j = 0, 1, ..., as the scalar sum `total += cf * w**j` would: its
+        real part is cf * cos - 0 * sin, which differs from cf * cos at most
+        in the sign of a zero, and a sum that starts at +0.0 never becomes
+        -0.0, so neither signed zeros nor zero coefficients change a total.
         """
-        r = self.order
         coeffs = (self.nums / self.denom).astype(np.float64)
         re, im, mag = (np.zeros(len(self)) for _ in range(3))
-        for j in range(r):
-            root = cmath.exp(2j * math.pi * j / r)
-            column = coeffs[:, j]
+        for column, root in zip(coeffs.T, unit_roots(self.order).tolist()):
             re += column * root.real
             im += column * root.imag
             mag += np.abs(column)
@@ -302,7 +296,7 @@ class CycloArray:
         evaluations, the products, and the length-order summation.
         """
         re, im, mag = self._evaluate()
-        bound = mag * _EPS * (self.order + 8) + 4 * math.ulp(1.0) * (np.hypot(re, im) + 1e-300)
+        bound = mag * 2.0**-52 * (self.order + 8) + 4 * math.ulp(1.0) * (np.hypot(re, im) + 1e-300)
         return list(zip(map(complex, re.tolist(), im.tolist()), bound.tolist()))
 
     def float_parts(self) -> np.ndarray:

@@ -40,16 +40,16 @@ import numpy as np
 
 from .indices import IndexSpec, check_candidates, enumerate_members, member_mask
 from .pary import (
+    _ROOT_ERR,
     _exponent_rows,
     check_cells,
     check_rank,
     digit_count,
     digitwise_add,
     over_common_denominator,
+    unit_roots,
 )
 
-# bound on |fl(w**e) - w**e| for the rounded unit roots in _vc_rows
-_ROOT_ERR = 2.0**-47
 # estimate_l1_constant scores its trials in (chunk x cells) blocks of about
 # this many complex entries (1 MB)
 _CHUNK_ENTRIES = 2**16
@@ -166,8 +166,7 @@ def _vc_rows(p: int, members: Sequence[int]) -> np.ndarray:
     rank = digit_count(max(members), p)
     cells = check_rank(p, rank)
     check_cells(len(members) * cells, f"{len(members)} members x {p}**{rank} cells")
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    return roots[_exponent_rows(p, rank, members)]
+    return unit_roots(p)[_exponent_rows(p, rank, members)]
 
 
 def _cell_ratios(cells: np.ndarray, l2, q) -> np.ndarray:
@@ -205,15 +204,10 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     """Absolute error bound for ratio = _lq_ratios(c, rows, q), rows from _vc_rows.
 
     Model: u = 2**-53; every real product, sum and quotient is rounded once
-    (FMA allowed, any summation order); sqrt is correctly rounded; abs,
-    power, exp, cos and sin are within 4 ulps (relative error 8u);
-    gamma(n) = n*u / (1 - n*u).  Let M = c.size and N = cells.
-
-    Unit roots.  roots[e] = exp(i*t), where t is 2*pi*e/p after at most four
-    roundings (pi, the product, and the complex division by p, done as a
-    reciprocal and a product), so |t - 2*pi*e/p| <= 4.01u * 2*pi < 26u; cos
-    and sin add at most 8u each, so |roots[e] - w**e| <= 26u + sqrt(2)*8u <
-    64u = _ROOT_ERR =: d.
+    (FMA allowed, any summation order); sqrt is correctly rounded; abs and
+    power are within 4 ulps (relative error 8u); gamma(n) = n*u / (1 - n*u).
+    The rows are entries of pary.unit_roots, each within _ROOT_ERR =: d of
+    its root of unity (proven there).  Let M = c.size and N = cells.
 
     Cells.  A cell of c @ rows is a length-M complex dot product.  Its real
     and imaginary parts are real dot products of length 2M with terms of

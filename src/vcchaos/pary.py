@@ -11,7 +11,8 @@ the cap: it is the one a run sets with run_cell_cap (the CLI's --cell-cap),
 else the VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and
 every refusal goes through check_cells, so no caller threads a cap through.
 over_common_denominator puts exact rationals over one denominator, the
-integer form that cyclo's arrays and khinchin's exact certificate share.
+integer form that cyclo's arrays and khinchin's exact certificate share, and
+unit_roots is the one float table of roots of unity every float kernel reads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,3 +164,27 @@ def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
     """
     point_digits = digit_array(np.arange(p**k), p, k)[:, ::-1]
     return digit_array(indices, p, k) @ point_digits.T % p
+
+
+_ROOT_ERR = 2.0**-47  # bound on |unit_roots(r)[j] - w**j| for every r and j, proven there
+
+
+@lru_cache(maxsize=None)
+def unit_roots(order: int) -> np.ndarray:
+    """Read-only complex128 table of w**j, j < order, w = exp(2*pi*i/order); cached per order.
+
+    Whole quarter turns (1, 1j, -1, -1j) are exact; any other entry is exp(i*t) at the
+    real angle t = fl(fl(2*pi*j) / order), as cmath.exp(2j*math.pi*j/order) takes it.
+    With u = 2**-53 and libm's cos and sin within 4 ulps (relative error 8u), the one
+    libm assumption of the package: t is rounded three times (pi, the product, as 2*pi
+    is exact, and the quotient), so |t - 2*pi*j/order| < 3.01u * 2*pi < 19u, and every
+    entry lies within 19u + sqrt(2)*8u < 64u = _ROOT_ERR of w**j.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    j = np.arange(order)
+    roots = np.exp(1j * (2 * np.pi * j / order))
+    quarter = 4 * j % order == 0
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * j[quarter] // order]
+    roots.flags.writeable = False
+    return roots

@@ -15,13 +15,13 @@ One transform driver, _radix_p, serves both modes: the length-p**k input is
 read as a (p,)*k tensor of ring elements, a p-point stage is applied along
 each digit axis (no twiddle factors exist for this group), and reversing the
 digit axes at the end aligns coefficient order with Paley order.  The float
-stage is one product with the complex p-point DFT matrix; the exact stage
-works on the integer numerators of a CycloArray of common order r, whose
-ring axis of length r is the one w_p**e acts on as a rotation by e*r/p, so
-it is a sum of p rotated gathers and all arithmetic is on integers (int64
-when max|numerator| * p**k fits in it, Python integers otherwise).
-Forward = conjugate kernel and 1/p**k scaling, so forward output n is the
-coefficient of VC_n; inverse rebuilds cell values.
+stage is one matrix product with the p-point DFT matrix from pary.unit_roots,
+scaled by 1/p forward; the exact stage works on the integer numerators of a
+CycloArray of common order r, whose ring axis of length r is the one w_p**e
+acts on as a rotation by e*r/p, so it is a sum of p rotated gathers and all
+arithmetic is on integers (int64 when max|numerator| * p**k fits in it,
+Python integers otherwise).  Forward = conjugate kernel and 1/p**k scaling,
+so forward output n is the coefficient of VC_n; inverse rebuilds cell values.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .pary import _exponent_rows, check_cells, check_rank, digit_count
+from .pary import _exponent_rows, check_cells, check_rank, digit_count, unit_roots
 
 # cyclo and stepfn are imported where used, so the float transform loads neither
 if TYPE_CHECKING:
@@ -136,17 +136,12 @@ def verify_inverse_identity(p: int, k: int) -> bool:
 
 def matrix_op_norm(p: int, k: int) -> float:
     """Power-iteration estimate of the (2,2) operator norm of VC^(k)."""
-    a = np.exp(2j * np.pi * exponent_table(p, k) / p)
-    cells = len(a)
-    x = np.ones(cells) / math.sqrt(cells)
-    adjoint = a.conj().T
+    a = unit_roots(p)[exponent_table(p, k)]
+    x = np.ones(len(a)) / math.sqrt(len(a))
+    adjoint = a.conj().T  # adjoint @ a = p**k * I, so no iterate is zero
     for _ in range(_POWER_ITERATIONS):
-        y = a @ x
-        x = adjoint @ y
-        norm = np.linalg.norm(x)
-        if norm == 0:
-            return 0.0
-        x = x / norm
+        x = adjoint @ (a @ x)
+        x = x / np.linalg.norm(x)
     return float(np.linalg.norm(a @ x) / np.linalg.norm(x))
 
 
@@ -180,10 +175,10 @@ def _radix_p(values: np.ndarray, p: int, k: int, stage) -> np.ndarray:
 
 
 def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray:
-    """Radix-p transform in complex floats: one product with the (p, p) DFT matrix per stage.
+    """Radix-p transform in complex floats: one (M, p) @ (p, p) product per stage.
 
-    Kernel entries at whole quarter turns (1, 1j, -1, -1j) are exact, so
-    exactly real or zero results get no spurious rounding parts from them.
+    The kernel w**(sign*a*b) is read from pary.unit_roots.  Forward it is divided by p (exactly
+    when p is a power of 2), so no stage output exceeds the largest input modulus, up to rounding.
     """
     arr = np.asarray(values, dtype=np.complex128)
     k = _length_rank(arr.size, p)
@@ -192,20 +187,11 @@ def vc_transform_float(values, p: int, direction: str = "forward") -> np.ndarray
     if k == 0:
         return arr.copy()
     sign = -1 if direction == "forward" else 1
-    exponents = sign * np.outer(np.arange(p), np.arange(p))  # kernel[a, b] = w**exponents[a, b]
-    kernel = np.exp(2j * np.pi / p * exponents)
-    # whole quarter turns come from an exact table: np.exp(-1j * np.pi) is -1 - 1.2e-16j
-    quarter = 4 * exponents % p == 0
-    kernel[quarter] = np.array([1, 1j, -1, -1j])[4 * exponents[quarter] // p % 4]
-    # out[j, a] = sum_b kernel[a, b] * t[b, j], by np.einsum.  It was kept off BLAS
-    # because a complex BLAS product (zgemm) once made every later float repr in
-    # the process about a third slower.  One 4x2 @ 2x2 complex product before
-    # transform's array writer formats 2^17 entries changed its CPU time by a
-    # median pair ratio of 1.004 (32 alternating fresh-process pairs, 2-core Xeon)
-    out = _radix_p(arr.reshape(arr.size), p, k, lambda t: np.einsum("bj,ab->ja", t, kernel))
+    kernel = unit_roots(p)[sign * np.outer(np.arange(p), np.arange(p)) % p]
     if direction == "forward":
-        out = out / arr.size
-    return out
+        kernel = kernel / p
+    # out[j, a] = sum_b t[b, j] * kernel[a, b]
+    return _radix_p(arr.reshape(arr.size), p, k, lambda t: t.T @ kernel.T)
 
 
 def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray:

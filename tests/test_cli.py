@@ -485,7 +485,7 @@ def test_transform_text_format(tmp_path):
 )
 def test_transform_exact_prints_rational_parts_exactly(tmp_path, p, expected_real, real_count):
     # every real part is rational here; the first real_count coefficients are
-    # real, the others have irrational imaginary parts (printed via eval_complex)
+    # real, the others have irrational imaginary parts (printed via _evaluate)
     src, out = tmp_path / "in.txt", tmp_path / "out.txt"
     src.write_text("".join(f"{m}\n" for m in range(1, p + 1)))
     assert run(["transform", "--p", str(p), "--mode", "exact", "--input", str(src), "--output", str(out)]) == 0

@@ -207,15 +207,23 @@ def test_float_parts_agree_with_exact_parts():
 
 
 def _scalar_eval(value):
-    """Row by row, term by term: the Python complex sum and bound that eval_complex reproduces."""
+    """Row by row, term by term: the Python complex sum and bound that eval_complex reproduces.
+
+    The roots are exact at whole quarter turns and cmath.exp elsewhere, so
+    this reference does not read pary.unit_roots.
+    """
     r = value.order
+    roots = [
+        (1, 1j, -1, -1j)[4 * j // r] if 4 * j % r == 0 else cmath.exp(2j * math.pi * j / r)
+        for j in range(r)
+    ]
     out = []
     for row in value.nums:
         total, mag = 0j, 0.0
         for j, n in enumerate(row):
             if n:
                 cf = n / value.denom
-                total += cf * cmath.exp(2j * math.pi * j / r)
+                total += cf * roots[j]
                 mag += abs(cf)
         out.append((total, mag * 2.0**-52 * (r + 8) + 4 * math.ulp(1.0) * (abs(total) + 1e-300)))
     return out

@@ -1,9 +1,16 @@
+import ast
+import cmath
+import math
 import random
+import re
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from vcchaos.pary import (
+    _ROOT_ERR,
     RankCapError,
     check_rank,
     digit_array,
@@ -11,6 +18,7 @@ from vcchaos.pary import (
     digits_of_integer,
     digitwise_add,
     run_cell_cap,
+    unit_roots,
 )
 
 
@@ -140,3 +148,69 @@ def test_digit_primitive_validation():
         digitwise_add(np.array([1, -1]), 2, 3)
     assert digit_array([], 3).shape == (0, 0)
     assert digit_array(0, 3).shape == (0,)
+
+
+# -- the unit-root table ------------------------------------------------------------
+
+
+def test_unit_roots_are_exact_at_quarter_turns_and_near_mpmath_elsewhere():
+    for r in [*range(1, 65), 100]:
+        roots = unit_roots(r)
+        assert roots.dtype == np.complex128 and roots.shape == (r,)
+        for j, root in enumerate(roots.tolist()):
+            if 4 * j % r == 0:
+                assert root == (1, 1j, -1, -1j)[4 * j // r]
+            else:
+                with mpmath.workdps(50):
+                    assert abs(mpmath.mpc(root) - mpmath.expjpi(mpmath.mpf(2 * j) / r)) <= _ROOT_ERR
+
+
+def test_unit_roots_are_the_cmath_roots_bit_for_bit():
+    # the real angle fl(fl(2*pi*j) / r), evaluated as cmath evaluates it
+    for r in range(1, 301):
+        roots = unit_roots(r).tolist()
+        for j in range(r):
+            if 4 * j % r:
+                ref = cmath.exp(2j * math.pi * j / r)
+                assert (roots[j].real.hex(), roots[j].imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+def test_unit_roots_is_one_read_only_table_per_order():
+    roots = unit_roots(12)
+    assert unit_roots(12) is roots
+    with pytest.raises(ValueError, match="read-only"):
+        roots[0] = 2
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        unit_roots(0)
+
+
+# np.exp, np.cos, np.sin (or numpy., math., cmath. ones) and any cmath use
+_ROOT_CALL = re.compile(r"\b(?:np|numpy|math|cmath)\.(?:exp|cos|sin)\b|\bcmath\b")
+
+
+def _root_calls(path: Path) -> list[tuple[int, str]]:
+    """(line, text) of each root computation in the module, outside pary.unit_roots."""
+    source = path.read_text()
+    skip = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "unit_roots":
+            skip |= set(range(node.lineno, node.end_lineno + 1))
+    return [
+        (n, line) for n, line in enumerate(source.splitlines(), 1)
+        if n not in skip and _ROOT_CALL.search(line)
+    ]
+
+
+def test_roots_of_unity_are_computed_only_in_unit_roots():
+    package = Path(__file__).resolve().parent.parent / "src" / "vcchaos"
+    found = {path.name: calls for path in sorted(package.glob("*.py")) if (calls := _root_calls(path))}
+    assert found == {}
+
+
+def test_the_root_scan_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import cmath\ndef unit_roots(r):\n    return np.exp(r)\n"
+        "a = np.exp(1j)\nb = numpy.cos(1) + math.sin(1)\nc = np.expm1(1)\n"
+    )
+    assert [n for n, _ in _root_calls(module)] == [1, 4, 5]

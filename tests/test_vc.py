@@ -360,6 +360,37 @@ def test_transform_roundtrip_exact():
         assert all((a - b).is_zero() for a, b in zip(back, values))
 
 
+def _butterfly_transform(values, direction):
+    """The p = 2 transform as a plain butterfly: a + b and a - b at each stage, halved forward.
+
+    Stages run from the most significant index bit down, as the radix stages
+    do, so both sum the same pairs in the same order; the natural Hadamard
+    order out is then read at bit-reversed indices, which is Paley order.
+    """
+    x = np.array(values, dtype=np.complex128)
+    k = x.size.bit_length() - 1
+    half = x.size // 2
+    while half:
+        for start in range(0, x.size, 2 * half):
+            a, b = x[start : start + half].copy(), x[start + half : start + 2 * half].copy()
+            x[start : start + half], x[start + half : start + 2 * half] = a + b, a - b
+            if direction == "forward":
+                x[start : start + 2 * half] *= 0.5
+        half //= 2
+    reverse = [int(format(n, f"0{k}b")[::-1], 2) for n in range(x.size)]
+    return x[reverse]
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_the_binary_float_transform_is_bitwise_the_butterfly(direction):
+    # halving is exact, so the kernel's 1/2 per stage and the butterfly's give
+    # the same bits: transform's p = 2 output bytes depend on it
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal(2**12) + 1j * rng.standard_normal(2**12)
+    out = vc_transform_float(values, 2, direction)
+    assert np.array_equal(out.view(np.uint64), _butterfly_transform(values, direction).view(np.uint64))
+
+
 def test_transform_roundtrip_float():
     rng = np.random.default_rng(3)
     for p, k in [(2, 6), (3, 4), (5, 3)]:
