@@ -71,9 +71,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "SharpnessReport",
-            "common_core",
             "overlap_bound_check",
-            "shifted_family",
             "witness_full_chaos",
             "witness_unit_chaos",
         ),

@@ -111,6 +111,9 @@ def _validate_base(p: int) -> None:
 
 # -- verify --------------------------------------------------------------------
 
+# the suite's deepest rank: its matrix checks, parseval indices and independence tables
+# stay within min(max rank, _VERIFY_DEPTH), which is what cmd_verify's cap pre-check covers
+_VERIFY_DEPTH = 3
 # a drawn 16-bit word below this puts its cell in an audit set: probability 0.60001
 _AUDIT_THRESHOLD = 39322
 # one getrandbits call of _audit_masks draws the words of at most this many cells,
@@ -173,7 +176,7 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
         return add
 
     rng = random.Random(seed)
-    k_mat = min(max_rank, 3)
+    k_mat = min(max_rank, _VERIFY_DEPTH)
 
     @check("inverse-identity", "VC^(k) inverse equals conj-transpose over p^k")
     def inverse_identity():
@@ -193,7 +196,7 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
     @check("parseval", "L2 norm squared of the sum equals sum of |c_n|^2")
     def parseval():
         # for a random exact coefficient vector
-        population = range(p ** min(max_rank, 3))
+        population = range(p**k_mat)
         support = sorted(rng.sample(population, min(6, p, len(population))))
         coeffs = {n: Fraction(rng.randint(-3, 3)) for n in support}
         coeffs = {n: c for n, c in coeffs.items() if c} or {support[0]: Fraction(1)}
@@ -229,7 +232,7 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
     @check("independence-product-rule", "joint law of digit functions factorizes exactly")
     def independence():
         def tables():
-            depth = rng.randint(min(1, max_rank), min(3, max_rank))
+            depth = rng.randint(min(1, max_rank), k_mat)
             return [[Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)]
 
         return all([independence_check(p, tables()) for _ in range(20)]), {"tables": 20}
@@ -270,7 +273,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
     # the largest grids of the suite: independence tallies rank depth + 1 <= k_mat + 1, and the
     # inverse-identity and operator-norm checks build p**k_mat x p**k_mat exponent tables
-    k_mat = min(args.max_rank, 3)
+    k_mat = min(args.max_rank, _VERIFY_DEPTH)
     check_rank(args.p, max(args.max_rank, k_mat + 1, 2 * k_mat))
     checks = _verify_checks(args.p, args.max_rank, args.seed, args.tolerance)
     return _run_report("verify", args, checks)

@@ -271,8 +271,8 @@ class CycloArray:
             raise ValueError("value is not rational")
         return [Fraction(k, self.denom) for k in keys[:, 0]]
 
-    def _evaluate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float real parts, imaginary parts and coefficient l1 masses of the rows.
+    def _evaluate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float real and imaginary parts of the rows.
 
         Each coefficient n / denom is one correctly rounded integer division,
         and w**j is pary.unit_roots(order)[j].  The terms are summed in ring
@@ -282,22 +282,11 @@ class CycloArray:
         -0.0, so neither signed zeros nor zero coefficients change a total.
         """
         coeffs = (self.nums / self.denom).astype(np.float64)
-        re, im, mag = (np.zeros(len(self)) for _ in range(3))
+        re, im = np.zeros(len(self)), np.zeros(len(self))
         for column, root in zip(coeffs.T, unit_roots(self.order).tolist()):
             re += column * root.real
             im += column * root.imag
-            mag += np.abs(column)
-        return re, im, mag
-
-    def eval_complex(self) -> list[tuple[complex, float]]:
-        """Float value of each row with a rigorous absolute error bound.
-
-        The bound covers rational-to-float rounding, the root-of-unity
-        evaluations, the products, and the length-order summation.
-        """
-        re, im, mag = self._evaluate()
-        bound = mag * 2.0**-52 * (self.order + 8) + 4 * math.ulp(1.0) * (np.hypot(re, im) + 1e-300)
-        return list(zip(map(complex, re.tolist(), im.tolist()), bound.tolist()))
+        return re, im
 
     def float_parts(self) -> np.ndarray:
         """Complex float view of the rows, exact where a real or imaginary part is rational.
@@ -311,7 +300,7 @@ class CycloArray:
         keys = [part.keys() for part in parts]
         rational = [~(key[:, 1:] != 0).any(axis=1) for key in keys]
         rows = np.flatnonzero(~(rational[0] & rational[1]))
-        approx = self[rows]._evaluate()[:2]
+        approx = self[rows]._evaluate()
         out = np.zeros(len(self), dtype=np.complex128)
         for view, part, key, exact, floats in zip((out.real, out.imag), parts, keys, rational, approx):
             # one correctly rounded integer division per rational part

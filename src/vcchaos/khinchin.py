@@ -43,6 +43,7 @@ from .pary import (
     _ROOT_ERR,
     _exponent_rows,
     check_cells,
+    check_power,
     check_rank,
     digit_count,
     digitwise_add,
@@ -72,8 +73,8 @@ def _sum_tables(p: int, members: Sequence[int], h: int) -> list[tuple]:
     """
     count = len(members)
     # h itself bounds the work for a single member, whose powers are all 1
-    check_cells(max(h, count ** min(h, 64)), f"{count}**{h} digitwise sums")
-    check_cells(count**h, f"{count}**{h} digitwise sums")
+    check_cells(h, f"{count}**{h} digitwise sums")
+    check_power(count, h, f"{count}**{h} digitwise sums")
     tables = []
     targets = members = np.array(members, dtype=object)
     for _ in range(h - 1):

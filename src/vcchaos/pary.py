@@ -9,7 +9,8 @@ counter.  Every grid of base-p cells is guarded by a cell cap so that a bad
 rank argument fails loudly instead of exhausting memory.  This module owns
 the cap: it is the one a run sets with run_cell_cap (the CLI's --cell-cap),
 else the VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and
-every refusal goes through check_cells, so no caller threads a cap through.
+every refusal is check_cells's or, for a power such as p**rank, check_power's
+(which refuses it before building it), so no caller threads a cap through.
 over_common_denominator puts exact rationals over one denominator, the
 integer form that cyclo's arrays and khinchin's exact certificate share, and
 unit_roots is the one float table of roots of unity every float kernel reads.
@@ -70,18 +71,27 @@ def check_cells(count: int, what: str) -> None:
         raise RankCapError(f"{what} exceed the cell cap {limit}")
 
 
+def check_power(base: int, exponent: int, what: str) -> int:
+    """base**exponent (exponent >= 0), refused above the cell cap before it is built.
+
+    A base of 2 or more already exceeds the cap at the cap's bit length, so a
+    huge exponent never builds the big integer.
+    """
+    limit = cell_cap()
+    if base >= 2 and exponent >= limit.bit_length():
+        raise RankCapError(f"{what} exceed the cell cap {limit}")
+    power = base**exponent
+    check_cells(power, what)
+    return power
+
+
 def check_rank(p: int, rank: int) -> int:
     """Validate base and rank against the cell cap; return the cell count p**rank."""
     if p < 2:
         raise ValueError(f"base must be >= 2, got {p}")
     if rank < 0:
         raise ValueError(f"rank must be >= 0, got {rank}")
-    # compare in log space first so huge ranks never build the big integer
-    check_cells(p ** min(rank, 64), f"{p}**{rank} cells")
-    cells = p**rank
-    if rank > 64:
-        check_cells(cells, f"{p}**{rank} cells")
-    return cells
+    return check_power(p, rank, f"{p}**{rank} cells")
 
 
 def digit_count(n: int, p: int) -> int:

@@ -71,12 +71,6 @@ class StepFn:
         a, b = (f.values.repeat(self.p ** (rank - f.rank)) for f in (self, other))
         return rank, a, b
 
-    def eval_at(self, x) -> CycloArray:
-        x = Fraction(x)
-        if not 0 <= x < 1:
-            raise ValueError(f"point must lie in [0, 1), got {x}")
-        return self.values[int(x * self.p**self.rank)]
-
     # -- pointwise ring ----------------------------------------------------
 
     def __add__(self, other):
@@ -232,17 +226,6 @@ class PArySet:
             mask |= 1 << m
         return cls(p, rank, mask)
 
-    @classmethod
-    def from_interval(cls, p: int, lo, hi) -> "PArySet":
-        """[lo, hi) for base-p rational endpoints in [0, 1]."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not 0 <= lo <= hi <= 1:
-            raise ValueError("need 0 <= lo <= hi <= 1")
-        rank = max(_pary_exponent(lo.denominator, p), _pary_exponent(hi.denominator, p))
-        scale = check_rank(p, rank)
-        a, b = int(lo * scale), int(hi * scale)
-        return cls(p, rank, ((1 << (b - a)) - 1) << a)
-
     # -- views ----------------------------------------------------------------
 
     def mask_at_rank(self, rank: int) -> int:
@@ -283,18 +266,6 @@ class PArySet:
     __or__ = union
     __and__ = intersect
 
-    def translate_mod1(self, shift) -> "PArySet":
-        """The set {x - shift mod 1}; shift must be a base-p rational."""
-        shift = Fraction(shift) % 1
-        j = _pary_exponent(shift.denominator, self.p)
-        rank = max(self.rank, j)
-        cells = check_rank(self.p, rank)
-        t = int(shift * cells)
-        mask = self.mask_at_rank(rank)
-        if t:
-            mask = ((mask >> t) | (mask << (cells - t))) & ((1 << cells) - 1)
-        return PArySet(self.p, rank, mask)
-
     def __eq__(self, other):
         if not isinstance(other, PArySet):
             return NotImplemented
@@ -305,23 +276,6 @@ class PArySet:
 
     def __repr__(self):
         return f"PArySet(p={self.p}, rank={self.rank}, cells={self.cells()})"
-
-
-def _pary_exponent(denominator: int, p: int) -> int:
-    """Minimal k with denominator dividing p**k (base-p rationals only).
-
-    Reduced fractions can have denominators that divide a power of a
-    composite base without being one (3/5 in base 10), so peel gcd factors.
-    """
-    k = 0
-    d = denominator
-    while d > 1:
-        g = math.gcd(d, p)
-        if g == 1:
-            raise ValueError(f"1/{denominator} is not a base-{p} rational")
-        d //= g
-        k += 1
-    return k
 
 
 def at_least_two(sets: Sequence[PArySet]) -> PArySet:

@@ -1,4 +1,4 @@
-"""Sharpness witnesses for the uniqueness thresholds and set-theoretic helpers.
+"""Sharpness witnesses for the uniqueness thresholds and verify's pair-overlap audit.
 
 The two witness polynomials are
 
@@ -126,31 +126,7 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
     return replace(report, coefficients_ok=report.coefficients_ok and identity)
 
 
-# -- set-theoretic ingredients -------------------------------------------------
-
-
-def shifted_family(base_set: PArySet, k_tilde: int) -> list[PArySet]:
-    """The p translates E - m * p**-(k_tilde+1) mod 1, m = 0..p-1."""
-    if k_tilde < 0:
-        raise ValueError(f"k_tilde must be >= 0, got {k_tilde}")
-    p = base_set.p
-    step = Fraction(1, p ** (k_tilde + 1))
-    return [base_set.translate_mod1(m * step) for m in range(p)]
-
-
-def common_core(family: Sequence[PArySet]) -> PArySet:
-    """Intersection of the whole family."""
-    if not family:
-        raise ValueError("family must be nonempty")
-    core = family[0]
-    for member in family[1:]:
-        core = core.intersect(member)
-    return core
-
-
-def overlap_bound_check(
-    sets: Sequence[PArySet],
-) -> tuple[Fraction, Fraction, bool]:
+def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bool]:
     """Exact audit of the pair-overlap lower bound for p sets in base p.
 
     With a = min measure, the set H of points covered at least twice

@@ -222,6 +222,24 @@ def test_sharpness_honours_cell_cap(monkeypatch):
     assert run(["sharpness", "--p", "2", "--d", "2", "--cell-cap", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sharpness", "--p", "2", "--d", str(10**12), "--cell-cap", str(10**20)],
+         f"2**{10**12} cells exceed the cell cap {10**20}"),
+        (["khinchin", "--p", "2", "--N", "8", "--q", str(2 * 10**12), "--cell-cap", str(10**40)],
+         f"4**{10**12} digitwise sums exceed the cell cap {10**40}"),
+    ],
+    ids=["sharpness", "khinchin"],
+)
+def test_a_cap_past_2_64_refuses_a_huge_rank_before_building_it(args, message, capsys):
+    # 2**(10**12) would be an integer of about 125 GB
+    started = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sharpness_full_witness_builds_its_factors_fast():
     # each factor is a sum of p VC functions, so no power of R_k is built by repeated products
     started = time.perf_counter()

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -33,6 +34,7 @@ from vcchaos.khinchin import (
     norm_ratio_pow_exact,
     sample_unit_coefficients,
 )
+from vcchaos.pary import RankCapError, run_cell_cap
 from vcchaos.stepfn import StepFn, independence_check, symmetric_decomposition
 from vcchaos.vc import rademacher, synthesize
 
@@ -244,6 +246,18 @@ def test_float_mode_error_bound_holds(spec, upper, q):
     exact = norm_ratio_pow_exact(spec, report.best_coefficients, q)
     ratio, err = Fraction(report.best_ratio), Fraction(report.best_ratio_err)
     assert (ratio - err) ** q <= exact <= (ratio + err) ** q
+
+
+def test_sum_tables_refuse_a_huge_h_without_building_its_power():
+    # 8**(10**12) sums would be refused only after building the power, about 375 GB
+    started = time.perf_counter()
+    with run_cell_cap(10**40):
+        with pytest.raises(RankCapError, match=re.escape(f"8**{10**12} digitwise sums exceed")):
+            khinchin._sum_tables(2, list(range(1, 9)), 10**12)
+        # a single member's powers are all 1, but h still bounds the work
+        with pytest.raises(RankCapError, match=re.escape(f"1**{10**40 + 1} digitwise sums exceed")):
+            khinchin._sum_tables(2, [1], 10**40 + 1)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_moment_error_bound_is_infinite_outside_its_proof():
@@ -530,7 +544,7 @@ def test_symmetric_decomposition_examples():
     assert dist.measure_of(0) == Fraction(1, 3)
 
     total = pieces[0] + pieces[1]
-    assert total.eval_at(0) == 1  # Re R_0 = 1 on [0, 1/3)
+    assert total.values[0] == 1  # Re R_0 = 1 on [0, 1/3)
 
     single = symmetric_decomposition(2, 0, 1)
     assert len(single) == 1

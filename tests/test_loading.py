@@ -34,8 +34,7 @@ EXPORTS = {
         "symmetric_decomposition",
     ],
     "uniqueness": [
-        "SharpnessReport", "common_core", "overlap_bound_check", "shifted_family",
-        "witness_full_chaos", "witness_unit_chaos",
+        "SharpnessReport", "overlap_bound_check", "witness_full_chaos", "witness_unit_chaos",
     ],
     "vc": [
         "exponent_table", "matrix_op_norm", "rademacher", "synthesize", "vc_function",

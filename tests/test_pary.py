@@ -3,6 +3,7 @@ import cmath
 import math
 import random
 import re
+import time
 from pathlib import Path
 
 import mpmath
@@ -12,6 +13,7 @@ import pytest
 from vcchaos.pary import (
     _ROOT_ERR,
     RankCapError,
+    check_power,
     check_rank,
     digit_array,
     digit_count,
@@ -95,6 +97,32 @@ def test_a_run_resolves_its_cap_once(monkeypatch):
     monkeypatch.setenv("VCCHAOS_CELL_CAP", "not a number")
     with pytest.raises(ValueError, match="invalid literal"):
         check_rank(2, 1)
+
+
+def test_check_power_refuses_exactly_the_powers_above_the_cap():
+    for cap in (0, 1, 7, 8, 100, 2**64 - 1, 2**64, 10**40):
+        with run_cell_cap(cap):
+            for base in range(6):
+                for exponent in range(cap.bit_length() + 3):
+                    if base**exponent > cap:
+                        message = f"{base}**{exponent} x exceed the cell cap {cap}"
+                        with pytest.raises(RankCapError, match=f"^{re.escape(message)}$"):
+                            check_power(base, exponent, f"{base}**{exponent} x")
+                    else:
+                        assert check_power(base, exponent, "x") == base**exponent
+
+
+def test_check_power_never_builds_a_huge_power():
+    # 2**(10**12) would be an integer of about 125 GB
+    started = time.perf_counter()
+    with run_cell_cap(10**40):
+        message = f"2**{10**12} cells exceed the cell cap {10**40}"
+        with pytest.raises(RankCapError, match=f"^{re.escape(message)}$"):
+            check_rank(2, 10**12)
+        with pytest.raises(RankCapError, match="exceed the cell cap"):
+            check_power(3, 10**12, "sums")
+        assert check_power(1, 10**12, "sums") == 1
+    assert time.perf_counter() - started < 1.0
 
 
 def _samples(rng, p):

@@ -58,7 +58,7 @@ def test_lq_norm_examples():
 def test_level_set_examples():
     p3 = 1 - rademacher(3, 0)
     zs = p3.level_set(0)
-    assert zs == PArySet.from_interval(3, 0, Fraction(1, 3))
+    assert zs == PArySet.from_cells(3, 1, [0])  # [0, 1/3)
     assert zs.measure() == Fraction(1, 3)
 
     prod = StepFn.constant(3, 1)
@@ -117,17 +117,10 @@ def test_distribution_validation():
 
 
 def test_set_algebra_examples():
-    e = PArySet.from_interval(2, 0, Fraction(1, 2))
-    shifted = e.translate_mod1(Fraction(1, 4))
-    expected = PArySet.from_interval(2, 0, Fraction(1, 4)) | PArySet.from_interval(
-        2, Fraction(3, 4), 1
-    )
-    assert shifted == expected
-
-    a = PArySet.from_interval(10, 0, Fraction(6, 10))
-    b = PArySet.from_interval(10, Fraction(3, 10), Fraction(9, 10))
+    a = PArySet.from_cells(10, 1, range(6))  # [0, 6/10)
+    b = PArySet.from_cells(10, 1, range(3, 9))  # [3/10, 9/10)
     h = at_least_two([a, b])
-    assert h == PArySet.from_interval(10, Fraction(3, 10), Fraction(6, 10))
+    assert h == PArySet.from_cells(10, 1, range(3, 6))
     assert h.measure() == Fraction(3, 10)
 
 
@@ -138,34 +131,14 @@ def test_set_views_check_the_cap_before_building_masks():
         with pytest.raises(RankCapError):
             PArySet.full(2).mask_at_rank(24)
         with pytest.raises(RankCapError):
-            PArySet.full(2).translate_mod1(Fraction(1, 2**24))
-        with pytest.raises(RankCapError):
-            PArySet.from_interval(2, 0, 1 - Fraction(1, 2**22))
+            PArySet(2, 22, 1)
         assert time.perf_counter() - started < 0.1
-
-
-def test_translate_requires_pary_shift():
-    e = PArySet.from_interval(2, 0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        e.translate_mod1(Fraction(1, 3))
-
-
-def test_translate_preserves_measure():
-    rng = random.Random(9)
-    for _ in range(50):
-        p = rng.choice([2, 3, 5])
-        rank = rng.randint(1, 4)
-        s = PArySet.from_cells(
-            p, rank, [m for m in range(p**rank) if rng.random() < 0.5]
-        )
-        shift = Fraction(rng.randrange(p**rank), p**rank)
-        assert s.translate_mod1(shift).measure() == s.measure()
 
 
 def test_canonical_minimal_rank():
     fine = PArySet.from_cells(2, 3, range(4))  # [0, 1/2) written with 8 cells
     assert fine.rank == 1
-    assert fine == PArySet.from_interval(2, 0, Fraction(1, 2))
+    assert fine == PArySet(2, 1, 0b01)  # [0, 1/2)
     assert PArySet.from_cells(3, 2, range(9)) == PArySet.full(3)
 
 
@@ -240,7 +213,7 @@ def test_mask_views_match_the_bit_loop():
 
 def test_mask_views_are_linear_in_the_cells():
     # on these 2**18 cells, clearing one bit at a time took about 6 s for cells() alone
-    s = PArySet.from_interval(2, 0, 1 - Fraction(1, 2**18))
+    s = PArySet(2, 18, (1 << (2**18 - 1)) - 1)  # [0, 1 - 2**-18)
     started = time.perf_counter()
     cells = s.cells()
     text = repr(s)
@@ -253,8 +226,9 @@ def test_mask_views_are_linear_in_the_cells():
 
 def test_reduction_is_linear_in_the_cells():
     # the shift loop took 0.5 s on these 2**18 cells and grew quadratically
+    mask = (1 << (2**18 - 1)) - 1  # [0, 1 - 2**-18)
     started = time.perf_counter()
-    s = PArySet.from_interval(2, 0, 1 - Fraction(1, 2**18))
+    s = PArySet(2, 18, mask)
     assert time.perf_counter() - started < 0.1
     assert s.rank == 18 and s.measure() == 1 - Fraction(1, 2**18)
 
@@ -277,7 +251,7 @@ def test_overlap_bound_property():
 
 
 def test_indicator_and_membership():
-    s = PArySet.from_interval(3, Fraction(1, 3), Fraction(2, 3))
+    s = PArySet.from_cells(3, 1, [1])  # [1/3, 2/3)
     ind = s.indicator()
     assert ind.integral() == Fraction(1, 3)
     assert ind.values.rationals() == [0, 1, 0]

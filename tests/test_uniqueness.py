@@ -6,13 +6,7 @@ import pytest
 
 from vcchaos.indices import contains
 from vcchaos.stepfn import PArySet, StepFn
-from vcchaos.uniqueness import (
-    common_core,
-    overlap_bound_check,
-    shifted_family,
-    witness_full_chaos,
-    witness_unit_chaos,
-)
+from vcchaos.uniqueness import overlap_bound_check, witness_full_chaos, witness_unit_chaos
 from vcchaos.vc import rademacher
 
 
@@ -27,7 +21,6 @@ def test_unit_witness_p2_d1_classical_constant():
     report = witness_unit_chaos(2, 1)
     assert report.threshold == Fraction(1, 2)
     assert report.level_set_measure == Fraction(1, 2)
-    assert report.level_set == PArySet.from_interval(2, 0, Fraction(1, 2))
 
 
 def test_unit_witness_coefficients_d2():
@@ -38,6 +31,19 @@ def test_unit_witness_coefficients_d2():
         assert report.coefficients[1] == -1
         assert report.coefficients[p] == -1
         assert report.coefficients[p + 1] == 1
+
+
+@pytest.mark.parametrize(
+    "p, d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)]
+)
+def test_witness_level_sets_are_the_closed_form_cells(p, d):
+    # P = prod(1 - R_k) vanishes where some digit x_k is 0, and Q = p**d on cell 0 only
+    def digits(m):
+        return [m // p**j % p for j in range(d)]
+
+    unit = [m for m in range(p**d) if 0 in digits(m)]
+    assert witness_unit_chaos(p, d).level_set == PArySet.from_cells(p, d, unit)
+    assert witness_full_chaos(p, d).level_set == PArySet.from_cells(p, d, range(1, p**d))
 
 
 def test_witness_pair_runtime_p2_d12():
@@ -108,9 +114,11 @@ def test_witness_level_value_is_nonzero_constant():
     for k in range(2):
         prod = prod * (1 - rademacher(3, k))
     shifted = prod - 1
-    for cell in report.level_set.cells():
-        x = Fraction(cell, 3**report.level_set.rank)
-        assert shifted.eval_at(x) == report.level_value
+    fine = report.level_set.mask_at_rank(shifted.rank)
+    cells = [m for m in range(len(shifted.values)) if fine >> m & 1]
+    assert len(cells) == 5
+    for cell in cells:
+        assert shifted.values[cell] == report.level_value
 
 
 def test_literal_zero_set_of_shifted_witness_differs():
@@ -125,48 +133,13 @@ def test_literal_zero_set_of_shifted_witness_differs():
     assert shifted.level_set(-1).measure() == Fraction(1, 2)
 
 
-def test_shifted_family_and_core():
-    # shift step is p**-(k_tilde+1): with k_tilde = 1, base 2, the step is 1/4
-    e = PArySet.from_interval(2, 0, Fraction(1, 2))
-    family = shifted_family(e, 1)
-    assert family[0] == e
-    assert family[1] == PArySet.from_interval(2, 0, Fraction(1, 4)) | PArySet.from_interval(
-        2, Fraction(3, 4), 1
-    )
-    assert common_core(family[:2]) == PArySet.from_interval(2, 0, Fraction(1, 4))
-
-    full = PArySet.full(3)
-    family = shifted_family(full, 2)
-    assert all(member == full for member in family)
-    assert common_core(family) == full
-
-
-def test_shifted_family_measure_bound():
-    # mu(E) > 1 - p**-d forces mu(core) > 1 - p**-(d-1), exactly
-    rng = random.Random(31)
-    for _ in range(50):
-        p = rng.choice([2, 3])
-        d = rng.randint(2, 3)
-        rank = d + 1
-        cells = p**rank
-        min_cells = int(Fraction(cells) * (1 - Fraction(1, p**d))) + 1
-        keep = rng.sample(range(cells), rng.randint(min_cells, cells))
-        e = PArySet.from_cells(p, rank, keep)
-        assert e.measure() > 1 - Fraction(1, p**d)
-        core = common_core(shifted_family(e, rng.randint(0, d - 1)))
-        assert core.measure() > 1 - Fraction(1, p ** (d - 1))
-
-
 def test_overlap_bound_examples():
     p = 3
     full = [PArySet.full(p)] * p
     h_measure, bound, holds = overlap_bound_check(full)
     assert h_measure == bound == 1 and holds
 
-    halves = [
-        PArySet.from_interval(2, 0, Fraction(1, 2)),
-        PArySet.from_interval(2, Fraction(1, 2), 1),
-    ]
+    halves = [PArySet.from_cells(2, 1, [0]), PArySet.from_cells(2, 1, [1])]
     h_measure, bound, holds = overlap_bound_check(halves)
     assert h_measure == bound == 0 and holds
 
