@@ -10,33 +10,27 @@ exception (one "error: <Type>: <message>" line on stderr, no traceback).
 Each command imports the layers it calls when it runs, so a process loads
 only those: a float `transform` loads pary, vc and textio (an exact one
 cyclo too), `index` pary and indices, `khinchin` pary, indices and khinchin
-(its exact even-q certificate included), and `sharpness` and `verify` every
-layer but khinchin and textio.
+(its exact even-q certificate included), `sharpness` every layer but
+khinchin, textio and suite, and `verify` those and suite, the module that
+holds its checks.  No layer imports dataclasses; csv is loaded only for
+--format csv, and json only to write a report or read or write a JSON
+transform file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
 import math
-import random
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .pary import check_rank, digitwise_add, run_cell_cap
+from .pary import check_rank, rational_str, run_cell_cap
 
 SCHEMA_VERSION = 1
-
-
-def rational_str(q) -> str:
-    """A Fraction as "numerator/denominator"."""
-    return f"{q.numerator}/{q.denominator}"
 
 
 class ConfigError(ValueError):
@@ -79,9 +73,15 @@ def _run_report(command: str, args, checks) -> int:
 
 
 def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
+    # json and csv are imported here, so a command that writes no report loads neither
+    import json
+
     if fmt == "json":
         text = json.dumps(report, allow_nan=False, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["check", "status", "anchor", "values"])
@@ -111,166 +111,14 @@ def _validate_base(p: int) -> None:
 
 # -- verify --------------------------------------------------------------------
 
-# the suite's deepest rank: its matrix checks, parseval indices and independence tables
-# stay within min(max rank, _VERIFY_DEPTH), which is what cmd_verify's cap pre-check covers
-_VERIFY_DEPTH = 3
-# a drawn 16-bit word below this puts its cell in an audit set: probability 0.60001
-_AUDIT_THRESHOLD = 39322
-# one getrandbits call of _audit_masks draws the words of at most this many cells,
-# or of two sets where two sets hold more
-_AUDIT_CHUNK = 1 << 18
-
-
-def _audit_masks(rng: random.Random, p: int, rank: int, count: int) -> list[int]:
-    """count random cell masks at rank `rank`, drawn from rng a chunk of sets at a time.
-
-    Each cell holds one 16-bit word of the stream, in order, and is in its
-    set iff the word is below _AUDIT_THRESHOLD.  getrandbits fills 32-bit
-    words low first, and every chunk but the last holds an even number of
-    sets, so an even number of 16-bit words: the chunks read the stream as
-    one call for all the sets would, and leave it where that call would.
-    """
-    cells = p**rank
-    sets = 2 * max(1, _AUDIT_CHUNK // (2 * cells))
-    masks = []
-    for start in range(0, count, sets):
-        words = min(sets, count - start) * cells
-        drawn = rng.getrandbits(16 * words).to_bytes(2 * words, "little")
-        bits = (np.frombuffer(drawn, dtype="<u2") < _AUDIT_THRESHOLD).reshape(-1, cells)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return masks
-
-
-def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[tuple]:
-    """The suite as (name, anchor, check) triples, in the order run.
-
-    The checks draw from one seeded stream in this order.  A check that draws
-    inside its loop scores a list, not a generator, so that every draw happens
-    even after a failure and the later checks see the same stream.  The
-    overlap audit reads 16 bits of the stream per cell of its sets
-    (_audit_masks), so its share of the stream is a fixed number of bits.
-    """
-    from fractions import Fraction
-
-    from .cyclo import CycloArray
-    from .indices import (
-        count_below_power,
-        enumerate_members,
-        full_chaos,
-        pattern_multiplicity_check,
-        unit_chaos,
-    )
-    from .stepfn import PArySet, StepFn, independence_check, symmetric_decomposition
-    from .uniqueness import overlap_bound_check
-    from .vc import matrix_op_norm, synthesize, vc_function, verify_inverse_identity
-
-    vc_function_cached = functools.lru_cache(maxsize=4096)(vc_function)
-    checks = []
-
-    def check(name, anchor):
-        def add(fn):
-            checks.append((name, anchor, fn))
-            return fn
-
-        return add
-
-    rng = random.Random(seed)
-    k_mat = min(max_rank, _VERIFY_DEPTH)
-
-    @check("inverse-identity", "VC^(k) inverse equals conj-transpose over p^k")
-    def inverse_identity():
-        return all(verify_inverse_identity(p, k) for k in range(k_mat + 1)), {"max_rank": k_mat}
-
-    @check("orthonormality-sample", "integral of VC_n conj(VC_m) = delta(n,m)")
-    def orthonormality():
-        # through the step-function integral on a sampled grid
-        cells = p ** min(max_rank, 2)
-        pairs = [(rng.randrange(cells), rng.randrange(cells)) for _ in range(20)]
-        ok = all(
-            (vc_function_cached(p, n) * vc_function_cached(p, m).conj()).integral() == int(n == m)
-            for n, m in pairs
-        )
-        return ok, {"pairs": len(pairs)}
-
-    @check("parseval", "L2 norm squared of the sum equals sum of |c_n|^2")
-    def parseval():
-        # for a random exact coefficient vector
-        population = range(p**k_mat)
-        support = sorted(rng.sample(population, min(6, p, len(population))))
-        coeffs = {n: Fraction(rng.randint(-3, 3)) for n in support}
-        coeffs = {n: c for n, c in coeffs.items() if c} or {support[0]: Fraction(1)}
-        lhs = synthesize(coeffs, p).lq_norm_even_pow(2)
-        rhs = sum((c * c for c in coeffs.values()), Fraction(0))
-        return lhs == rhs, {"lhs": rational_str(lhs), "rhs": rational_str(rhs)}
-
-    @check("multiplicativity", "VC_a * VC_b = VC at the digitwise sum mod p")
-    def multiplicativity():
-        # on random pairs at rank 2 (rank 1 when max_rank is 0)
-        cells = p ** min(max_rank + 1, 2)
-        pairs = [(rng.randrange(cells), rng.randrange(cells)) for _ in range(10)]
-        ok = all(
-            vc_function_cached(p, a) * vc_function_cached(p, b)
-            == vc_function_cached(p, digitwise_add(a, b, p))
-            for a, b in pairs
-        )
-        return ok, {"pairs": 10}
-
-    @check("operator-norm", "power iteration on VC^(k) returns p^(k/2)")
-    def operator_norm():
-        # the float consequence of the inverse identity
-        ok = all(abs(matrix_op_norm(p, k) - p ** (k / 2)) <= tolerance for k in range(k_mat + 1))
-        return ok, {"tolerance": tolerance}
-
-    @check("overlap-bound-audit", "measure of twice-covered points >= (p*a - 1)/(p - 1)")
-    def overlap_audit():
-        rank = min(max_rank, 4)
-        sets = [PArySet(p, rank, mask) for mask in _audit_masks(rng, p, rank, 200 * p)]
-        families = [sets[i : i + p] for i in range(0, len(sets), p)]
-        return all([overlap_bound_check(family)[2] for family in families]), {"families": 200}
-
-    @check("independence-product-rule", "joint law of digit functions factorizes exactly")
-    def independence():
-        def tables():
-            depth = rng.randint(min(1, max_rank), k_mat)
-            return [[Fraction(rng.randint(-2, 2)) for _ in range(p)] for _ in range(depth + 1)]
-
-        return all([independence_check(p, tables()) for _ in range(20)]), {"tables": 20}
-
-    @check("symmetric-decomposition", "Re R_k^j splits into p-1 symmetric mean-zero pieces")
-    def symmetric():
-        def splits(j):
-            pieces = symmetric_decomposition(p, 0, j)
-            re_part = StepFn(p, 1, CycloArray.roots(p, j * np.arange(p)).real_part())
-            return sum(pieces[1:], pieces[0]) == re_part and all(
-                piece.distribution().is_symmetric() for piece in pieces
-            )
-
-        return all(splits(j) for j in range(1, p)), {"powers": p - 1}
-
-    @check("index-counts", "enumerated members match binomial closed forms")
-    def index_counts():
-        ok = all(
-            len(enumerate_members(spec, p**levels - 1)) == count_below_power(spec, levels)
-            for d in range(1, 4)
-            for levels in range(1, 5)
-            for spec in (full_chaos(p, d), unit_chaos(p, d))
-        )
-        return ok, {}
-
-    @check("pattern-multiplicity", "each weight-s index lies in (p-1)^(L+1-s) pattern sets")
-    def pattern_multiplicity():
-        return all(pattern_multiplicity_check(p, s, 2, p**3 - 1) for s in (1, 2)), {}
-
-    return checks
-
-
 def cmd_verify(args) -> int:
     _validate_base(args.p)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ConfigError(f"tolerance must be finite and > 0, got {args.tolerance}")
     if args.max_rank < 0:
         raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
+    from .suite import _VERIFY_DEPTH, _verify_checks
+
     # the largest grids of the suite: independence tallies rank depth + 1 <= k_mat + 1, and the
     # inverse-identity and operator-norm checks build p**k_mat x p**k_mat exponent tables
     k_mat = min(args.max_rank, _VERIFY_DEPTH)

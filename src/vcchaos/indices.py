@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -36,23 +35,51 @@ class IndexKind(Enum):
     DIGIT_PATTERN = "aset"
 
 
-@dataclass(frozen=True)
 class IndexSpec:
-    kind: IndexKind
-    p: int
-    order: int = 0  # d for the chaos kinds, s for exact weight / pattern
-    pattern: tuple[int, ...] = ()
+    """One index set, immutable, equal and hashed by value.
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"base must be >= 2, got {self.p}")
-        if self.kind is IndexKind.DIGIT_PATTERN:
-            if not self.pattern:
+    order is d for the chaos kinds and s for exact weight and digit pattern.
+    """
+
+    __slots__ = ("kind", "p", "order", "pattern")
+
+    def __init__(self, kind: IndexKind, p: int, order: int = 0, pattern: tuple[int, ...] = ()):
+        if p < 2:
+            raise ValueError(f"base must be >= 2, got {p}")
+        if kind is IndexKind.DIGIT_PATTERN:
+            if not pattern:
                 raise ValueError("digit pattern spec needs a pattern")
-            if any(not 1 <= j <= self.p - 1 for j in self.pattern):
+            if any(not 1 <= j <= p - 1 for j in pattern):
                 raise ValueError("pattern digits must lie in 1..p-1")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "pattern", pattern)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndexSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("IndexSpec is immutable")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.p, self.order, self.pattern)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"IndexSpec(kind={self.kind!r}, p={self.p!r}, order={self.order!r}, "
+            f"pattern={self.pattern!r})"
+        )
 
     def describe(self) -> str:
         if self.kind is IndexKind.DIGIT_PATTERN:

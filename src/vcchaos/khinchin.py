@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -549,24 +548,40 @@ def _ascent(scorer: _MoveScorer, start: np.ndarray) -> tuple[np.ndarray, float, 
     return scorer.point, best, counts
 
 
-@dataclass
 class KhinchinReport:
     """Reproducible record of a norm-ratio estimation run."""
 
-    spec: IndexSpec
-    q: object
-    upper: int
-    trials: int
-    seed: int
-    method: str
-    members: int
-    best_ratio: float | None = None
-    best_ratio_err: float | None = None
-    best_ratio_pow_exact: Fraction | None = None
-    best_coefficients: dict[int, complex] = field(default_factory=dict)
-    min_l1_ratio: float | None = None
-    min_l1_ratio_err: float | None = None
-    ascent_counters: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        spec: IndexSpec,
+        q: object,
+        upper: int,
+        trials: int,
+        seed: int,
+        method: str,
+        members: int,
+        best_ratio: float | None = None,
+        best_ratio_err: float | None = None,
+        best_ratio_pow_exact: Fraction | None = None,
+        best_coefficients: dict[int, complex] | None = None,
+        min_l1_ratio: float | None = None,
+        min_l1_ratio_err: float | None = None,
+        ascent_counters: dict[str, int] | None = None,
+    ):
+        self.spec = spec
+        self.q = q
+        self.upper = upper
+        self.trials = trials
+        self.seed = seed
+        self.method = method
+        self.members = members
+        self.best_ratio = best_ratio
+        self.best_ratio_err = best_ratio_err
+        self.best_ratio_pow_exact = best_ratio_pow_exact
+        self.best_coefficients = {} if best_coefficients is None else best_coefficients
+        self.min_l1_ratio = min_l1_ratio
+        self.min_l1_ratio_err = min_l1_ratio_err
+        self.ascent_counters = {} if ascent_counters is None else ascent_counters
 
 
 def estimate_constant(

@@ -13,7 +13,8 @@ every refusal is check_cells's or, for a power such as p**rank, check_power's
 (which refuses it before building it), so no caller threads a cap through.
 over_common_denominator puts exact rationals over one denominator, the
 integer form that cyclo's arrays and khinchin's exact certificate share, and
-unit_roots is the one float table of roots of unity every float kernel reads.
+rational_str the form in which reports print them; unit_roots is the one
+float table of roots of unity every float kernel reads.
 """
 
 from __future__ import annotations
@@ -120,6 +121,11 @@ def over_common_denominator(values) -> tuple[np.ndarray, int]:
     ratios = [x.as_integer_ratio() for x in values]
     denom = math.lcm(*(d for _, d in ratios))
     return np.array([n * (denom // d) for n, d in ratios], dtype=object), denom
+
+
+def rational_str(q) -> str:
+    """A Fraction as "numerator/denominator", as reports print exact rationals."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def digit_array(values, p: int, length: int | None = None) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -149,18 +148,16 @@ class StepFn:
         return f"StepFn(p={self.p}, rank={self.rank}, cells={len(self.values)})"
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Law of a step function: exact value -> exact measure, measures sum to 1."""
 
-    entries: tuple[tuple[CycloArray, Fraction], ...]
-
-    def __post_init__(self):
-        total = sum((m for _, m in self.entries), Fraction(0))
+    def __init__(self, entries: tuple[tuple[CycloArray, Fraction], ...]):
+        total = sum((m for _, m in entries), Fraction(0))
         if total != 1:
             raise ValueError(f"measures must sum to 1, got {total}")
-        if any(m <= 0 for _, m in self.entries):
+        if any(m <= 0 for _, m in entries):
             raise ValueError("measures must be positive")
+        self.entries = entries
 
     def measure_of(self, value) -> Fraction:
         values = CycloArray.from_values([v for v, _ in self.entries] + [value])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 
 import numpy as np
 
@@ -71,6 +70,8 @@ def _read_numerals(data: bytes) -> np.ndarray | None:
 def _parse_text(text: str, path: str) -> np.ndarray:
     """The entries of a decoded file: a JSON array, else text lines parsed _PARSE_BLOCK at a time."""
     if text.lstrip().startswith("["):
+        import json  # here, so that text files never load it
+
         try:
             data = json.loads(text)
         except RecursionError:
@@ -118,6 +119,8 @@ def write_array(path: str, values: np.ndarray, as_json: bool) -> None:
     """One "re im" line per entry, each part as repr() prints it, or a JSON array of [re, im]."""
     with open(path, "w") as fh:
         if as_json:
+            import json
+
             fh.write(json.dumps(list(zip(values.real.tolist(), values.imag.tolist()))) + "\n")
             return
         values = np.ascontiguousarray(values, dtype=complex)

@@ -16,7 +16,6 @@ literal zero set of P - 1 has a different measure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +28,6 @@ from .stepfn import PArySet, StepFn, at_least_two
 from .vc import rademacher, vc_function, vc_transform_exact
 
 
-@dataclass(frozen=True)
 class SharpnessReport:
     """Certified data of one witness polynomial.
 
@@ -41,17 +39,31 @@ class SharpnessReport:
     inside the index set, and every coefficient is the expected one.
     """
 
-    p: int
-    d: int
-    index_set: IndexSpec
-    support: np.ndarray
-    coefficients: CycloArray
-    level_value: CycloArray
-    level_set: PArySet
-    level_set_measure: Fraction
-    threshold: Fraction
-    support_ok: bool
-    coefficients_ok: bool
+    def __init__(
+        self,
+        p: int,
+        d: int,
+        index_set: IndexSpec,
+        support: np.ndarray,
+        coefficients: CycloArray,
+        level_value: CycloArray,
+        level_set: PArySet,
+        level_set_measure: Fraction,
+        threshold: Fraction,
+        support_ok: bool,
+        coefficients_ok: bool,
+    ):
+        self.p = p
+        self.d = d
+        self.index_set = index_set
+        self.support = support
+        self.coefficients = coefficients
+        self.level_value = level_value
+        self.level_set = level_set
+        self.level_set_measure = level_set_measure
+        self.threshold = threshold
+        self.support_ok = support_ok
+        self.coefficients_ok = coefficients_ok
 
     @property
     def holds(self) -> bool:
@@ -76,9 +88,19 @@ def _product(p: int, d: int, factor) -> StepFn:
 
 
 def _report(
-    p: int, d: int, spec: IndexSpec, prod: StepFn, expected, threshold: Fraction
+    p: int,
+    d: int,
+    spec: IndexSpec,
+    prod: StepFn,
+    expected,
+    threshold: Fraction,
+    identity: bool = True,
 ) -> SharpnessReport:
-    """Certify the witness prod: its whole expansion against expected, and {prod - 1 = -1}."""
+    """Certify the witness prod: its whole expansion against expected, and {prod - 1 = -1}.
+
+    identity is the witness's own cellwise check, if it has one; the
+    coefficients certify only with it.
+    """
     coeffs = vc_transform_exact(prod.values, p, "forward")
     support = np.flatnonzero(~coeffs.is_zero())
     level_set = (prod - 1).level_set(-1)
@@ -93,7 +115,7 @@ def _report(
         level_set_measure=level_set.measure(),
         threshold=threshold,
         support_ok=bool(member_mask(spec, support[support != 0]).all()),
-        coefficients_ok=coeffs == expected,
+        coefficients_ok=coeffs == expected and identity,
     )
 
 
@@ -121,9 +143,8 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
     factor is a sum of p VC functions.
     """
     prod = _product(p, d, lambda k: sum(vc_function(p, j * p**k) for j in range(p)))
-    report = _report(p, d, full_chaos(p, d), prod, 1, Fraction(1, p**d))
     identity = prod == PArySet(p, d, 1).indicator().scale(p**d)
-    return replace(report, coefficients_ok=report.coefficients_ok and identity)
+    return _report(p, d, full_chaos(p, d), prod, 1, Fraction(1, p**d), identity)
 
 
 def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bool]:

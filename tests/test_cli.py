@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcchaos import cli, khinchin, uniqueness
+from vcchaos import cli, khinchin, suite, uniqueness
 from vcchaos.cli import main
 from vcchaos.indices import full_chaos
 from vcchaos.khinchin import KhinchinReport, estimate_l1_constant
@@ -80,7 +80,7 @@ def test_verify_honours_cell_cap(monkeypatch):
     def no_checks(*args):
         pytest.fail("a check ran although the suite's largest grid exceeds the cap")
 
-    monkeypatch.setattr(cli, "_verify_checks", no_checks)
+    monkeypatch.setattr(suite, "_verify_checks", no_checks)
     assert run(["verify", "--p", "3", "--max-rank", "1", "--cell-cap", "3"]) == 2
     assert run(["verify", "--p", "2", "--max-rank", "0", "--cell-cap", "1"]) == 2
 
@@ -91,7 +91,7 @@ def test_verify_refuses_its_exponent_tables_up_front(monkeypatch):
     def no_checks(*args):
         pytest.fail("a check ran although the exponent tables exceed the cap")
 
-    monkeypatch.setattr(cli, "_verify_checks", no_checks)
+    monkeypatch.setattr(suite, "_verify_checks", no_checks)
     started = time.perf_counter()
     assert run(["verify", "--p", "20"]) == 2
     assert time.perf_counter() - started < 1.0
@@ -813,15 +813,15 @@ def test_no_command_accepts_abbreviations():
 
 def test_audit_masks_draw():
     p, rank, count = 6, 3, 1200
-    masks = cli._audit_masks(random.Random(5), p, rank, count)
+    masks = suite._audit_masks(random.Random(5), p, rank, count)
     assert len(masks) == count and all(0 <= mask < 1 << p**rank for mask in masks)
     density = sum(mask.bit_count() for mask in masks) / (count * p**rank)
     assert abs(density - 0.6) <= 0.005
-    assert cli._audit_masks(random.Random(5), p, rank, count) == masks
+    assert suite._audit_masks(random.Random(5), p, rank, count) == masks
     # one getrandbits call: the stream moves on by 16 bits a cell, and cell m of
     # set i reads word i * cells + m
     rng, twin = random.Random(5), random.Random(5)
-    small = cli._audit_masks(rng, 3, 1, 4)
+    small = suite._audit_masks(rng, 3, 1, 4)
     bits = twin.getrandbits(16 * 12)
     words = [(bits >> (16 * w)) & 0xFFFF for w in range(12)]
     assert small == [
@@ -836,7 +836,7 @@ def _audit_masks_one_call(rng, p, rank, count):
     words = np.frombuffer(
         rng.getrandbits(16 * count * cells).to_bytes(2 * count * cells, "little"), dtype="<u2"
     )
-    packed = np.packbits((words < cli._AUDIT_THRESHOLD).reshape(count, cells), axis=1, bitorder="little")
+    packed = np.packbits((words < suite._AUDIT_THRESHOLD).reshape(count, cells), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -845,10 +845,10 @@ def test_chunked_audit_draw_is_the_one_call_draw(monkeypatch, chunk):
     # odd cell counts (27, 25, 49) put the chunk boundaries inside 32-bit words
     # unless every chunk but the last holds an even number of sets
     if chunk is not None:
-        monkeypatch.setattr(cli, "_AUDIT_CHUNK", chunk)
+        monkeypatch.setattr(suite, "_AUDIT_CHUNK", chunk)
     for p, rank, count in [(3, 3, 61), (5, 2, 33), (6, 3, 41), (7, 2, 71), (3, 1, 5)]:
         rng, twin = random.Random(p * rank), random.Random(p * rank)
-        assert cli._audit_masks(rng, p, rank, count) == _audit_masks_one_call(twin, p, rank, count)
+        assert suite._audit_masks(rng, p, rank, count) == _audit_masks_one_call(twin, p, rank, count)
         assert rng.getrandbits(80) == twin.getrandbits(80)
 
 
@@ -857,7 +857,7 @@ def test_audit_draw_memory_per_cell():
     p, rank, count = 10, 4, 2000
     tracemalloc.start()
     try:
-        masks = cli._audit_masks(random.Random(1), p, rank, count)
+        masks = suite._audit_masks(random.Random(1), p, rank, count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

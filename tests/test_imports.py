@@ -70,3 +70,41 @@ def test_every_import_is_used():
         for name in sorted(set(imported) - _used(tree), key=imported.get):
             unused.append(f"{path.relative_to(ROOT)}:{imported[name]} {name}")
     assert MODULES and not unused, "imported but never used: " + ", ".join(unused)
+
+
+SOURCES = sorted(ROOT.glob("src/vcchaos/*.py"))
+
+
+def _module_imports(tree: ast.Module, package: str) -> set[str]:
+    """The absolute name of every module, or module member, the tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = f"{package}.{module}" if module else package
+            names.add(module)
+            names |= {f"{module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_the_import_scan_resolves_relative_imports():
+    source = "import dataclasses\nfrom . import cli\nfrom .cli import main\nfrom .pary import x\n"
+    names = _module_imports(ast.parse(source), "vcchaos")
+    assert {"dataclasses", "vcchaos.cli", "vcchaos.cli.main", "vcchaos.pary.x"} <= names
+
+
+def test_no_module_imports_dataclasses_or_the_cli():
+    # a dataclass costs every process the dataclasses import and its class
+    # build; importing vcchaos.cli from another module runs the CLI module a
+    # second time under `python -m vcchaos.cli`
+    found = []
+    for path in SOURCES:
+        names = _module_imports(ast.parse(path.read_text(), filename=str(path)), "vcchaos")
+        if "dataclasses" in names or any(n.startswith("dataclasses.") for n in names):
+            found.append(f"{path.name} imports dataclasses")
+        if path.name != "cli.py" and "vcchaos.cli" in names:
+            found.append(f"{path.name} imports vcchaos.cli")
+    assert SOURCES and not found, ", ".join(found)

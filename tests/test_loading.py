@@ -114,3 +114,52 @@ def test_khinchin_and_verify_load_only_their_layers(tmp_path):
     assert exact == layers
     loaded = _layers_loaded(tmp_path, ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"])
     assert "vcchaos.stepfn" in loaded and not loaded & {"vcchaos.khinchin", "vcchaos.textio"}
+
+
+def _imports_of(tmp_path, argv):
+    """The modules a `python -m vcchaos.cli` process imports, as -X importtime lists them."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "vcchaos.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rpartition("|")[2].strip() for line in lines[1:]}
+
+
+COMMANDS = {
+    "verify": ["verify", "--p", "2", "--max-rank", "1", "--seed", "1"],
+    "sharpness": ["sharpness", "--p", "2", "--d", "1"],
+    "khinchin": ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--N", "16", "--trials", "3"],
+    "transform-float": ["transform", "--p", "2", "--input", "in.txt", "--output", "out.txt"],
+    "transform-exact": ["transform", "--p", "2", "--mode", "exact", "--input", "in.txt", "--output", "out.txt"],
+    "index": ["index", "--set", "v", "--p", "2", "--d", "1", "--max", "9"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_no_module_it_does_not_run(tmp_path, command):
+    (tmp_path / "in.txt").write_text("1\n2\n3\n4\n")
+    loaded = _imports_of(tmp_path, COMMANDS[command])
+    assert "vcchaos.pary" in loaded
+    # no record class is a dataclass, and csv serves --format csv alone
+    assert not loaded & {"dataclasses", "csv"}
+    # only verify runs the suite
+    assert ("vcchaos.suite" in loaded) == (command == "verify")
+    # the running CLI is __main__: importing vcchaos.cli would compile and run it again
+    assert "vcchaos.cli" not in loaded
+    # json is loaded to write a report, and never for text arrays or a member list
+    assert ("json" in loaded) == (command in ("verify", "sharpness", "khinchin"))
+
+
+def test_csv_is_loaded_for_a_csv_report_alone(tmp_path):
+    loaded = _imports_of(tmp_path, [*COMMANDS["sharpness"], "--format", "csv"])
+    assert "csv" in loaded and "dataclasses" not in loaded
+    # a JSON transform file loads json
+    (tmp_path / "in.json").write_text("[1, 2]\n")
+    argv = ["transform", "--p", "2", "--input", "in.json", "--output", "out.json"]
+    assert "json" in _imports_of(tmp_path, argv)
