@@ -23,9 +23,11 @@ q = 2h they are the levels G_1..G_h of the table pass, and the four moves of
 a coordinate share h(h+1)/2 gathers and dot products: O(1) work for q = 2,
 O(M) for q = 4 and O(M**2) (at most the cell count) for q = 6 over M
 members, against M**h for a pass.  For other q they are the cell values f,
-and a move is f + delta * rows[i], O(cells).  An accepted move recomputes
-the sums at the renormalized point, and estimate_constant reports one full
-evaluation of the final point, for which the float error bounds are proven.
+and a move is f + delta * rows[i], O(cells).  A scorer's reset is its one
+full evaluation: it scores the random starts, and an accepted move resets
+at the renormalized point, so the ascent's last reset is the full
+evaluation of its final point that estimate_constant reports and that the
+float error bounds are proven for.
 """
 
 from __future__ import annotations
@@ -200,12 +202,21 @@ def _coefficient_array(coeffs: Mapping[int, object]) -> np.ndarray:
     return c
 
 
+# the float error model of the bounds below: unit roundoff and the usual gamma(n)
+_U = 2.0**-53
+
+
+def _gamma(n) -> float:
+    return n * _U / (1 - n * _U)
+
+
 def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     """Absolute error bound for ratio = _lq_ratios(c, rows, q), rows from _vc_rows.
 
-    Model: u = 2**-53; every real product, sum and quotient is rounded once
-    (FMA allowed, any summation order); sqrt is correctly rounded; abs and
-    power are within 4 ulps (relative error 8u); gamma(n) = n*u / (1 - n*u).
+    Model: u = _U = 2**-53; every real product, sum and quotient is rounded
+    once (FMA allowed, any summation order); sqrt is correctly rounded; abs
+    and power are within 4 ulps (relative error 8u); gamma(n) = _gamma(n) =
+    n*u / (1 - n*u).
     The rows are entries of pary.unit_roots, each within _ROOT_ERR =: d of
     its root of unity (proven there).  Let M = c.size and N = cells.
 
@@ -235,20 +246,18 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     and computing sum|c_n| (within 1 + r) and this formula (a few u) stays
     inside the factor 1.03 below.  Returns inf where r > 0.01.
     """
-    u = 2.0**-53
     count = cells + 4 * c.size + 8 * math.ceil(q) + 33
-    if count * u > 0.01:
+    if count * _U > 0.01:
         return math.inf
-    gamma = lambda n: n * u / (1 - n * u)
     mass = float(np.sum(np.abs(c)))
-    cell_err = (math.sqrt(2) * gamma(2 * c.size) * (1 + _ROOT_ERR) + _ROOT_ERR) * mass
-    return 1.03 * (cell_err / float(np.linalg.norm(c)) + gamma(count) * ratio)
+    cell_err = (math.sqrt(2) * _gamma(2 * c.size) * (1 + _ROOT_ERR) + _ROOT_ERR) * mass
+    return 1.03 * (cell_err / float(np.linalg.norm(c)) + _gamma(count) * ratio)
 
 
 def _moment_error_bound(c: np.ndarray, tables: list[tuple], ratio: float) -> float:
-    """Absolute error bound for ratio = _EvenRatio(p, members, q)(c), tables its _sum_tables.
+    """Absolute error bound for ratio = _EvenRatio(p, members, q).reset(c), tables its _sum_tables.
 
-    Model as in _synthesis_error_bound: u = 2**-53, gamma(n) = n*u/(1 - n*u),
+    Model as in _synthesis_error_bound, with u = _U and gamma = _gamma,
     each real product and sum rounded once in any order, abs and power
     within 8u, sqrt and quotients rounded once, and a real product that
     underflows off by at most 2**-1075.  Let q = 2h, M = c.size, B the
@@ -290,18 +299,16 @@ def _moment_error_bound(c: np.ndarray, tables: list[tuple], ratio: float) -> flo
     factor 1 + gamma(h (4M + 40)) <= 1.006, and this formula in floats stays
     inside the factor 1.04 below.
     """
-    u = 2.0**-53
-    gamma = lambda n: n * u / (1 - n * u)
     h, count = len(tables) + 1, c.size
     bins = tables[-1][1] if tables else count
     mass, norm = float(np.sum(np.abs(c))), float(np.linalg.norm(c))
-    if h * (bins + 4 * count + 64) * u > 0.005 or h * count**h > 2**40 or not norm > 0:
+    if h * (bins + 4 * count + 64) * _U > 0.005 or h * count**h > 2**40 or not norm > 0:
         return math.inf
     if h * math.log2(norm) < -399 or h * math.log2(max(1.0, mass)) > 399:
         return math.inf
-    levels_err = (h - 1) * math.sqrt(2) * gamma(count + 3)
+    levels_err = (h - 1) * math.sqrt(2) * _gamma(count + 3)
     rho = levels_err / (1 - levels_err) * (mass / norm) ** (h - 1) + 2.0**-200
-    r = gamma(bins + 2 * count + 64) + 2 * u * (abs(math.log(ratio)) + abs(math.log(norm)) + 1)
+    r = _gamma(bins + 2 * count + 64) + 2 * _U * (abs(math.log(ratio)) + abs(math.log(norm)) + 1)
     return 1.04 * ratio * (rho + r) if max(rho, r) <= 0.009 else math.inf
 
 
@@ -378,26 +385,13 @@ def _moved(c: np.ndarray, i: int, delta: complex) -> np.ndarray:
     return cand
 
 
-class _MoveScorer:
-    """A ratio objective that also scores moves c + delta e_i from cached partial sums.
-
-    Calling it is one full evaluation.  reset(c) caches the partial sums of
-    the current point c and returns its full value; scores(i, deltas) values
-    every move point + delta e_i from the cache; accept recomputes the cache
-    from scratch at the renormalized accepted point, so rounding never
-    carries from one move to the next, and returns the full value there.
-    """
-
-    def accept(self, i: int, delta: complex, value: float) -> float:
-        return self.reset(_moved(self.point, i, delta))
-
-    def _l2_sq(self, i: int, deltas: Sequence[complex]) -> list[float]:
-        """||point + delta e_i||**2 for every delta, from the cached ||point||**2."""
-        ci = self.conjugates[i]
-        return [self.l2_sq + 2 * (ci * d).real + abs(d) ** 2 for d in deltas]
+def _l2_sq(scorer, i: int, deltas: Sequence[complex]) -> list[float]:
+    """||point + delta e_i||**2 for every delta, from the scorer's cached ||point||**2."""
+    ci = scorer.conjugates[i]
+    return [scorer.l2_sq + 2 * (ci * d).real + abs(d) ** 2 for d in deltas]
 
 
-class _EvenRatio(_MoveScorer):
+class _EvenRatio:
     """(sum |G_h|**2)**(1/q) / ||c|| for even q = 2h, G_l the l-fold digitwise convolution of c.
 
     A move c + delta e_i changes G_h by
@@ -448,10 +442,6 @@ class _EvenRatio(_MoveScorer):
             levels.append(g_next)
         return levels
 
-    def __call__(self, c: np.ndarray) -> float:
-        g = self._levels(c)[-1]
-        return _sum_sq(g) ** (1.0 / self.q) / math.sqrt(_sum_sq(c))
-
     def reset(self, c: np.ndarray) -> float:
         self.point, self.levels, self.conjugates = c, self._levels(c), c.conj().tolist()
         # |G_0|**2 sums to 1 exactly
@@ -475,7 +465,7 @@ class _EvenRatio(_MoveScorer):
         # gain is P_0(t) + 2 Re sum_{r >= 1} delta**r P_r(t), where
         # P_r(t) = sum_j C_j C_{j+r} t**j B_{j,j+r}; the deltas of one sweep share t
         polys, values, root = {}, [], 1.0 / self.q
-        for d, l2_sq in zip(deltas, self._l2_sq(i, deltas)):
+        for d, l2_sq in zip(deltas, _l2_sq(self, i, deltas)):
             t = abs(d) ** 2
             if t not in polys:
                 polys[t] = [
@@ -491,14 +481,11 @@ class _EvenRatio(_MoveScorer):
         return values
 
 
-class _RowRatio(_MoveScorer):
+class _RowRatio:
     """||c @ rows||_q / ||c|| for non-even q; the move c + delta e_i is f + delta rows[i], O(cells)."""
 
     def __init__(self, p: int, members: Sequence[int], q):
         self.rows, self.q = _vc_rows(p, members), q
-
-    def __call__(self, c: np.ndarray) -> float:
-        return float(_lq_ratios(c, self.rows, self.q))
 
     def reset(self, c: np.ndarray) -> float:
         self.point, self.cells, self.conjugates = c, c @ self.rows, c.conj().tolist()
@@ -507,20 +494,27 @@ class _RowRatio(_MoveScorer):
 
     def scores(self, i: int, deltas: Sequence[complex]) -> list[float]:
         cells = self.cells + np.multiply.outer(deltas, self.rows[i])
-        return _cell_ratios(cells, np.sqrt(self._l2_sq(i, deltas)), self.q).tolist()
+        return _cell_ratios(cells, np.sqrt(_l2_sq(self, i, deltas)), self.q).tolist()
 
 
-def _ratio_objective(p: int, members: Sequence[int], q) -> _MoveScorer:
-    """Float ratio ||f||_q / ||c||_2 as a function of the coefficient array, and its move scorer."""
+def _ratio_objective(p: int, members: Sequence[int], q) -> _EvenRatio | _RowRatio:
+    """The move scorer of the float ratio ||f||_q / ||c||_2 over the coefficient array."""
     members = list(members)
     return _EvenRatio(p, members, q) if _is_even(q) else _RowRatio(p, members, q)
 
 
-def _ascent(scorer: _MoveScorer, start: np.ndarray) -> tuple[np.ndarray, float, dict[str, int]]:
+def _ascent(
+    scorer: _EvenRatio | _RowRatio, start: np.ndarray
+) -> tuple[np.ndarray, float, dict[str, int]]:
     """Maximize a scale-invariant ratio over the unit sphere from start.
 
     Tries +-step and +-i*step on each coordinate, renormalizing after each
     accepted move; returns the final point, its value and the work counters.
+    The scorer's reset(c) caches the partial sums of the point c and returns
+    its full value; scores(i, deltas) values every move point + delta e_i
+    from that cache.  An accepted move resets at the renormalized point, so
+    rounding never carries from one move to the next, and the value returned
+    is that last reset: one full evaluation of the final point.
     """
     c = np.asarray(start, dtype=np.complex128)
     best = scorer.reset(c / np.linalg.norm(c))
@@ -537,7 +531,7 @@ def _ascent(scorer: _MoveScorer, start: np.ndarray) -> tuple[np.ndarray, float, 
                 for delta, val in zip(moves, scorer.scores(i, moves)):
                     tried += 1
                     if val > best * _ACCEPT:
-                        best = scorer.accept(i, delta, val)
+                        best = scorer.reset(_moved(scorer.point, i, delta))
                         counts["moves_accepted"] += 1
                         break
                 counts["moves_scored"] += tried
@@ -614,15 +608,13 @@ def estimate_constant(
     best_c = None
     for t in range(trials):
         c = sample_unit_coefficients(len(members), seed, t)
-        val = objective(c)
+        val = objective.reset(c)
         if val > best_val:
             best_val, best_c = val, c
     method = f"random x {trials}"
     counters = {}
     if optimizer == "ascent":
-        best_c, _, counters = _ascent(objective, best_c)
-        # the float error bounds below are proven for one full evaluation
-        best_val = objective(best_c)
+        best_c, best_val, counters = _ascent(objective, best_c)
         method += " + coordinate ascent"
     coeffs = {n: complex(c) for n, c in zip(members, best_c)}
     exact_pow = None

@@ -78,11 +78,24 @@ def test_float_transform_passes_its_oracle(oracles, tmp_path, direction):
     assert oracles.check_float_transform(x, _read_complex(dst), 2, direction) == []
 
 
-@pytest.mark.parametrize("optimizer, l1", [("ascent", True), ("random", False)])
-def test_khinchin_passes_its_oracle(oracles, capsys, optimizer, l1):
-    op = {"p": 2, "d": 2, "set": "v", "q": 6, "N": 15, "trials": 20, "seed": 11,
-          "mode": "exact", "l1": l1, "optimizer": optimizer}
-    args = ["khinchin", "--p", "2", "--d", "2", "--set", "v", "--q", "6", "--N", "15",
-            "--trials", "20", "--seed", "11", "--mode", "exact", "--optimizer", optimizer]
+# (p, d, set, q, N, mode): khinchin-even's q = 6 and q = 4 table paths, and
+# float-pipeline's q = 3 row path
+KHINCHIN_CONFIGS = [(2, 2, "v", 6, 15, "exact"), (2, 1, "v", 4, 64, "exact"),
+                    (3, 2, "vtilde", 3, 26, "float")]
+
+
+@pytest.mark.parametrize("config, optimizer, l1", [
+    pytest.param(KHINCHIN_CONFIGS[0], "ascent", True, id="ascent-True"),
+    pytest.param(KHINCHIN_CONFIGS[0], "random", False, id="random-False"),
+    pytest.param(KHINCHIN_CONFIGS[1], "ascent", False, id="q4-table-ascent"),
+    pytest.param(KHINCHIN_CONFIGS[2], "ascent", False, id="q3-float-ascent"),
+    pytest.param(KHINCHIN_CONFIGS[2], "random", False, id="q3-float-random"),
+])
+def test_khinchin_passes_its_oracle(oracles, capsys, config, optimizer, l1):
+    p, d, kind, q, upper, mode = config
+    op = {"p": p, "d": d, "set": kind, "q": q, "N": upper, "trials": 20, "seed": 11,
+          "mode": mode, "l1": l1, "optimizer": optimizer}
+    args = ["khinchin", "--p", str(p), "--d", str(d), "--set", kind, "--q", str(q), "--N", str(upper),
+            "--trials", "20", "--seed", "11", "--mode", mode, "--optimizer", optimizer]
     report = _report(capsys, args + (["--l1"] if l1 else []))
     assert oracles.check_khinchin(report, op, replays={}) == []
