@@ -12,7 +12,8 @@ only those: a float `transform` loads pary, vc and textio (an exact one
 cyclo too), `index` pary and indices, `khinchin` pary, indices and khinchin
 (its exact even-q certificate included), `sharpness` every layer but
 khinchin, textio and suite, and `verify` those and suite, the module that
-holds its checks.  No layer imports dataclasses; csv is loaded only for
+holds its checks and owns their cap pre-check, so `verify` passes it only
+p, max rank and seed.  No layer imports dataclasses; csv is loaded only for
 --format csv, and json only to write a report or read or write a JSON
 transform file.
 """
@@ -113,18 +114,11 @@ def _validate_base(p: int) -> None:
 
 def cmd_verify(args) -> int:
     _validate_base(args.p)
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ConfigError(f"tolerance must be finite and > 0, got {args.tolerance}")
     if args.max_rank < 0:
         raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
-    from .suite import _VERIFY_DEPTH, _verify_checks
+    from .suite import verify_checks
 
-    # the largest grids of the suite: independence tallies rank depth + 1 <= k_mat + 1, and the
-    # inverse-identity and operator-norm checks build p**k_mat x p**k_mat exponent tables
-    k_mat = min(args.max_rank, _VERIFY_DEPTH)
-    check_rank(args.p, max(args.max_rank, k_mat + 1, 2 * k_mat))
-    checks = _verify_checks(args.p, args.max_rank, args.seed, args.tolerance)
-    return _run_report("verify", args, checks)
+    return _run_report("verify", args, verify_checks(args.p, args.max_rank, args.seed))
 
 
 # -- sharpness -------------------------------------------------------------------
@@ -205,9 +199,15 @@ def cmd_khinchin(args) -> int:
         if report.best_ratio_pow_exact is not None:
             values["best_ratio_pow_exact"] = rational_str(report.best_ratio_pow_exact)
         values.update(report.ascent_counters)
-        # Lyapunov on a probability space: ||f||_q >= ||f||_2 = ||c||_2 for q >= 2, <= for q < 2
-        ratio = report.best_ratio
-        return (ratio >= 1.0 - 1e-12 if args.q >= 2 else ratio <= 1.0 + 1e-12), values
+        # Lyapunov on a probability space: ||f||_q >= ||f||_2 = ||c||_2 for q >= 2, <= for q < 2,
+        # read from the exact certificate, else from the ratio's proven error bound
+        if report.best_ratio_pow_exact is not None:
+            ok = report.best_ratio_pow_exact >= 1
+        elif args.q >= 2:
+            ok = report.best_ratio + report.best_ratio_err >= 1
+        else:
+            ok = report.best_ratio - report.best_ratio_err <= 1
+        return ok, values
 
     def l1_estimate():
         report = estimate_l1_constant(spec, args.N, args.trials, args.seed)
@@ -326,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the exact verification suite", allow_abbrev=False)
     common(sp)
     sp.add_argument("--max-rank", type=int, default=3)
-    sp.add_argument("--tolerance", type=float, default=1e-9, help="float-check tolerance")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser(

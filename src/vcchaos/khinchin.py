@@ -42,7 +42,9 @@ import numpy as np
 from .indices import IndexSpec, check_candidates, enumerate_members, member_mask
 from .pary import (
     _ROOT_ERR,
+    _U,
     _exponent_rows,
+    _gamma,
     check_cells,
     check_power,
     check_rank,
@@ -202,21 +204,10 @@ def _coefficient_array(coeffs: Mapping[int, object]) -> np.ndarray:
     return c
 
 
-# the float error model of the bounds below: unit roundoff and the usual gamma(n)
-_U = 2.0**-53
-
-
-def _gamma(n) -> float:
-    return n * _U / (1 - n * _U)
-
-
 def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     """Absolute error bound for ratio = _lq_ratios(c, rows, q), rows from _vc_rows.
 
-    Model: u = _U = 2**-53; every real product, sum and quotient is rounded
-    once (FMA allowed, any summation order); sqrt is correctly rounded; abs
-    and power are within 4 ulps (relative error 8u); gamma(n) = _gamma(n) =
-    n*u / (1 - n*u).
+    Model: pary's float error model, u = _U = 2**-53 and gamma(n) = _gamma(n).
     The rows are entries of pary.unit_roots, each within _ROOT_ERR =: d of
     its root of unity (proven there).  Let M = c.size and N = cells.
 
@@ -257,11 +248,10 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
 def _moment_error_bound(c: np.ndarray, tables: list[tuple], ratio: float) -> float:
     """Absolute error bound for ratio = _EvenRatio(p, members, q).reset(c), tables its _sum_tables.
 
-    Model as in _synthesis_error_bound, with u = _U and gamma = _gamma,
-    each real product and sum rounded once in any order, abs and power
-    within 8u, sqrt and quotients rounded once, and a real product that
-    underflows off by at most 2**-1075.  Let q = 2h, M = c.size, B the
-    level-h bins (M when h = 1), T = M**h, mass = sum|c_m| and n = ||c||_2.
+    Model: pary's float error model, u = _U and gamma = _gamma, with a
+    real product that underflows off by at most 2**-1075.  Let q = 2h,
+    M = c.size, B the level-h bins (M when h = 1), T = M**h,
+    mass = sum|c_m| and n = ||c||_2.
     The code returns inf unless h (B + 4M + 64) u <= 0.005, h T <= 2**40,
     n**h >= 2**-399, max(1, mass)**h <= 2**399 and rho, r <= 0.009.
 
@@ -626,8 +616,7 @@ def estimate_constant(
     elif _is_even(q):
         ratio_err = _moment_error_bound(best_c, objective.tables, best_val)
     else:
-        cells = spec.p ** digit_count(max(members), spec.p)
-        ratio_err = _synthesis_error_bound(best_c, cells, q, best_val)
+        ratio_err = _synthesis_error_bound(best_c, objective.rows.shape[1], q, best_val)
     return KhinchinReport(
         spec=spec,
         q=q,

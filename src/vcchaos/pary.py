@@ -14,7 +14,8 @@ every refusal is check_cells's or, for a power such as p**rank, check_power's
 over_common_denominator puts exact rationals over one denominator, the
 integer form that cyclo's arrays and khinchin's exact certificate share, and
 rational_str the form in which reports print them; unit_roots is the one
-float table of roots of unity every float kernel reads.
+float table of roots of unity every float kernel reads, and _U and _gamma
+the float error model in which every proven rounding bound is stated.
 """
 
 from __future__ import annotations
@@ -182,6 +183,18 @@ def _exponent_rows(p: int, k: int, indices) -> np.ndarray:
     return digit_array(indices, p, k) @ point_digits.T % p
 
 
+# The float error model of every proven bound (Higham, Accuracy and Stability of
+# Numerical Algorithms, 3.1): u = _U is the unit roundoff; every real product, sum and
+# quotient is rounded once (FMA allowed, any summation order); sqrt is correctly
+# rounded; abs and power are within 4 ulps (relative error 8u); and _gamma(n) =
+# n*u / (1 - n*u) bounds the relative error of n such roundings in a row.
+_U = 2.0**-53
+
+
+def _gamma(n) -> float:
+    return n * _U / (1 - n * _U)
+
+
 _ROOT_ERR = 2.0**-47  # bound on |unit_roots(r)[j] - w**j| for every r and j, proven there
 
 
@@ -191,7 +204,7 @@ def unit_roots(order: int) -> np.ndarray:
 
     Whole quarter turns (1, 1j, -1, -1j) are exact; any other entry is exp(i*t) at the
     real angle t = fl(fl(2*pi*j) / order), as cmath.exp(2j*math.pi*j/order) takes it.
-    With u = 2**-53 and libm's cos and sin within 4 ulps (relative error 8u), the one
+    With u = _U and libm's cos and sin within 4 ulps (relative error 8u), the one
     libm assumption of the package: t is rounded three times (pi, the product, as 2*pi
     is exact, and the quotient), so |t - 2*pi*j/order| < 3.01u * 2*pi < 19u, and every
     entry lies within 19u + sqrt(2)*8u < 64u = _ROOT_ERR of w**j.

@@ -1,6 +1,9 @@
 """The verification suite that `vcchaos verify` runs.
 
-Only cli.cmd_verify imports this module, so no other command compiles it.
+verify_checks owns the suite's depth rule: it refuses, before any check
+runs, a run whose largest grid exceeds the cell cap, so the CLI passes only
+p, max rank and seed.  Only cli.cmd_verify imports this module, so no other
+command compiles it.
 It must never import vcchaos.cli: under `python -m vcchaos.cli` the running
 CLI is __main__, so that import would compile and run the CLI module again.
 """
@@ -21,13 +24,13 @@ from .indices import (
     pattern_multiplicity_check,
     unit_chaos,
 )
-from .pary import digitwise_add, rational_str
+from .pary import check_rank, digitwise_add, rational_str
 from .stepfn import PArySet, StepFn, independence_check, symmetric_decomposition
 from .uniqueness import overlap_bound_check
-from .vc import matrix_op_norm, synthesize, vc_function, verify_inverse_identity
+from .vc import _op_norm_err, matrix_op_norm, synthesize, vc_function, verify_inverse_identity
 
 # the suite's deepest rank: its matrix checks, parseval indices and independence tables
-# stay within min(max rank, _VERIFY_DEPTH), which is what cmd_verify's cap pre-check covers
+# stay within min(max rank, _VERIFY_DEPTH), which is what the cap pre-check of verify_checks covers
 _VERIFY_DEPTH = 3
 # a drawn 16-bit word below this puts its cell in an audit set: probability 0.60001
 _AUDIT_THRESHOLD = 39322
@@ -57,7 +60,19 @@ def _audit_masks(rng: random.Random, p: int, rank: int, count: int) -> list[int]
     return masks
 
 
-def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[tuple]:
+def verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
+    """The suite's checks (_verify_checks), once its largest grids pass the cell cap.
+
+    Independence tallies rank depth + 1 <= k_mat + 1, and the inverse-identity
+    and operator-norm checks build p**k_mat x p**k_mat exponent tables, so a
+    run the cap would stop midway is refused before any check runs.
+    """
+    k_mat = min(max_rank, _VERIFY_DEPTH)
+    check_rank(p, max(max_rank, k_mat + 1, 2 * k_mat))
+    return _verify_checks(p, max_rank, seed)
+
+
+def _verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
     """The suite as (name, anchor, check) triples, in the order run.
 
     The checks draw from one seeded stream in this order.  A check that draws
@@ -119,9 +134,11 @@ def _verify_checks(p: int, max_rank: int, seed: int, tolerance: float) -> list[t
 
     @check("operator-norm", "power iteration on VC^(k) returns p^(k/2)")
     def operator_norm():
-        # the float consequence of the inverse identity
-        ok = all(abs(matrix_op_norm(p, k) - p ** (k / 2)) <= tolerance for k in range(k_mat + 1))
-        return ok, {"tolerance": tolerance}
+        # the float consequence of the inverse identity, within its proven rounding bound
+        ok = all(
+            abs(matrix_op_norm(p, k) - p ** (k / 2)) <= _op_norm_err(p, k) for k in range(k_mat + 1)
+        )
+        return ok, {"norm_err": _op_norm_err(p, k_mat)}
 
     @check("overlap-bound-audit", "measure of twice-covered points >= (p*a - 1)/(p - 1)")
     def overlap_audit():

@@ -31,7 +31,16 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .pary import _exponent_rows, check_cells, check_rank, digit_count, unit_roots
+from .pary import (
+    _ROOT_ERR,
+    _U,
+    _exponent_rows,
+    _gamma,
+    check_cells,
+    check_rank,
+    digit_count,
+    unit_roots,
+)
 
 # cyclo and stepfn are imported where used, so the float transform loads neither
 if TYPE_CHECKING:
@@ -143,6 +152,48 @@ def matrix_op_norm(p: int, k: int) -> float:
         x = adjoint @ (a @ x)
         x = x / np.linalg.norm(x)
     return float(np.linalg.norm(a @ x) / np.linalg.norm(x))
+
+
+def _op_norm_err(p: int, k: int) -> float:
+    """Bound on |matrix_op_norm(p, k) - p ** (k / 2)| as floats compute it, and on |. - sqrt(p**k)|.
+
+    Model: pary's float error model, u = _U and gamma(n) = _gamma(n); an
+    operation that underflows is off by at most 2**-1074.  Let N = p**k, A
+    the exact matrix VC^(k), a = unit_roots(p)[E] its float table and
+    d = _ROOT_ERR, so |a - A| <= d entrywise (proven at unit_roots).
+
+    Since A^H A = N I, ||A x|| = sqrt(N) ||x|| for every x, so the bound
+    holds for whatever iterate x the power iteration ends on.  That x is the
+    previous iterate divided by its computed norm, so ||x|| >= 1/2.
+
+    Product.  ||(a - A) x|| <= ||a - A||_F ||x|| <= N d ||x||.  The real and
+    the imaginary part of each entry of a @ x is a real dot product of
+    length 2N whose terms have total magnitude at most sum_m |a_nm| |x_m|
+    (|s_r t_r| + |s_i t_i| <= |s| |t|), so the entry is off by at most
+    sqrt(2) gamma(2N) (1 + d) ||x||_1 <= sqrt(2) gamma(2N) (1 + d) sqrt(N) ||x||,
+    in any summation order, and the computed y = fl(a @ x) has
+    ||y - A x|| <= e ||x|| with
+        e = N d + sqrt(2) gamma(2N) (1 + d) N,
+    apart from underflow, at most 4N 2**-1074 per entry.
+
+    Norms.  np.linalg.norm of a complex vector is the square root of a sum
+    of 2N real squares.  Both vectors have norm at least 1/4, so underflow
+    moves neither sum by a relative 2**-900, and each computed norm is the
+    exact one times a product of 2N + 2 factors (1 + delta)**(+-1/2 or +-1),
+    |delta| <= u.  The quotient adds one rounding, so by Higham's Lemma 3.3
+    the returned value is ||y|| / ||x|| (1 + theta), |theta| <= gamma(4N + 5),
+    and it lies within
+        e + gamma(4N + 5) (sqrt(N) + e)
+    of sqrt(N).  The reference p ** (k / 2), a power of exact operands, is
+    within 8u sqrt(N) of sqrt(N).  The bound is at least d, so the factor
+    1.01 covers the underflow terms and the roundings of the difference and
+    of this formula.  It is finite while (4N + 5) u < 1, that is N < 2**50,
+    far beyond any N x N table that memory holds.
+    """
+    cells = p**k
+    root = math.sqrt(cells)
+    product = cells * _ROOT_ERR + math.sqrt(2) * _gamma(2 * cells) * (1 + _ROOT_ERR) * cells
+    return 1.01 * (product + _gamma(4 * cells + 5) * (root + product) + 8 * _U * root)
 
 
 # -- fast transform ----------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +113,6 @@ def test_run_cell_cap_does_not_leak(monkeypatch):
     with pytest.raises(RankCapError):
         check_rank(2, 2)
     assert run(["sharpness", "--p", "2", "--d", "2"]) == 2
-
-
-def test_verify_bad_tolerance_is_config_error():
-    # nan used to fail the operator-norm check (exit 1); inf made it pass vacuously
-    for tolerance in ("-1e-9", "nan", "inf"):
-        assert run(["verify", "--p", "2", "--tolerance", tolerance]) == 2
 
 
 def test_khinchin_float_mode_reports_error_bound(tmp_path):
@@ -428,6 +423,31 @@ def test_khinchin_q3_passes_at_least_one(tmp_path):
     assert estimate["values"]["best_ratio"] >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize(
+    "q, ratio, err, exact, code",
+    [
+        (3, 1 - 1e-10, 1e-9, None, 0),
+        (3, 1 - 1e-8, 1e-9, None, 1),
+        (1.5, 1 + 1e-10, 1e-9, None, 0),
+        (1.5, 1 + 1e-8, 1e-9, None, 1),
+        # the exact certificate decides alone, whatever its float view reads
+        (4, 1 - 1e-13, None, Fraction(1), 0),
+        (4, 1.0, None, Fraction(10**15 - 1, 10**15), 1),
+    ],
+    ids=["q3-inside", "q3-outside", "q1.5-inside", "q1.5-outside", "exact-one", "exact-below"],
+)
+def test_khinchin_lyapunov_check_reads_the_certificate(monkeypatch, q, ratio, err, exact, code):
+    # ||f||_q >= ||c||_2 for q >= 2 and <= for q < 2: a ratio on the wrong side
+    # of 1 passes only while its proven error bound reaches 1
+    report = KhinchinReport(
+        spec=full_chaos(2, 1), q=q, upper=4, trials=1, seed=0, method="random x 1",
+        members=3, best_ratio=ratio, best_ratio_err=err, best_ratio_pow_exact=exact,
+    )
+    monkeypatch.setattr(khinchin, "estimate_constant", lambda *args: report)
+    args = ["khinchin", "--p", "2", "--q", str(q), "--N", "4", "--trials", "1", "--out", os.devnull]
+    assert run(args) == code
+
+
 def test_khinchin_report_ascent_counters(tmp_path):
     out = tmp_path / "khinchin.json"
     args = ["khinchin", "--p", "3", "--d", "2", "--set", "vtilde", "--q", "4", "--N", "26",
@@ -680,7 +700,7 @@ def _argv_from_config(command, config):
     [
         ["khinchin", "--p", "3", "--set", "aset", "--s", "2", "--pattern", "1,2,1", "--q", "4",
          "--N", "26", "--trials", "5", "--l1", "--cell-cap", "100000"],
-        ["verify", "--p", "2", "--max-rank", "2", "--seed", "4", "--tolerance", "1e-8"],
+        ["verify", "--p", "2", "--max-rank", "2", "--seed", "4"],
         ["sharpness", "--p", "3", "--d", "2", "--cell-cap", "9"],
     ],
     ids=["khinchin-aset", "verify", "sharpness"],
@@ -718,7 +738,7 @@ def test_verify_checks_golden(tmp_path, seed, parseval):
         {"pairs": 20},
         {"lhs": parseval, "rhs": parseval},
         {"pairs": 10},
-        {"tolerance": 1e-09},
+        {"norm_err": 1.0676166873618744e-13},
         {"families": 200},
         {"tables": 20},
         {"powers": 2},
@@ -788,8 +808,8 @@ def test_layer_tracer_runs_a_command(tmp_path, args):
     "abbreviated, full",
     [
         (
-            ["verify", "--p", "2", "--max", "0", "--tol", "0.5"],
-            ["verify", "--p", "2", "--max-rank", "0", "--tolerance", "0.5"],
+            ["verify", "--p", "2", "--max", "0", "--se", "1"],
+            ["verify", "--p", "2", "--max-rank", "0", "--seed", "1"],
         ),
         (
             ["index", "--set", "v", "--p", "2", "--d", "1", "--ma", "9"],

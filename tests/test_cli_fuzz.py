@@ -55,8 +55,7 @@ def argvs(hostile):
     modes = maybe(choice(["exact", "float"], ["bogus"]))
     commands = {
         "verify": flags(
-            p=ints(2, 5), seed=maybe(ints(0, 9)), **{"max-rank": ints(0, 2)}, **cap,
-            tolerance=maybe(choice(["1e-9", "0.5"], ["-1", "0", "nan", "1e30"]))),
+            p=ints(2, 5), seed=maybe(ints(0, 9)), **{"max-rank": ints(0, 2)}, **cap),
         "sharpness": flags(p=ints(2, 7), d=ints(1, 3), **cap),
         "khinchin": flags(
             p=ints(2, 5), d=maybe(ints(1, 3)), s=maybe(ints(1, 3)), set=sets, pattern=pattern,

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,6 +180,19 @@ def test_matrix_op_norm():
     assert matrix_op_norm(2, 2) == pytest.approx(2.0, abs=1e-9)
     assert matrix_op_norm(3, 1) == pytest.approx(math.sqrt(3), abs=1e-9)
     assert matrix_op_norm(5, 0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(p, k) for p in (2, 3, 5, 6) for k in range(4)] + [(10, 3), (20, 2), (50, 2)],
+)
+def test_op_norm_error_bound_holds_against_mpmath(p, k):
+    err = vc._op_norm_err(p, k)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(matrix_op_norm(p, k)) - mpmath.sqrt(p**k)) <= err
+    # criterion 02's literal 1e-9 is implied by the bound up to 1000 cells
+    if p**k <= 1000:
+        assert err < 1e-9
 
 
 def _matrix_oracle(values, p, direction):
