@@ -39,8 +39,6 @@ _EXPORTS = {
             "KhinchinReport",
             "estimate_constant",
             "estimate_l1_constant",
-            "l1_lower_ratio_with_error",
-            "moment_even_pow_exact",
             "norm_ratio_pow_exact",
             "sample_unit_coefficients",
         ),
@@ -51,7 +49,6 @@ _EXPORTS = {
             "DEFAULT_CELL_CAP",
             "RankCapError",
             "digit_count",
-            "digits_of_integer",
             "digitwise_add",
             "run_cell_cap",
         ),

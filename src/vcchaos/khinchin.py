@@ -87,13 +87,6 @@ def _sum_tables(p: int, members: Sequence[int], h: int) -> list[tuple]:
     return tables
 
 
-def _even_tables(p: int, coeffs: Mapping[int, object], q: int) -> list[tuple]:
-    """_sum_tables for the ratio or moment of order q over the indices of coeffs."""
-    if q < 2 or q % 2:
-        raise ValueError(f"q must be a positive even integer, got {q}")
-    return _sum_tables(p, list(coeffs), q // 2)
-
-
 def _exact_power_sums(coeffs: Mapping[int, object], tables: list[tuple]) -> tuple[int, int, int]:
     """(S_1, S_h, D) for even q = 2h: c has Gaussian-integer numerators over D.
 
@@ -128,12 +121,6 @@ def _ratio_pow_exact(coeffs: Mapping[int, object], tables: list[tuple]) -> Fract
     return Fraction(s_h, s_1 ** (len(tables) + 1))
 
 
-def moment_even_pow_exact(p: int, coeffs: Mapping[int, object], q: int) -> Fraction:
-    """Exact integral of |sum c_n VC_n|**q for even q, from coefficients alone."""
-    _, s_h, denom = _exact_power_sums(coeffs, _even_tables(p, coeffs, q))
-    return Fraction(s_h, denom**q)
-
-
 def _members(spec: IndexSpec, upper: int) -> list[int]:
     """enumerate_members(spec, upper), nonempty, once its candidates fit the cell cap."""
     check_candidates(spec, upper)
@@ -156,7 +143,9 @@ def _validate_support(spec: IndexSpec, coeffs: Mapping[int, object]) -> None:
 def norm_ratio_pow_exact(spec: IndexSpec, coeffs: Mapping[int, object], q: int) -> Fraction:
     """Exact rational (||sum c_n VC_n||_q / ||c||_l2)**q for even q."""
     _validate_support(spec, coeffs)
-    return _ratio_pow_exact(coeffs, _even_tables(spec.p, coeffs, q))
+    if not _is_even(q):
+        raise ValueError(f"q must be a positive even integer, got {q}")
+    return _ratio_pow_exact(coeffs, _sum_tables(spec.p, list(coeffs), q // 2))
 
 
 def _vc_rows(p: int, members: Sequence[int]) -> np.ndarray:
@@ -195,13 +184,6 @@ def _sum_sq(values: np.ndarray) -> float:
     np.add.reduce with axis=None is the reduction np.sum calls, without np.sum's dispatch.
     """
     return float(np.add.reduce(np.abs(values) ** 2, axis=None))
-
-
-def _coefficient_array(coeffs: Mapping[int, object]) -> np.ndarray:
-    c = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
-    if np.linalg.norm(c) == 0:
-        raise ValueError("coefficient vector is zero")
-    return c
 
 
 def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
@@ -300,17 +282,6 @@ def _moment_error_bound(c: np.ndarray, tables: list[tuple], ratio: float) -> flo
     rho = levels_err / (1 - levels_err) * (mass / norm) ** (h - 1) + 2.0**-200
     r = _gamma(bins + 2 * count + 64) + 2 * _U * (abs(math.log(ratio)) + abs(math.log(norm)) + 1)
     return 1.04 * ratio * (rho + r) if max(rho, r) <= 0.009 else math.inf
-
-
-def l1_lower_ratio_with_error(
-    spec: IndexSpec, coeffs: Mapping[int, object]
-) -> tuple[float, float]:
-    """(||sum c_n VC_n||_1 / ||c||_l2, absolute error bound), in floats."""
-    _validate_support(spec, coeffs)
-    c = _coefficient_array(coeffs)
-    rows = _vc_rows(spec.p, list(coeffs))
-    ratio = float(_lq_ratios(c, rows, 1))
-    return ratio, _synthesis_error_bound(c, rows.shape[1], 1, ratio)
 
 
 # -- seeded sampling and sphere ascent ----------------------------------------

@@ -153,11 +153,6 @@ def digit_array(values, p: int, length: int | None = None) -> np.ndarray:
     return digits
 
 
-def digits_of_integer(n: int, p: int) -> tuple[int, ...]:
-    """Base-p digits of n >= 0, least significant first; n = 0 gives ()."""
-    return tuple(digit_array(n, p).tolist())
-
-
 def digitwise_add(a, b, p: int):
     """Carry-free digitwise sum mod p of integers >= 0, broadcast; a scalar call gives an int."""
     a, b = integer_array(a), integer_array(b)

@@ -244,25 +244,6 @@ class PArySet:
         bits = _mask_bits(self.mask, self.p**self.rank)
         return StepFn(self.p, self.rank, CycloArray.from_values([0, 1])[bits])
 
-    # -- boolean algebra -------------------------------------------------------
-
-    def _aligned(self, other: "PArySet") -> tuple[int, int, int]:
-        if self.p != other.p:
-            raise ValueError(f"base mismatch: {self.p} vs {other.p}")
-        rank = max(self.rank, other.rank)
-        return rank, self.mask_at_rank(rank), other.mask_at_rank(rank)
-
-    def union(self, other: "PArySet") -> "PArySet":
-        rank, a, b = self._aligned(other)
-        return PArySet(self.p, rank, a | b)
-
-    def intersect(self, other: "PArySet") -> "PArySet":
-        rank, a, b = self._aligned(other)
-        return PArySet(self.p, rank, a & b)
-
-    __or__ = union
-    __and__ = intersect
-
     def __eq__(self, other):
         if not isinstance(other, PArySet):
             return NotImplemented

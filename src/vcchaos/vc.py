@@ -47,9 +47,6 @@ if TYPE_CHECKING:
     from .cyclo import CycloArray
     from .stepfn import StepFn
 
-# power-iteration steps of matrix_op_norm
-_POWER_ITERATIONS = 30
-
 
 def rademacher(p: int, k: int) -> StepFn:
     """R_k: value w**(x_k) on each rank-(k+1) cell, x_k the k-th point digit."""
@@ -144,13 +141,13 @@ def verify_inverse_identity(p: int, k: int) -> bool:
 
 
 def matrix_op_norm(p: int, k: int) -> float:
-    """Power-iteration estimate of the (2,2) operator norm of VC^(k)."""
+    """The (2,2) operator norm of VC^(k), as ||VC x|| / ||x|| at the unit all-ones x.
+
+    VC^H VC = p**k * I, so every nonzero x attains the norm and one product
+    gives it (the rounding is bounded in _op_norm_err).
+    """
     a = unit_roots(p)[exponent_table(p, k)]
     x = np.ones(len(a)) / math.sqrt(len(a))
-    adjoint = a.conj().T  # adjoint @ a = p**k * I, so no iterate is zero
-    for _ in range(_POWER_ITERATIONS):
-        x = adjoint @ (a @ x)
-        x = x / np.linalg.norm(x)
     return float(np.linalg.norm(a @ x) / np.linalg.norm(x))
 
 
@@ -162,9 +159,10 @@ def _op_norm_err(p: int, k: int) -> float:
     the exact matrix VC^(k), a = unit_roots(p)[E] its float table and
     d = _ROOT_ERR, so |a - A| <= d entrywise (proven at unit_roots).
 
-    Since A^H A = N I, ||A x|| = sqrt(N) ||x|| for every x, so the bound
-    holds for whatever iterate x the power iteration ends on.  That x is the
-    previous iterate divided by its computed norm, so ||x|| >= 1/2.
+    Since A^H A = N I, ||A x|| = sqrt(N) ||x|| for every x, so one product
+    at any nonzero x gives the norm, and the bound holds for every such x.
+    matrix_op_norm takes x = fl(ones / fl(sqrt(N))): each entry is
+    1/sqrt(N) within two roundings, so ||x|| >= 1/2.
 
     Product.  ||(a - A) x|| <= ||a - A||_F ||x|| <= N d ||x||.  The real and
     the imaginary part of each entry of a @ x is a real dot product of

@@ -15,12 +15,12 @@ from vcchaos.indices import (
     pattern_multiplicity_check,
     unit_chaos,
 )
-from vcchaos.pary import digits_of_integer, digitwise_add
+from vcchaos.pary import digit_array, digitwise_add
 
 
 def contains_loop(spec, n):
     """The per-index membership test member_mask replaced, kept as its oracle."""
-    support = [(k, d) for k, d in enumerate(digits_of_integer(n, spec.p)) if d]
+    support = [(k, d) for k, d in enumerate(digit_array(n, spec.p).tolist()) if d]
     return len(support) in spec.weights() and all(d in spec.digits_at(k) for k, d in support)
 
 
@@ -28,7 +28,7 @@ def brute_force_members(spec, upper):
     """Oracle: filter 1..upper by the digit definition directly."""
     out = []
     for n in range(1, upper + 1):
-        digits = digits_of_integer(n, spec.p)
+        digits = digit_array(n, spec.p).tolist()
         support = [(k, d) for k, d in enumerate(digits) if d]
         s = len(support)
         if spec.kind.value == "v":
@@ -164,7 +164,7 @@ def test_weight_additivity_under_digitwise_sum():
         n = sum(rng.randint(1, p - 1) * p ** k for k in pos[:2])
         m = sum(rng.randint(1, p - 1) * p ** k for k in pos[2:])
         total = digitwise_add(n, m, p)
-        assert sum(1 for d in digits_of_integer(total, p) if d) == 4
+        assert sum(1 for d in digit_array(total, p).tolist() if d) == 4
         assert contains(exact_weight(p, 4), total)
 
 

@@ -29,8 +29,6 @@ from vcchaos.khinchin import (
     _ratio_objective,
     estimate_constant,
     estimate_l1_constant,
-    l1_lower_ratio_with_error,
-    moment_even_pow_exact,
     norm_ratio_pow_exact,
     sample_unit_coefficients,
 )
@@ -69,6 +67,20 @@ def _assert_same_tables(p, members, h):
         assert flat.dtype == np.intp and flat.tolist() == expected.tolist()
 
 
+def _moment_pow_exact(p, coeffs, q):
+    """Exact integral of |sum c_n VC_n|**q for even q: S_h / D**q from the exact moment kernel."""
+    _, s_h, denom = khinchin._exact_power_sums(coeffs, khinchin._sum_tables(p, list(coeffs), q // 2))
+    return Fraction(s_h, denom**q)
+
+
+def _l1_ratio_with_error(p, coeffs):
+    """(||sum c_n VC_n||_1 / ||c||_l2, its error bound) from the VC rows, as estimate_l1_constant scores."""
+    c = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
+    rows = khinchin._vc_rows(p, list(coeffs))
+    ratio = float(khinchin._lq_ratios(c, rows, 1))
+    return ratio, khinchin._synthesis_error_bound(c, rows.shape[1], 1, ratio)
+
+
 def test_norm_ratio_examples():
     spec = unit_chaos(2, 1)
     assert norm_ratio_pow_exact(spec, {4: 1.0}, 4) == 1
@@ -88,13 +100,13 @@ def test_norm_ratio_validation():
 
 
 def test_fourth_moment_examples():
-    assert moment_even_pow_exact(2, {1: 1, 2: 1}, 4) == 8
+    assert _moment_pow_exact(2, {1: 1, 2: 1}, 4) == 8
     c = Fraction(3, 5)
-    assert moment_even_pow_exact(3, {7: c}, 4) == c**4
+    assert _moment_pow_exact(3, {7: c}, 4) == c**4
     # n equal unit coefficients on distinct Rademacher indices: 3n^2 - 2n
     for n in range(1, 11):
         coeffs = {2**k: 1 for k in range(n)}
-        assert moment_even_pow_exact(2, coeffs, 4) == 3 * n * n - 2 * n
+        assert _moment_pow_exact(2, coeffs, 4) == 3 * n * n - 2 * n
         f = synthesize(coeffs, 2)
         assert f.lq_norm_even_pow(4) == 3 * n * n - 2 * n
 
@@ -109,7 +121,7 @@ def test_real_rademacher_moment_identity():
             continue
         sum_sq = sum(c * c for c in coeffs.values())
         sum_4 = sum(c**4 for c in coeffs.values())
-        moment = moment_even_pow_exact(2, coeffs, 4)
+        moment = _moment_pow_exact(2, coeffs, 4)
         assert moment == 3 * sum_sq**2 - 2 * sum_4
         assert moment <= 3 * sum_sq**2
 
@@ -127,17 +139,17 @@ def test_moment_agrees_with_cell_enumeration():
             continue
         f = synthesize(coeffs, p)
         for q in (2, 4):
-            assert moment_even_pow_exact(p, coeffs, q) == f.lq_norm_even_pow(q)
+            assert _moment_pow_exact(p, coeffs, q) == f.lq_norm_even_pow(q)
     # a non-dyadic common denominator
     coeffs = {1: Fraction(1, 3), 4: Fraction(-2, 3), 6: Fraction(5, 6)}
     f = synthesize(coeffs, 3)
     for q in (2, 4, 6):
-        assert moment_even_pow_exact(3, coeffs, q) == f.lq_norm_even_pow(q)
+        assert _moment_pow_exact(3, coeffs, q) == f.lq_norm_even_pow(q)
     # complex coefficients a + bi, exact as cyclotomic values and as dyadic floats
     parts = {1: (1, 2), 5: (-0.5, 1), 7: (2, -1), 19: (0, 1.5)}
     i = root_of_unity(4, 1)
     f = synthesize({n: i.scale(Fraction(b)) + Fraction(a) for n, (a, b) in parts.items()}, 3)
-    assert moment_even_pow_exact(3, {n: complex(a, b) for n, (a, b) in parts.items()}, 8) == (
+    assert _moment_pow_exact(3, {n: complex(a, b) for n, (a, b) in parts.items()}, 8) == (
         f.lq_norm_even_pow(8)
     )
 
@@ -145,14 +157,14 @@ def test_moment_agrees_with_cell_enumeration():
 def test_sixth_moment_agrees_with_cell_enumeration():
     coeffs = {1: Fraction(1), 3: Fraction(-2), 9: Fraction(1, 2)}
     f = synthesize(coeffs, 3)
-    assert moment_even_pow_exact(3, coeffs, 6) == f.lq_norm_even_pow(6)
+    assert _moment_pow_exact(3, coeffs, 6) == f.lq_norm_even_pow(6)
 
 
 def test_moment_agreement_at_largest_truncation():
     # one deep case: p = 5 support reaching up to 5**5
     coeffs = {2: Fraction(1), 15: Fraction(-1, 2), 630: Fraction(2), 3120: Fraction(1)}
     f = synthesize(coeffs, 5)
-    assert moment_even_pow_exact(5, coeffs, 4) == f.lq_norm_even_pow(4)
+    assert _moment_pow_exact(5, coeffs, 4) == f.lq_norm_even_pow(4)
 
 
 def test_scale_invariance():
@@ -228,7 +240,7 @@ def test_support_validation_names_the_first_index_outside():
     with pytest.raises(ValueError, match="index 0 is outside"):
         norm_ratio_pow_exact(spec, {0: 1.0, 3: 1.0}, 4)
     with pytest.raises(ValueError, match="index -3 is outside"):
-        l1_lower_ratio_with_error(spec, {3: 1.0, -3: 1.0})
+        norm_ratio_pow_exact(spec, {3: 1.0, -3: 1.0}, 4)
     assert norm_ratio_pow_exact(spec, {1: 1.0, 3**50: 1.0}, 4) == Fraction(3, 2)
 
 
@@ -343,7 +355,7 @@ def test_synthesis_error_bound_holds_against_mpmath(spec, upper):
     members = enumerate_members(spec, upper)
     for t in range(3):
         coeffs = dict(zip(members, sample_unit_coefficients(len(members), 11, t) * (t + 0.5)))
-        cases.append((coeffs, 1, *l1_lower_ratio_with_error(spec, coeffs)))
+        cases.append((coeffs, 1, *_l1_ratio_with_error(spec.p, coeffs)))
     l1 = estimate_l1_constant(spec, upper, 20, seed=5)
     cases.append((l1.best_coefficients, 1, l1.min_l1_ratio, l1.min_l1_ratio_err))
     for coeffs, q, ratio, err in cases:
@@ -358,7 +370,7 @@ def test_l1_error_bound_holds_for_real_dyadic_coefficients(spec, upper):
     rng = np.random.default_rng(4)
     for scale in (1.0, 1e-3, 37.5):
         coeffs = {n: complex(x) for n, x in zip(members, scale * rng.standard_normal(len(members)))}
-        ratio, err = l1_lower_ratio_with_error(spec, coeffs)
+        ratio, err = _l1_ratio_with_error(spec.p, coeffs)
         cells = [abs(x) for x in _exact_cells(coeffs, 2).rationals()]
         l1 = sum(cells, Fraction(0)) / len(cells)
         l2_sq = sum(Fraction(c.real) ** 2 for c in coeffs.values())
@@ -376,7 +388,7 @@ def test_estimate_l1_constant_matches_per_trial_loop():
     worst, worst_t, worst_err = math.inf, None, None
     for t in range(trials):
         c = sample_unit_coefficients(len(members), 13, t)
-        val, err = l1_lower_ratio_with_error(spec, dict(zip(members, c)))
+        val, err = _l1_ratio_with_error(spec.p, dict(zip(members, c)))
         if val < worst:
             worst, worst_t, worst_err = val, t, err
     best = sample_unit_coefficients(len(members), 13, worst_t)
@@ -392,9 +404,8 @@ def test_estimate_l1_constant_runtime():
 
 
 def test_l1_examples():
-    spec = unit_chaos(2, 1)
-    assert l1_lower_ratio_with_error(spec, {1: 1, 2: 1})[0] == pytest.approx(1 / math.sqrt(2))
-    assert l1_lower_ratio_with_error(spec, {8: 1.0})[0] == pytest.approx(1.0)
+    assert _l1_ratio_with_error(2, {1: 1, 2: 1})[0] == pytest.approx(1 / math.sqrt(2))
+    assert _l1_ratio_with_error(2, {8: 1.0})[0] == pytest.approx(1.0)
 
 
 def test_estimate_constant_monotone_in_trials():

@@ -17,7 +17,6 @@ from vcchaos.pary import (
     check_rank,
     digit_array,
     digit_count,
-    digits_of_integer,
     digitwise_add,
     run_cell_cap,
     unit_roots,
@@ -44,9 +43,9 @@ def _digits_loop(n, p):
 
 
 def test_digits_of_integer_examples():
-    assert digits_of_integer(5, 3) == (2, 1)
-    assert digits_of_integer(0, 2) == ()
-    assert digits_of_integer(8, 2) == (0, 0, 0, 1)
+    assert digit_array(5, 3).tolist() == [2, 1]
+    assert digit_array(0, 2).tolist() == []
+    assert digit_array(8, 2).tolist() == [0, 0, 0, 1]
 
 
 def test_digitwise_arithmetic():
@@ -139,7 +138,7 @@ def test_digit_primitive_matches_the_divmod_loop(p):
     values = _samples(rng, p)
     for n in values:
         assert digit_count(n, p) == len(_digits_loop(n, p))
-        assert digits_of_integer(n, p) == tuple(_digits_loop(n, p))
+        assert digit_array(n, p).tolist() == _digits_loop(n, p)
     digits = digit_array(values, p)
     assert digits.shape == (len(values), digit_count(max(values), p))
     for n, row in zip(values, digits.tolist()):
@@ -169,7 +168,7 @@ def test_digit_primitive_validation():
     with pytest.raises(ValueError, match="n must be >= 0, got -3"):
         digit_array([4, -3], 2)
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-        digits_of_integer(-1, 2)
+        digit_array(-1, 2)
     with pytest.raises(ValueError, match="base must be >= 2"):
         digit_count(5, 1)
     with pytest.raises(ValueError, match="operands must be nonnegative"):
