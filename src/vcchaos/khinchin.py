@@ -11,12 +11,14 @@ bindings: complex128 arrays drive the optimizer, and Gaussian-integer
 numerators over one common denominator certify ratios exactly (floats are
 dyadic rationals).  An even-q estimate builds its tables once, and the exact
 certificate of its final point reuses the objective's.  Odd and fractional
-q, and the L1 lower constant, need the cell values of f: the (members x
-cells) block of VC rows is built once per member set, so each evaluation is
-one product c @ rows.  Randomness is counter-based (Philox keyed by (seed,
-trial)), so trials are reproducible and order-independent.
+q, and the L1 lower constant (q = 1), need the cell values of f: the
+(members x cells) block of VC rows is built once per member set, so each
+evaluation is one product c @ rows.  Randomness is counter-based (Philox
+keyed by (seed, trial)), so trials are reproducible and order-independent.
 
-estimate_constant refines its best random start by a private coordinate
+Both constants score the same seeded starts through one search: the first
+start with the largest (estimate_constant) or smallest (estimate_l1_constant)
+scorer reset.  estimate_constant refines its best start by a private coordinate
 ascent on the unit sphere, which scores a move c + delta e_i from partial
 sums kept for the current point instead of a full evaluation.  For even
 q = 2h they are the levels G_1..G_h of the table pass, and the four moves of
@@ -53,11 +55,6 @@ from .pary import (
     over_common_denominator,
     unit_roots,
 )
-
-# estimate_l1_constant scores its trials in (chunk x cells) blocks of about
-# this many complex entries (1 MB)
-_CHUNK_ENTRIES = 2**16
-
 
 def _is_even(q) -> bool:
     return isinstance(q, int) and q >= 2 and q % 2 == 0
@@ -173,11 +170,6 @@ def _cell_ratios(cells: np.ndarray, l2, q) -> np.ndarray:
     return np.mean((moduli / m) ** q, axis=-1) ** (1.0 / q) * m[..., 0] / l2
 
 
-def _lq_ratios(c: np.ndarray, rows: np.ndarray, q) -> np.ndarray:
-    """||sum c_n VC_n||_q / ||c||_l2 for every coefficient vector along c's last axis."""
-    return _cell_ratios(c @ rows, np.linalg.norm(c, axis=-1), q)
-
-
 def _sum_sq(values: np.ndarray) -> float:
     """sum |values|**2, exactly as np.sum takes it.
 
@@ -187,7 +179,7 @@ def _sum_sq(values: np.ndarray) -> float:
 
 
 def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
-    """Absolute error bound for ratio = _lq_ratios(c, rows, q), rows from _vc_rows.
+    """Absolute error bound for ratio = _RowRatio(p, members, q).reset(c) over `cells` cells.
 
     Model: pary's float error model, u = _U = 2**-53 and gamma(n) = _gamma(n).
     The rows are entries of pary.unit_roots, each within _ROOT_ERR =: d of
@@ -503,16 +495,28 @@ def _ascent(
     return scorer.point, best, counts
 
 
+def _seeded_search(
+    scorer: _EvenRatio | _RowRatio, count: int, trials: int, seed: int, sign: int = 1
+) -> tuple[np.ndarray, float]:
+    """The first (seed, t) unit-sphere start, t < trials, with the largest sign * scorer.reset.
+
+    sign = 1 finds the maximum and sign = -1 the minimum; each start is drawn
+    and scored once.  Returns the start and its reset value.
+    """
+    best_val, best_c = -math.inf, None
+    for t in range(trials):
+        c = sample_unit_coefficients(count, seed, t)
+        val = sign * scorer.reset(c)
+        if val > best_val:
+            best_val, best_c = val, c
+    return best_c, sign * best_val
+
+
 class KhinchinReport:
-    """Reproducible record of a norm-ratio estimation run."""
+    """What a norm-ratio estimation run found; the arguments it ran with are the caller's."""
 
     def __init__(
         self,
-        spec: IndexSpec,
-        q: object,
-        upper: int,
-        trials: int,
-        seed: int,
         method: str,
         members: int,
         best_ratio: float | None = None,
@@ -523,11 +527,6 @@ class KhinchinReport:
         min_l1_ratio_err: float | None = None,
         ascent_counters: dict[str, int] | None = None,
     ):
-        self.spec = spec
-        self.q = q
-        self.upper = upper
-        self.trials = trials
-        self.seed = seed
         self.method = method
         self.members = members
         self.best_ratio = best_ratio
@@ -565,13 +564,7 @@ def estimate_constant(
         raise ValueError(f"unknown mode {mode!r}")
     members = _members(spec, upper)
     objective = _ratio_objective(spec.p, members, q)
-    best_val = -math.inf
-    best_c = None
-    for t in range(trials):
-        c = sample_unit_coefficients(len(members), seed, t)
-        val = objective.reset(c)
-        if val > best_val:
-            best_val, best_c = val, c
+    best_c, best_val = _seeded_search(objective, len(members), trials, seed)
     method = f"random x {trials}"
     counters = {}
     if optimizer == "ascent":
@@ -589,11 +582,6 @@ def estimate_constant(
     else:
         ratio_err = _synthesis_error_bound(best_c, objective.rows.shape[1], q, best_val)
     return KhinchinReport(
-        spec=spec,
-        q=q,
-        upper=upper,
-        trials=trials,
-        seed=seed,
         method=method,
         members=len(members),
         best_ratio=best_val,
@@ -607,37 +595,19 @@ def estimate_constant(
 def estimate_l1_constant(spec: IndexSpec, upper: int, trials: int, seed: int) -> KhinchinReport:
     """Minimum observed ||f||_1 / ||c||_l2 over seeded unit-sphere trials.
 
-    Trials are scored a chunk at a time, as one (chunk x members) @ rows
-    product; the first trial attaining the minimum is reported.
+    The same search as estimate_constant's, over the same starts, scored by
+    the q = 1 row scorer's reset; the first start attaining the minimum is
+    reported, with the error bound proven for that reset.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     members = _members(spec, upper)
-    rows = _vc_rows(spec.p, members)
-    chunk = max(1, _CHUNK_ENTRIES // rows.shape[1])
-    worst = math.inf
-    worst_c = None
-    for start in range(0, trials, chunk):
-        block = np.array(
-            [
-                sample_unit_coefficients(len(members), seed, t)
-                for t in range(start, min(start + chunk, trials))
-            ]
-        )
-        ratios = _lq_ratios(block, rows, 1)
-        i = int(np.argmin(ratios))
-        if ratios[i] < worst:
-            worst, worst_c = float(ratios[i]), block[i]
-    worst_err = _synthesis_error_bound(worst_c, rows.shape[1], 1, worst)
+    scorer = _RowRatio(spec.p, members, 1)
+    worst_c, worst = _seeded_search(scorer, len(members), trials, seed, sign=-1)
     return KhinchinReport(
-        spec=spec,
-        q=1,
-        upper=upper,
-        trials=trials,
-        seed=seed,
         method=f"random x {trials} (minimum)",
         members=len(members),
         min_l1_ratio=worst,
-        min_l1_ratio_err=worst_err,
+        min_l1_ratio_err=_synthesis_error_bound(worst_c, scorer.rows.shape[1], 1, worst),
         best_coefficients={n: complex(c) for n, c in zip(members, worst_c)},
     )

@@ -132,7 +132,7 @@ def _verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
         )
         return ok, {"pairs": 10}
 
-    @check("operator-norm", "power iteration on VC^(k) returns p^(k/2)")
+    @check("operator-norm", "||VC^(k) x|| / ||x|| equals p^(k/2) within its proven rounding bound")
     def operator_norm():
         # the float consequence of the inverse identity, within its proven rounding bound
         ok = all(

@@ -41,8 +41,6 @@ class SharpnessReport:
 
     def __init__(
         self,
-        p: int,
-        d: int,
         index_set: IndexSpec,
         support: np.ndarray,
         coefficients: CycloArray,
@@ -53,8 +51,6 @@ class SharpnessReport:
         support_ok: bool,
         coefficients_ok: bool,
     ):
-        self.p = p
-        self.d = d
         self.index_set = index_set
         self.support = support
         self.coefficients = coefficients
@@ -89,7 +85,6 @@ def _product(p: int, d: int, factor) -> StepFn:
 
 def _report(
     p: int,
-    d: int,
     spec: IndexSpec,
     prod: StepFn,
     expected,
@@ -105,8 +100,6 @@ def _report(
     support = np.flatnonzero(~coeffs.is_zero())
     level_set = (prod - 1).level_set(-1)
     return SharpnessReport(
-        p=p,
-        d=d,
         index_set=spec,
         support=support,
         coefficients=coeffs,
@@ -131,7 +124,7 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     digits = digit_array(np.arange(p**d), p, d)
     signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
     expected = CycloArray.from_values(signs.tolist())
-    return _report(p, d, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)
+    return _report(p, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)
 
 
 def witness_full_chaos(p: int, d: int) -> SharpnessReport:
@@ -144,7 +137,7 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
     """
     prod = _product(p, d, lambda k: sum(vc_function(p, j * p**k) for j in range(p)))
     identity = prod == PArySet(p, d, 1).indicator().scale(p**d)
-    return _report(p, d, full_chaos(p, d), prod, 1, Fraction(1, p**d), identity)
+    return _report(p, full_chaos(p, d), prod, 1, Fraction(1, p**d), identity)
 
 
 def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bool]:

@@ -23,7 +23,6 @@ from vcchaos.indices import (
     unit_chaos,
 )
 from vcchaos.khinchin import (
-    _CHUNK_ENTRIES,
     _ascent,
     _moved,
     _ratio_objective,
@@ -76,9 +75,9 @@ def _moment_pow_exact(p, coeffs, q):
 def _l1_ratio_with_error(p, coeffs):
     """(||sum c_n VC_n||_1 / ||c||_l2, its error bound) from the VC rows, as estimate_l1_constant scores."""
     c = np.array([complex(v) for v in coeffs.values()], dtype=np.complex128)
-    rows = khinchin._vc_rows(p, list(coeffs))
-    ratio = float(khinchin._lq_ratios(c, rows, 1))
-    return ratio, khinchin._synthesis_error_bound(c, rows.shape[1], 1, ratio)
+    scorer = khinchin._RowRatio(p, list(coeffs), 1)
+    ratio = scorer.reset(c)
+    return ratio, khinchin._synthesis_error_bound(c, scorer.rows.shape[1], 1, ratio)
 
 
 def test_norm_ratio_examples():
@@ -260,23 +259,30 @@ def test_float_mode_error_bound_holds(spec, upper, q):
     assert (ratio - err) ** q <= exact <= (ratio + err) ** q
 
 
-@pytest.mark.parametrize("optimizer", ["ascent", "random"])
-@pytest.mark.parametrize("q", [3, 4, 6])
+@pytest.mark.parametrize(
+    "q, optimizer", [(q, opt) for q in (3, 4, 6) for opt in ("ascent", "random")] + [(1, "l1")]
+)
 def test_float_estimate_reports_one_full_evaluation_of_its_point(q, optimizer):
     # the reported ratio is a fresh scorer's reset at the reported point, bit for
-    # bit, so the float error bound proven for that evaluation holds for it
+    # bit, so the float error bound proven for that evaluation holds for it; the
+    # L1 minimum's scorer is the q = 1 row scorer
     spec, upper = full_chaos(3, 2), 26
-    report = estimate_constant(spec, q, upper, 10, seed=9, optimizer=optimizer, mode="float")
+    if optimizer == "l1":
+        report = estimate_l1_constant(spec, upper, 10, seed=9)
+        ratio, err = report.min_l1_ratio, report.min_l1_ratio_err
+    else:
+        report = estimate_constant(spec, q, upper, 10, seed=9, optimizer=optimizer, mode="float")
+        ratio, err = report.best_ratio, report.best_ratio_err
     members = enumerate_members(spec, upper)
     assert list(report.best_coefficients) == members
     c = np.array(list(report.best_coefficients.values()), dtype=np.complex128)
     objective = _ratio_objective(spec.p, members, q)
-    assert report.best_ratio == objective.reset(c)
+    assert ratio == objective.reset(c)
     if q % 2:
-        bound = khinchin._synthesis_error_bound(c, objective.rows.shape[1], q, report.best_ratio)
+        bound = khinchin._synthesis_error_bound(c, objective.rows.shape[1], q, ratio)
     else:
-        bound = khinchin._moment_error_bound(c, objective.tables, report.best_ratio)
-    assert report.best_ratio_err == bound
+        bound = khinchin._moment_error_bound(c, objective.tables, ratio)
+    assert err == bound
 
 
 def test_sum_tables_refuse_a_huge_h_without_building_its_power():
@@ -382,8 +388,6 @@ def test_l1_error_bound_holds_for_real_dyadic_coefficients(spec, upper):
 def test_estimate_l1_constant_matches_per_trial_loop():
     spec, upper, trials = unit_chaos(2, 1), 2**8, 300
     members = enumerate_members(spec, upper)
-    chunk = _CHUNK_ENTRIES // 2 ** (len(members))  # 9 members, 2**9 cells
-    assert chunk < trials and trials % chunk
     report = estimate_l1_constant(spec, upper, trials, seed=13)
     worst, worst_t, worst_err = math.inf, None, None
     for t in range(trials):
@@ -393,7 +397,31 @@ def test_estimate_l1_constant_matches_per_trial_loop():
             worst, worst_t, worst_err = val, t, err
     best = sample_unit_coefficients(len(members), 13, worst_t)
     assert report.best_coefficients == {n: complex(c) for n, c in zip(members, best)}
-    assert abs(report.min_l1_ratio - worst) <= report.min_l1_ratio_err + worst_err
+    assert (report.min_l1_ratio, report.min_l1_ratio_err) == (worst, worst_err)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda spec, upper, trials, seed: estimate_constant(spec, 3, upper, trials, seed),
+        lambda spec, upper, trials, seed: estimate_constant(
+            spec, 4, upper, trials, seed, optimizer="random"
+        ),
+        estimate_l1_constant,
+    ],
+    ids=["ascent", "random", "l1"],
+)
+def test_each_seeded_start_is_drawn_once(monkeypatch, estimate):
+    # both constants draw every (seed, t) start exactly once, in order, and the ascent draws none
+    draws, draw = [], khinchin.sample_unit_coefficients
+
+    def counted(count, seed, trial):
+        draws.append((seed, trial))
+        return draw(count, seed, trial)
+
+    monkeypatch.setattr(khinchin, "sample_unit_coefficients", counted)
+    estimate(full_chaos(3, 1), 26, 7, 4)
+    assert draws == [(4, t) for t in range(7)]
 
 
 def test_estimate_l1_constant_runtime():
