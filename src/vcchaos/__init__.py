@@ -59,7 +59,6 @@ _EXPORTS = {
             "Distribution",
             "PArySet",
             "StepFn",
-            "at_least_two",
             "independence_check",
             "symmetric_decomposition",
         ),

@@ -7,15 +7,11 @@ values carry their error bounds.  Exit codes: 0 all checks passed, 1 a
 mathematical check failed, 2 configuration or resource error, and any other
 exception (one "error: <Type>: <message>" line on stderr, no traceback).
 
-Each command imports the layers it calls when it runs, so a process loads
-only those: a float `transform` loads pary, vc and textio (an exact one
-cyclo too), `index` pary and indices, `khinchin` pary, indices and khinchin
-(its exact even-q certificate included), `sharpness` every layer but
-khinchin, textio and suite, and `verify` those and suite, the module that
-holds its checks and owns their cap pre-check, so `verify` passes it only
-p, max rank and seed.  No layer imports dataclasses; csv is loaded only for
---format csv, and json only to write a report or read or write a JSON
-transform file.
+Each command imports the layers it calls when it runs (README lists each
+command's load set; tests/test_loading.py checks them), and `verify` passes
+suite, which holds its checks and owns their cap pre-check, only p, max rank
+and seed.  No layer imports dataclasses; csv is loaded only for --format
+csv, and json only to write a report or read or write a JSON transform file.
 """
 
 from __future__ import annotations

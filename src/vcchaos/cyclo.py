@@ -83,6 +83,14 @@ def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _rotations(order: int) -> np.ndarray:
+    """Read-only (order, order) gather table: v[_rotations(r)[i]] equals np.roll(v, i)."""
+    table = (np.arange(order) - np.arange(order)[:, None]) % order
+    table.flags.writeable = False
+    return table
+
+
 class CycloArray:
     """Rows sum(nums[i, j] * w**j) / denom, w a primitive order-th root of unity.
 
@@ -199,7 +207,7 @@ class CycloArray:
             # coefficient i of b multiplies w**i, which rotates a by i places; a
             # rational or a root (one nonzero column) costs a single term
             if b[:, i].any():
-                out = out + np.roll(a, i, axis=1) * b[:, i : i + 1]
+                out = out + a[:, _rotations(r)[i]] * b[:, i : i + 1]
         return CycloArray(r, out, self.denom * other.denom)
 
     __rmul__ = __mul__
@@ -210,7 +218,7 @@ class CycloArray:
 
     def rotated(self, j: int) -> "CycloArray":
         """Multiply every row by w**j (an index rotation, no coefficient arithmetic)."""
-        return CycloArray(self.order, np.roll(self.nums, j, axis=1), self.denom)
+        return CycloArray(self.order, self.nums[:, _rotations(self.order)[j % self.order]], self.denom)
 
     def conj(self) -> "CycloArray":
         r = self.order

@@ -18,7 +18,6 @@ scales with the member count rather than with the range.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from enum import Enum
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -211,21 +210,25 @@ def pattern_multiplicity_check(p: int, s: int, top: int, upper: int) -> bool:
     sets with pattern length top+1, and the full-chaos set of order d must be
     the disjoint union of the exact-weight sets with s = 1..d.  Every
     pattern set's members are counted, so a member outside the exact-weight
-    set fails the check too.
+    set fails the check too: one array pass over (pattern, s-subset S of the
+    positions) pairs gives each pattern set's members, sum_{k in S} pattern[k] * p**k.
     """
     if not p ** top <= upper < p ** (top + 1):
         raise ValueError(f"need p**top <= upper < p**(top+1), got {upper}")
-    hits = Counter()
-    for pattern in product(range(1, p), repeat=top + 1):
-        hits.update(iter_members(digit_pattern(p, s, pattern), upper))
     members = enumerate_members(exact_weight(p, s), upper)
-    if hits != dict.fromkeys(members, (p - 1) ** (top + 1 - s)):
+    length = top + 1
+    # pattern i: the base-(p-1) digits of i plus 1; every sum is below p**length (int64 below 2**63)
+    patterns = np.arange((p - 1) ** length)[:, None] // (p - 1) ** np.arange(length) % (p - 1) + 1
+    places = np.array([p**k for k in range(length)], dtype=np.int64 if p**length < 2**63 else object)
+    subsets = np.array(list(combinations(range(length), s)), dtype=np.intp).reshape(-1, s)
+    sums = (patterns * places)[:, subsets].sum(axis=-1).ravel()
+    found, hits = np.unique(sums[sums <= upper], return_counts=True)
+    if found.tolist() != members or (hits != (p - 1) ** (length - s)).any():
         return False
     # partition: full chaos of every order d <= top+1 splits by exact weight
-    for d in range(1, top + 2):
-        full = enumerate_members(full_chaos(p, d), upper)
-        pieces = [enumerate_members(exact_weight(p, t), upper) for t in range(1, d + 1)]
-        merged = sorted(n for piece in pieces for n in piece)
-        if merged != full or len(set(merged)) != len(merged):
+    pieces = [enumerate_members(exact_weight(p, t), upper) for t in range(1, length + 1)]
+    for d in range(1, length + 1):
+        merged = sorted(n for piece in pieces[:d] for n in piece)
+        if merged != enumerate_members(full_chaos(p, d), upper) or len(set(merged)) != len(merged):
             return False
     return True

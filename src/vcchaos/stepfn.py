@@ -7,8 +7,9 @@ whole-array integer operations and exact.  PArySet stores a union of rank-k
 cells as an integer bitmask (cell m at bit m) and always keeps the canonical
 minimal-rank form, which makes set equality structural.  Every view of a mask
 (its cells, its mask at a finer rank, its indicator) unpacks the bits once
-into a numpy array, so each view is linear in the cell count.  Two lemmas
-that verify checks are built from these types: symmetric_decomposition
+into a numpy array, so each view is linear in the cell count; overlap_counts
+counts twice-covered cells of whole families of sets as one 0/1 array.  Two
+lemmas that verify checks are built from these types: symmetric_decomposition
 splits Re(R_k**j) into symmetric step functions, and independence_check
 tests the product rule for functions of distinct digits.
 """
@@ -256,21 +257,14 @@ class PArySet:
         return f"PArySet(p={self.p}, rank={self.rank}, cells={self.cells()})"
 
 
-def at_least_two(sets: Sequence[PArySet]) -> PArySet:
-    """Points belonging to at least two of the given sets."""
-    if len(sets) < 2:
-        raise ValueError("need at least two sets")
-    p = sets[0].p
-    if any(s.p != p for s in sets):
-        raise ValueError("all sets must share the base")
-    rank = max(s.rank for s in sets)
-    once = 0
-    twice = 0
-    for s in sets:
-        m = s.mask_at_rank(rank)
-        twice |= once & m
-        once |= m
-    return PArySet(p, rank, twice)
+def overlap_counts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|H|, a) per family of a (..., sets, cells) 0/1 array, as int64 arrays of shape `...`.
+
+    |H| counts the cells in two or more sets and a the smallest set's cells:
+    the two counts of the pair-overlap bound (p - 1) |H| >= p a - N.
+    """
+    covered = bits.sum(axis=-2, dtype=np.min_scalar_type(bits.shape[-2]))
+    return (covered >= 2).sum(axis=-1), bits.sum(axis=-1, dtype=np.int64).min(axis=-1)
 
 
 # -- symmetric decomposition and independence ---------------------------------

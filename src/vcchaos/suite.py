@@ -6,6 +6,7 @@ p, max rank and seed.  Only cli.cmd_verify imports this module, so no other
 command compiles it.
 It must never import vcchaos.cli: under `python -m vcchaos.cli` the running
 CLI is __main__, so that import would compile and run the CLI module again.
+The overlap audit counts 0/1 arrays (stepfn.overlap_counts): verify loads no vcchaos.uniqueness.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .indices import (
     unit_chaos,
 )
 from .pary import check_rank, digitwise_add, rational_str
-from .stepfn import PArySet, StepFn, independence_check, symmetric_decomposition
-from .uniqueness import overlap_bound_check
+from .stepfn import StepFn, independence_check, overlap_counts, symmetric_decomposition
 from .vc import _op_norm_err, matrix_op_norm, synthesize, vc_function, verify_inverse_identity
 
 # the suite's deepest rank: its matrix checks, parseval indices and independence tables
@@ -34,30 +34,26 @@ from .vc import _op_norm_err, matrix_op_norm, synthesize, vc_function, verify_in
 _VERIFY_DEPTH = 3
 # a drawn 16-bit word below this puts its cell in an audit set: probability 0.60001
 _AUDIT_THRESHOLD = 39322
-# one getrandbits call of _audit_masks draws the words of at most this many cells,
-# or of two sets where two sets hold more
+# one getrandbits call of _audit_bits draws the words of at most this many cells,
+# or of two families where two families hold more
 _AUDIT_CHUNK = 1 << 18
 
 
-def _audit_masks(rng: random.Random, p: int, rank: int, count: int) -> list[int]:
-    """count random cell masks at rank `rank`, drawn from rng a chunk of sets at a time.
+def _audit_bits(rng: random.Random, p: int, rank: int, families: int):
+    """Yield the audit's families as (f, p, p**rank) 0/1 arrays, drawn from rng a chunk at a time.
 
     Each cell holds one 16-bit word of the stream, in order, and is in its
     set iff the word is below _AUDIT_THRESHOLD.  getrandbits fills 32-bit
     words low first, and every chunk but the last holds an even number of
-    sets, so an even number of 16-bit words: the chunks read the stream as
-    one call for all the sets would, and leave it where that call would.
+    families, so an even number of 16-bit words: the chunks read the stream
+    as one call for all the families would, and leave it where that call would.
     """
     cells = p**rank
-    sets = 2 * max(1, _AUDIT_CHUNK // (2 * cells))
-    masks = []
-    for start in range(0, count, sets):
-        words = min(sets, count - start) * cells
+    per = 2 * max(1, _AUDIT_CHUNK // (2 * p * cells))
+    for start in range(0, families, per):
+        words = min(per, families - start) * p * cells
         drawn = rng.getrandbits(16 * words).to_bytes(2 * words, "little")
-        bits = (np.frombuffer(drawn, dtype="<u2") < _AUDIT_THRESHOLD).reshape(-1, cells)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return masks
+        yield (np.frombuffer(drawn, dtype="<u2") < _AUDIT_THRESHOLD).reshape(-1, p, cells)
 
 
 def verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
@@ -79,7 +75,7 @@ def _verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
     inside its loop scores a list, not a generator, so that every draw happens
     even after a failure and the later checks see the same stream.  The
     overlap audit reads 16 bits of the stream per cell of its sets
-    (_audit_masks), so its share of the stream is a fixed number of bits.
+    (_audit_bits), so its share of the stream is a fixed number of bits.
     """
     vc_function_cached = functools.lru_cache(maxsize=4096)(vc_function)
     checks = []
@@ -142,10 +138,11 @@ def _verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
 
     @check("overlap-bound-audit", "measure of twice-covered points >= (p*a - 1)/(p - 1)")
     def overlap_audit():
+        # mu(H) >= (p*a/N - 1)/(p - 1) over N cells, in integers: (p - 1)|H| >= p*a - N
         rank = min(max_rank, 4)
-        sets = [PArySet(p, rank, mask) for mask in _audit_masks(rng, p, rank, 200 * p)]
-        families = [sets[i : i + p] for i in range(0, len(sets), p)]
-        return all([overlap_bound_check(family)[2] for family in families]), {"families": 200}
+        counts = map(overlap_counts, _audit_bits(rng, p, rank, 200))
+        ok = [((p - 1) * twice >= p * smallest - p**rank).all() for twice, smallest in counts]
+        return bool(all(ok)), {"families": 200}
 
     @check("independence-product-rule", "joint law of digit functions factorizes exactly")
     def independence():

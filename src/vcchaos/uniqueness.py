@@ -1,4 +1,4 @@
-"""Sharpness witnesses for the uniqueness thresholds and verify's pair-overlap audit.
+"""Sharpness witnesses for the uniqueness thresholds, and the pair-overlap bound of one family.
 
 The two witness polynomials are
 
@@ -24,7 +24,7 @@ import numpy as np
 from .cyclo import CycloArray
 from .indices import IndexSpec, full_chaos, member_mask, unit_chaos
 from .pary import check_rank, digit_array
-from .stepfn import PArySet, StepFn, at_least_two
+from .stepfn import PArySet, StepFn, _mask_bits, overlap_counts
 from .vc import rademacher, vc_function, vc_transform_exact
 
 
@@ -144,7 +144,8 @@ def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bo
     """Exact audit of the pair-overlap lower bound for p sets in base p.
 
     With a = min measure, the set H of points covered at least twice
-    satisfies mu(H) >= (p*a - 1) / (p - 1).  Returns (mu(H), bound, holds).
+    satisfies mu(H) >= (p*a - 1) / (p - 1).  Returns (mu(H), bound, holds),
+    counted at the family's finest rank by verify's kernel, stepfn.overlap_counts.
     """
     if not sets:
         raise ValueError("need a nonempty family")
@@ -153,7 +154,8 @@ def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bo
         raise ValueError(f"need exactly {p} sets in base {p}, got {len(sets)}")
     if any(s.p != p for s in sets):
         raise ValueError("all sets must share the base")
-    a = min(s.measure() for s in sets)
-    h_measure = at_least_two(sets).measure()
+    rank = max(s.rank for s in sets)
+    bits = [_mask_bits(s.mask_at_rank(rank), p**rank) for s in sets]
+    h_measure, a = (Fraction(int(count), p**rank) for count in overlap_counts(np.array(bits)))
     bound = (p * a - 1) / Fraction(p - 1)
     return h_measure, bound, h_measure >= bound

@@ -144,11 +144,14 @@ def matrix_op_norm(p: int, k: int) -> float:
     """The (2,2) operator norm of VC^(k), as ||VC x|| / ||x|| at the unit all-ones x.
 
     VC^H VC = p**k * I, so every nonzero x attains the norm and one product
-    gives it (the rounding is bounded in _op_norm_err).
+    gives it (the rounding is bounded in _op_norm_err).  VC is gathered in
+    row blocks of at most about 2**16 entries, so no p**k x p**k table is held whole.
     """
-    a = unit_roots(p)[exponent_table(p, k)]
-    x = np.ones(len(a)) / math.sqrt(len(a))
-    return float(np.linalg.norm(a @ x) / np.linalg.norm(x))
+    check_rank(p, 2 * k)  # the p**(2k) entries of VC, held to the cell cap
+    x = np.ones(p**k) / math.sqrt(p**k)
+    blocks = np.array_split(np.arange(len(x)), math.ceil(len(x) ** 2 / 2**16))
+    y = np.concatenate([unit_roots(p)[_exponent_rows(p, k, rows)] @ x for rows in blocks])
+    return float(np.linalg.norm(y) / np.linalg.norm(x))
 
 
 def _op_norm_err(p: int, k: int) -> float:
@@ -169,8 +172,8 @@ def _op_norm_err(p: int, k: int) -> float:
     length 2N whose terms have total magnitude at most sum_m |a_nm| |x_m|
     (|s_r t_r| + |s_i t_i| <= |s| |t|), so the entry is off by at most
     sqrt(2) gamma(2N) (1 + d) ||x||_1 <= sqrt(2) gamma(2N) (1 + d) sqrt(N) ||x||,
-    in any summation order, and the computed y = fl(a @ x) has
-    ||y - A x|| <= e ||x|| with
+    in any summation order or row blocking, so the bound does not depend on
+    either.  The computed y = fl(a @ x) has ||y - A x|| <= e ||x|| with
         e = N d + sqrt(2) gamma(2N) (1 + d) N,
     apart from underflow, at most 4N 2**-1074 per entry.
 
@@ -186,7 +189,7 @@ def _op_norm_err(p: int, k: int) -> float:
     within 8u sqrt(N) of sqrt(N).  The bound is at least d, so the factor
     1.01 covers the underflow terms and the roundings of the difference and
     of this formula.  It is finite while (4N + 5) u < 1, that is N < 2**50,
-    far beyond any N x N table that memory holds.
+    far beyond any N x N product the cell cap admits.
     """
     cells = p**k
     root = math.sqrt(cells)
@@ -254,7 +257,7 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     with shift[a, b] = sign * a * b * r / p: O(p * cells * r) work, and
     temporaries the size of the array.
     """
-    from .cyclo import CycloArray
+    from .cyclo import CycloArray, _rotations
 
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -263,10 +266,8 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     length = len(vals)
     k = _length_rank(length, p)
     sign = -1 if direction == "forward" else 1
-    digit = np.arange(p)
-    shift = sign * np.outer(digit, digit) * (order // p)
-    # gather[a, b, s] = (s - shift[a, b]) mod order
-    gather = (np.arange(order) - shift[:, :, None]) % order
+    # gather[a, b, s] = (s - shift[a, b]) mod order, shift[a, b] = sign * a * b * order / p
+    gather = _rotations(order)[sign * np.outer(np.arange(p), np.arange(p)) * (order // p) % order]
     # a stage sums p rotated entries, so no sum exceeds max|nums| * p**k: when
     # that fits in int64 the stages run on machine integers, else on Python ints
     peak = max(map(abs, vals.nums.ravel().tolist()), default=0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcchaos import cli, khinchin, suite, uniqueness
+from vcchaos import cli, khinchin, stepfn, suite, uniqueness
 from vcchaos.cli import main
 from vcchaos.indices import full_chaos
 from vcchaos.khinchin import KhinchinReport, estimate_l1_constant
@@ -753,6 +753,47 @@ def test_verify_checks_golden(tmp_path, seed, parseval):
     assert drop_timings(load_report(out))["checks"] == expected
 
 
+@pytest.mark.parametrize(
+    "p, max_rank, seed, parseval, norm_err",
+    [
+        (6, 3, 117605, "27/1", 1.7792775482782565e-11),
+        (5, 2, 121095, "18/1", 4.409910905884941e-13),
+        (2, 1, 543402, "1/1", 1.8951764073838837e-14),
+        (3, 4, 7, "14/1", 4.954752602935245e-13),
+    ],
+    ids=["6-3", "5-2", "2-1", "3-4"],
+)
+def test_verify_reports_golden(tmp_path, p, max_rank, seed, parseval, norm_err):
+    # whole reports, but for wall_time_s, of verify runs like the benchmark's,
+    # as the per-set overlap audit and per-pattern multiplicity loop wrote them
+    out = tmp_path / "report.json"
+    assert run(["verify", "--p", str(p), "--max-rank", str(max_rank), "--seed", str(seed), "--out", str(out)]) == 0
+    values = [
+        {"max_rank": min(max_rank, 3)},
+        {"pairs": 20},
+        {"lhs": parseval, "rhs": parseval},
+        {"pairs": 10},
+        {"norm_err": norm_err},
+        {"families": 200},
+        {"tables": 20},
+        {"powers": p - 1},
+        None,
+        None,
+    ]
+    checks = [
+        {"name": name, "anchor": anchor, "status": "pass", **({"values": value} if value else {})}
+        for (name, anchor), value in zip(_VERIFY_ANCHORS, values)
+    ]
+    assert drop_timings(load_report(out)) == {
+        "all_passed": True,
+        "checks": checks,
+        "command": "verify",
+        "config": {"cell_cap": None, "max_rank": max_rank, "p": p, "seed": seed},
+        "schema_version": 1,
+        "tool_version": "0.1.0",
+    }
+
+
 def test_each_check_carries_its_wall_time(tmp_path):
     # timed around check() alone, outside values: the CSV projection has no timing
     out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
@@ -830,58 +871,80 @@ def test_no_command_accepts_abbreviations():
     assert not any(sp.allow_abbrev for sp in commands.values())
 
 
+def _audit_counts(p, max_rank, seed):
+    """The overlap audit of verify's suite, run alone on a fresh stream."""
+    [audit] = [fn for name, _, fn in suite._verify_checks(p, max_rank, seed) if name == "overlap-bound-audit"]
+    return audit()
+
+
 def test_audit_masks_draw():
-    p, rank, count = 6, 3, 1200
-    masks = suite._audit_masks(random.Random(5), p, rank, count)
-    assert len(masks) == count and all(0 <= mask < 1 << p**rank for mask in masks)
-    density = sum(mask.bit_count() for mask in masks) / (count * p**rank)
-    assert abs(density - 0.6) <= 0.005
-    assert suite._audit_masks(random.Random(5), p, rank, count) == masks
+    p, rank, families = 6, 3, 200
+    bits = np.concatenate(list(suite._audit_bits(random.Random(5), p, rank, families)))
+    assert bits.shape == (families, p, p**rank) and bits.dtype == bool
+    assert abs(bits.mean() - 0.6) <= 0.005
+    assert np.array_equal(np.concatenate(list(suite._audit_bits(random.Random(5), p, rank, families))), bits)
     # one getrandbits call: the stream moves on by 16 bits a cell, and cell m of
-    # set i reads word i * cells + m
+    # set j of family i reads word (i * p + j) * cells + m
     rng, twin = random.Random(5), random.Random(5)
-    small = suite._audit_masks(rng, 3, 1, 4)
-    bits = twin.getrandbits(16 * 12)
-    words = [(bits >> (16 * w)) & 0xFFFF for w in range(12)]
-    assert small == [
-        sum(1 << m for m in range(3) if words[3 * i + m] < 39322) for i in range(4)
+    small = np.concatenate(list(suite._audit_bits(rng, 3, 1, 4)))
+    bits = twin.getrandbits(16 * 36)
+    words = [(bits >> (16 * w)) & 0xFFFF for w in range(36)]
+    assert small.tolist() == [
+        [[words[(3 * i + j) * 3 + m] < 39322 for m in range(3)] for j in range(3)] for i in range(4)
     ]
     assert rng.getrandbits(64) == twin.getrandbits(64)
 
 
-def _audit_masks_one_call(rng, p, rank, count):
-    """The one-call draw _audit_masks replaced, kept as its oracle."""
-    cells = p**rank
-    words = np.frombuffer(
-        rng.getrandbits(16 * count * cells).to_bytes(2 * count * cells, "little"), dtype="<u2"
-    )
-    packed = np.packbits((words < suite._AUDIT_THRESHOLD).reshape(count, cells), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _audit_bits_one_call(rng, p, rank, families):
+    """The one-call draw that _audit_bits chunks, kept as its oracle."""
+    words = families * p * p**rank
+    drawn = np.frombuffer(rng.getrandbits(16 * words).to_bytes(2 * words, "little"), dtype="<u2")
+    return (drawn < suite._AUDIT_THRESHOLD).reshape(families, p, p**rank)
 
 
 @pytest.mark.parametrize("chunk", [1, 30, 200, None])
 def test_chunked_audit_draw_is_the_one_call_draw(monkeypatch, chunk):
-    # odd cell counts (27, 25, 49) put the chunk boundaries inside 32-bit words
-    # unless every chunk but the last holds an even number of sets
+    # odd family sizes (81, 125, 343 cells) put the chunk boundaries inside 32-bit
+    # words unless every chunk but the last holds an even number of families
     if chunk is not None:
         monkeypatch.setattr(suite, "_AUDIT_CHUNK", chunk)
-    for p, rank, count in [(3, 3, 61), (5, 2, 33), (6, 3, 41), (7, 2, 71), (3, 1, 5)]:
+    for p, rank, families in [(3, 3, 61), (5, 2, 33), (6, 3, 41), (7, 2, 71), (3, 1, 5)]:
         rng, twin = random.Random(p * rank), random.Random(p * rank)
-        assert suite._audit_masks(rng, p, rank, count) == _audit_masks_one_call(twin, p, rank, count)
+        drawn = np.concatenate(list(suite._audit_bits(rng, p, rank, families)))
+        assert np.array_equal(drawn, _audit_bits_one_call(twin, p, rank, families))
         assert rng.getrandbits(80) == twin.getrandbits(80)
 
 
 def test_audit_draw_memory_per_cell():
-    # 2,000 sets of 10**4 cells: the one-call draw peaked at about 4 bytes a cell
-    p, rank, count = 10, 4, 2000
+    # 200 families of 10 sets of 10**4 cells: the one-call draw of these 2 * 10**7
+    # cells peaked at about 4 bytes a cell; the audit counts a chunk of families at a time
+    p, rank, families = 10, 4, 200
     tracemalloc.start()
     try:
-        masks = suite._audit_masks(random.Random(1), p, rank, count)
+        ok, values = _audit_counts(p, rank, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(masks) == count
-    assert peak <= 1.5 * count * p**rank
+    assert ok and values == {"families": families}
+    assert peak <= 1.5 * families * p * p**rank
+
+
+def test_the_audit_builds_no_parysset(monkeypatch):
+    def refuse(*args):
+        pytest.fail("the overlap audit built a PArySet")
+
+    monkeypatch.setattr(stepfn.PArySet, "__init__", refuse)
+    for p, max_rank in [(2, 1), (5, 2), (6, 3), (3, 4)]:
+        assert _audit_counts(p, max_rank, 7) == (True, {"families": 200})
+
+
+def test_the_audit_decides_each_family_by_the_overlap_bound(monkeypatch):
+    # p = 3 over N = 9 cells: a family passes iff 2|H| >= 3a - 9, so a family
+    # at the bound passes and one a cell short of it fails the whole audit
+    for twice, smallest, ok in [(3, 5, True), (2, 5, False), (0, 3, True), (0, 4, False)]:
+        counts = lambda bits, t=twice, a=smallest: (np.full(len(bits), t), np.full(len(bits), a))
+        monkeypatch.setattr(suite, "overlap_counts", counts)
+        assert _audit_counts(3, 2, 7) == (ok, {"families": 200})
 
 
 def test_verify_does_not_import_numpy_random(tmp_path):

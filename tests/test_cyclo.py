@@ -410,3 +410,28 @@ def test_equality_agrees_with_keys_and_rationals(data):
         assert (a == x) is expected
         if x == int(x):
             assert (a == int(x)) is expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_is_the_schoolbook_cyclic_convolution(data):
+    # integer numerators over denominator 1, some past int64: the product's
+    # numerators must be the convolution's exactly, not merely equal in value
+    r = data.draw(st.integers(1, 12), label="order")
+    count = data.draw(st.integers(1, 4), label="rows")
+    ints = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+
+    def rows(n):
+        return [[data.draw(ints) for _ in range(r)] for _ in range(n)]
+
+    rows_a, rows_b = rows(count), rows(data.draw(st.sampled_from([1, count]), label="rows of b"))
+    a, b = (CycloArray(r, np.array(x, dtype=object).reshape(-1, r)) for x in (rows_a, rows_b))
+    product = a * b
+    expected = [
+        [sum(u[i] * v[(k - i) % r] for i in range(r)) for k in range(r)]
+        for u, v in zip(rows_a, rows_b * (count // len(rows_b)))
+    ]
+    assert product.order == r and product.denom == 1
+    assert product.nums.tolist() == expected
+    j = data.draw(st.integers(-2 * r, 2 * r), label="rotation")
+    assert a.rotated(j).nums.tolist() == [[u[(k - j) % r] for k in range(r)] for u in rows_a]

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
+from vcchaos import indices
 from vcchaos.indices import (
     contains,
     count_below_power,
@@ -172,6 +175,65 @@ def test_multiplicity_examples():
     assert pattern_multiplicity_check(3, 1, 1, 8)
     assert pattern_multiplicity_check(2, 1, 2, 7)  # multiplicity is 1 for p = 2
     assert pattern_multiplicity_check(3, 2, 1, 8)
+
+
+def multiplicity_check_loop(p, s, top, upper):
+    """The per-pattern iter_members loop pattern_multiplicity_check replaced, kept as its oracle."""
+    if not p**top <= upper < p ** (top + 1):
+        raise ValueError(f"need p**top <= upper < p**(top+1), got {upper}")
+    hits = Counter()
+    for pattern in product(range(1, p), repeat=top + 1):
+        hits.update(iter_members(digit_pattern(p, s, pattern), upper))
+    members = indices.enumerate_members(exact_weight(p, s), upper)
+    if hits != dict.fromkeys(members, (p - 1) ** (top + 1 - s)):
+        return False
+    for d in range(1, top + 2):
+        full = indices.enumerate_members(full_chaos(p, d), upper)
+        pieces = [indices.enumerate_members(exact_weight(p, t), upper) for t in range(1, d + 1)]
+        merged = sorted(n for piece in pieces for n in piece)
+        if merged != full or len(set(merged)) != len(merged):
+            return False
+    return True
+
+
+def _multiplicity_grid():
+    for p in range(2, 6):
+        for top in range(4):
+            middle = (p**top + p ** (top + 1) - 1) // 2
+            for s in range(1, top + 2):
+                for upper in sorted({p**top, middle, p ** (top + 1) - 1}):
+                    yield p, s, top, upper
+
+
+def _spoiled_run(monkeypatch, check, spoiler, p, s, top, upper):
+    """check(p, s, top, upper) with the first exact-weight-s list it reads spoiled.
+
+    That list is the one the pattern counts are compared with.  "drop" drops
+    its largest member, "add" adds 1 + p + ... + p**s, a weight-(s+1) index.
+    Returns the check's result and whether the spoiler changed the list.
+    """
+    enumerate_all = enumerate_members
+    changed = []
+
+    def spoiled(spec, bound):
+        members = enumerate_all(spec, bound)
+        if spoiler is None or spec != exact_weight(p, s) or changed:
+            return members
+        extra = sum(p**k for k in range(s + 1))
+        new = members[:-1] if spoiler == "drop" else sorted(members + [extra] * (extra <= bound))
+        changed.append(new != members)
+        return new
+
+    monkeypatch.setattr(indices, "enumerate_members", spoiled)
+    return check(p, s, top, upper), any(changed)
+
+
+@pytest.mark.parametrize("spoiler", [None, "drop", "add"])
+def test_multiplicity_check_matches_the_per_pattern_loop(monkeypatch, spoiler):
+    for p, s, top, upper in _multiplicity_grid():
+        loop, changed = _spoiled_run(monkeypatch, multiplicity_check_loop, spoiler, p, s, top, upper)
+        array, _ = _spoiled_run(monkeypatch, pattern_multiplicity_check, spoiler, p, s, top, upper)
+        assert array is loop is (not changed), (p, s, top, upper)
 
 
 def test_multiplicity_range_validation():

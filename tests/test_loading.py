@@ -30,7 +30,7 @@ EXPORTS = {
         "DEFAULT_CELL_CAP", "RankCapError", "digit_count", "digitwise_add", "run_cell_cap",
     ],
     "stepfn": [
-        "Distribution", "PArySet", "StepFn", "at_least_two", "independence_check",
+        "Distribution", "PArySet", "StepFn", "independence_check",
         "symmetric_decomposition",
     ],
     "uniqueness": [
@@ -133,6 +133,8 @@ def test_khinchin_and_verify_load_only_their_layers(tmp_path):
     assert exact == layers
     loaded = _layers_loaded(tmp_path, ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"])
     assert "vcchaos.stepfn" in loaded and not loaded & {"vcchaos.khinchin", "vcchaos.textio"}
+    # the overlap audit counts its draws with stepfn's kernel, not uniqueness's PArySet audit
+    assert "vcchaos.uniqueness" not in loaded
 
 
 def _imports_of(tmp_path, argv):
@@ -167,8 +169,9 @@ def test_each_command_loads_no_module_it_does_not_run(tmp_path, command):
     assert "vcchaos.pary" in loaded
     # no record class is a dataclass, and csv serves --format csv alone
     assert not loaded & {"dataclasses", "csv"}
-    # only verify runs the suite
+    # only verify runs the suite, and only sharpness certifies witnesses
     assert ("vcchaos.suite" in loaded) == (command == "verify")
+    assert ("vcchaos.uniqueness" in loaded) == (command == "sharpness")
     # the running CLI is __main__: importing vcchaos.cli would compile and run it again
     assert "vcchaos.cli" not in loaded
     # json is loaded to write a report, and never for text arrays or a member list

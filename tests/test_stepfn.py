@@ -2,11 +2,15 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcchaos.cyclo import CycloArray, root_of_unity
 from vcchaos.pary import RankCapError, run_cell_cap
-from vcchaos.stepfn import Distribution, PArySet, StepFn, at_least_two
+from vcchaos.stepfn import Distribution, PArySet, StepFn, _mask_bits, overlap_counts
+from vcchaos.uniqueness import overlap_bound_check
 from vcchaos.vc import rademacher, synthesize
 
 
@@ -116,12 +120,21 @@ def test_distribution_validation():
         Distribution(((CycloArray.coerce(1), Fraction(1, 2)),))
 
 
+def _lifted_bits(sets):
+    """The family as a (sets, cells) 0/1 array at its finest rank."""
+    rank = max(s.rank for s in sets)
+    return np.array([_mask_bits(s.mask_at_rank(rank), sets[0].p**rank) for s in sets])
+
+
 def test_set_algebra_examples():
     a = PArySet.from_cells(10, 1, range(6))  # [0, 6/10)
     b = PArySet.from_cells(10, 1, range(3, 9))  # [3/10, 9/10)
-    h = at_least_two([a, b])
-    assert h == PArySet.from_cells(10, 1, range(3, 6))
-    assert h.measure() == Fraction(3, 10)
+    # [3/10, 6/10) is covered twice; the smaller set has 6 of the 10 cells
+    twice, smallest = overlap_counts(_lifted_bits([a, b]))
+    assert (twice, smallest) == (3, 6)
+    # one (families, sets, cells) array counts every family at once
+    stacked = np.array([_lifted_bits([a, b]), _lifted_bits([b, b])])
+    assert [c.tolist() for c in overlap_counts(stacked)] == [[3, 6], [6, 6]]
 
 
 def test_set_views_check_the_cap_before_building_masks():
@@ -246,8 +259,9 @@ def test_overlap_bound_property():
                 if s.measure() >= Fraction(1, p):
                     sets.append(s)
             a = min(s.measure() for s in sets)
-            h = at_least_two(sets)
-            assert h.measure() >= Fraction(p * a - 1, p - 1)
+            twice, _ = overlap_counts(_lifted_bits(sets))
+            cells = p ** max(s.rank for s in sets)
+            assert Fraction(int(twice), cells) >= Fraction(p * a - 1, p - 1)
 
 
 def test_indicator_and_membership():
@@ -259,3 +273,61 @@ def test_indicator_and_membership():
     wide = PArySet.from_cells(2, 4, [0, 9, 15]).indicator()
     assert [m for m, x in enumerate(wide.values.rationals()) if x] == [0, 9, 15]
     assert s.cells() == [1]
+
+
+def _overlap_loop(sets):
+    """(|H|, a) by a per-cell count at the family's finest rank, kept as the kernel's oracle."""
+    p, rank = sets[0].p, max(s.rank for s in sets)
+    cells = p**rank
+
+    def holds(s, m):
+        return s.mask >> (m // p ** (rank - s.rank)) & 1
+
+    twice = sum(sum(holds(s, m) for s in sets) >= 2 for m in range(cells))
+    smallest = min(sum(holds(s, m) for m in range(cells)) for s in sets)
+    return twice, smallest
+
+
+@st.composite
+def families(draw):
+    """p sets in base p, p in 2..6, each of its own rank in 0..3."""
+    p = draw(st.integers(2, 6))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
+    return [PArySet(p, r, draw(st.integers(0, (1 << p**r) - 1))) for r in ranks]
+
+
+@st.composite
+def tight_families(draw):
+    """p sets meeting the pair-overlap bound with equality.
+
+    Each set is t common cells plus its own (N - t)/p of the rest, so
+    |H| = t and a = t + (N - t)/p, and (p - 1)|H| = p a - N.
+    """
+    p, rank = draw(st.integers(2, 6)), draw(st.integers(0, 3))
+    cells = p**rank
+    order = draw(st.permutations(range(cells)))
+    common = cells - p * draw(st.integers(0, cells // p))
+    share = (cells - common) // p
+    parts = [order[common + i * share : common + (i + 1) * share] for i in range(p)]
+    return [PArySet.from_cells(p, rank, order[:common] + part) for part in parts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(families(), tight_families()))
+def test_overlap_counts_match_the_cell_loop(sets):
+    p = sets[0].p
+    twice, smallest = _overlap_loop(sets)
+    assert [int(c) for c in overlap_counts(_lifted_bits(sets))] == [twice, smallest]
+    cells = p ** max(s.rank for s in sets)
+    h_measure, bound, holds = overlap_bound_check(sets)
+    assert h_measure == Fraction(twice, cells)
+    assert bound == (p * Fraction(smallest, cells) - 1) / (p - 1)
+    # the lemma: every family holds, and the integer form decides it as the Fractions do
+    assert holds and (p - 1) * twice >= p * smallest - cells
+
+
+@settings(max_examples=50, deadline=None)
+@given(tight_families())
+def test_tight_families_meet_the_overlap_bound_with_equality(sets):
+    h_measure, bound, holds = overlap_bound_check(sets)
+    assert h_measure == bound and holds

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -193,6 +194,20 @@ def test_op_norm_error_bound_holds_against_mpmath(p, k):
     # criterion 02's literal 1e-9 is implied by the bound up to 1000 cells
     if p**k <= 1000:
         assert err < 1e-9
+
+
+def test_op_norm_holds_no_whole_table():
+    # at (50, 2) the two 2500 x 2500 tables, int64 exponents and complex128 values,
+    # take 150 MB; the norm is taken a 2**16-entry block of VC at a time
+    matrix_op_norm(3, 1)  # the first call loads what every later call shares
+    tracemalloc.start()
+    try:
+        norm = matrix_op_norm(50, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(norm - 50) <= vc._op_norm_err(50, 2)
+    assert peak <= 4 * 2**16 * 16
 
 
 def _matrix_oracle(values, p, direction):
