@@ -4,11 +4,11 @@ A StepFn keeps its cell values in one CycloArray, one row per cell with a
 common order and denominator (rationals are order-1 values), so pointwise
 operations, integrals, even-q norms, level sets and distributions are
 whole-array integer operations and exact.  PArySet stores a union of rank-k
-cells as an integer bitmask (cell m at bit m) and always keeps the canonical
-minimal-rank form, which makes set equality structural.  Every view of a mask
-(its cells, its mask at a finer rank, its indicator) unpacks the bits once
-into a numpy array, so each view is linear in the cell count; overlap_counts
-counts twice-covered cells of whole families of sets as one 0/1 array.  Two
+cells as one read-only 0/1 array over the cells (cell m at index m) and always
+keeps the canonical minimal-rank form, which makes set equality structural.
+Every view of a set (its cells, its bits at a finer rank, its indicator) reads
+that array, so each view is linear in the cell count; overlap_counts counts
+twice-covered cells of whole families of sets as one 0/1 array.  Two
 lemmas that verify checks are built from these types: symmetric_decomposition
 splits Re(R_k**j) into symmetric step functions, and independence_check
 tests the product rule for functions of distinct digits.
@@ -25,17 +25,6 @@ import numpy as np
 
 from .cyclo import CycloArray, root_of_unity
 from .pary import check_rank
-
-
-def _mask_bits(mask: int, cells: int) -> np.ndarray:
-    """The low `cells` bits of a cell mask as a 0/1 array, cell 0 first."""
-    raw = np.frombuffer(mask.to_bytes(cells // 8 + 1, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=cells, bitorder="little")
-
-
-def _bits_mask(bits: np.ndarray) -> int:
-    """The cell mask of a 0/1 (or bool) array, cell 0 first."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 class StepFn:
@@ -131,8 +120,7 @@ class StepFn:
     # -- level sets and distribution ----------------------------------------
 
     def level_set(self, target) -> "PArySet":
-        hits = (self.values - target).is_zero()
-        return PArySet(self.p, self.rank, _bits_mask(hits))
+        return PArySet(self.p, self.rank, (self.values - target).is_zero())
 
     def distribution(self) -> "Distribution":
         groups: dict[tuple, list] = {}
@@ -177,81 +165,71 @@ class Distribution:
 
 
 class PArySet:
-    """Finite union of base-p cells, kept in canonical minimal-rank form."""
+    """Finite union of base-p cells in canonical minimal-rank form, as read-only uint8 bits."""
 
-    __slots__ = ("p", "rank", "mask")
+    __slots__ = ("p", "rank", "bits")
 
-    def __init__(self, p: int, rank: int, mask: int):
+    def __init__(self, p: int, rank: int, bits):
         cells = check_rank(p, rank)
-        if mask < 0 or mask >> cells:
-            raise ValueError("mask has bits outside the rank-k grid")
-        rank, mask = self._reduce(p, rank, mask)
+        bits = np.asarray(bits)
+        if bits.shape != (cells,):
+            raise ValueError(f"need {cells} cell bits, got shape {bits.shape}")
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("cell bits must be 0 or 1")
+        bits = bits.astype(np.uint8)
+        # cells merge into their parent while all p children agree; each rank merged
+        # is one pass over a p-times smaller array, so this is linear in the cells
+        while rank > 0 and (bits.reshape(-1, p) == bits[::p, None]).all():
+            bits, rank = bits[::p].copy(), rank - 1
+        bits.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("PArySet is immutable")
-
-    @staticmethod
-    def _reduce(p: int, rank: int, mask: int) -> tuple[int, int]:
-        """The coarsest (rank, mask) of the same set.
-
-        Cells merge into their parent while every parent's p children agree,
-        i.e. while the mask equals its parents' first bits each copied p times.
-        Each rank merged costs a few passes over the mask, so this is linear
-        in the cells.
-        """
-        ones = (1 << p) - 1
-        while rank > 0:
-            cells = p**rank
-            firsts = mask & (((1 << cells) - 1) // ones)  # bit j * p of each parent j
-            if firsts * ones != mask:
-                break
-            mask, rank = _bits_mask(_mask_bits(firsts, cells)[::p]), rank - 1
-        return rank, mask
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def full(cls, p: int) -> "PArySet":
-        return cls(p, 0, 1)
+        return cls(p, 0, [1])
 
     @classmethod
     def from_cells(cls, p: int, rank: int, cells: Iterable[int]) -> "PArySet":
-        mask = 0
-        for m in cells:
-            mask |= 1 << m
-        return cls(p, rank, mask)
+        size = check_rank(p, rank)
+        cells = list(cells)
+        if not all(0 <= m < size for m in cells):
+            raise ValueError(f"cells must lie in 0..{size - 1}")
+        bits = np.zeros(size, np.uint8)
+        bits[cells] = 1
+        return cls(p, rank, bits)
 
     # -- views ----------------------------------------------------------------
 
-    def mask_at_rank(self, rank: int) -> int:
+    def bits_at_rank(self, rank: int) -> np.ndarray:
         if rank < self.rank:
             raise ValueError(f"cannot view rank {self.rank} set at coarser rank {rank}")
-        if rank == self.rank:
-            return self.mask
         check_rank(self.p, rank)
-        bits = _mask_bits(self.mask, self.p**self.rank)
-        return _bits_mask(np.repeat(bits, self.p ** (rank - self.rank)))
+        return np.repeat(self.bits, self.p ** (rank - self.rank))
 
     def cells(self) -> list[int]:
-        return np.flatnonzero(_mask_bits(self.mask, self.p**self.rank)).tolist()
+        return np.flatnonzero(self.bits).tolist()
 
     def measure(self) -> Fraction:
-        return Fraction(self.mask.bit_count(), self.p**self.rank)
+        return Fraction(np.count_nonzero(self.bits), len(self.bits))
 
     def indicator(self) -> StepFn:
-        bits = _mask_bits(self.mask, self.p**self.rank)
-        return StepFn(self.p, self.rank, CycloArray.from_values([0, 1])[bits])
+        # uint8 bits pick rows 0 and 1; bool bits would act as a row mask instead
+        return StepFn(self.p, self.rank, CycloArray.from_values([0, 1])[self.bits])
 
     def __eq__(self, other):
         if not isinstance(other, PArySet):
             return NotImplemented
-        return (self.p, self.rank, self.mask) == (other.p, other.rank, other.mask)
+        return (self.p, self.rank) == (other.p, other.rank) and np.array_equal(self.bits, other.bits)
 
     def __hash__(self):
-        return hash((self.p, self.rank, self.mask))
+        return hash((self.p, self.rank, self.bits.tobytes()))
 
     def __repr__(self):
         return f"PArySet(p={self.p}, rank={self.rank}, cells={self.cells()})"

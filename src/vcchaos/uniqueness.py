@@ -24,7 +24,7 @@ import numpy as np
 from .cyclo import CycloArray
 from .indices import IndexSpec, full_chaos, member_mask, unit_chaos
 from .pary import check_rank, digit_array
-from .stepfn import PArySet, StepFn, _mask_bits, overlap_counts
+from .stepfn import PArySet, StepFn, overlap_counts
 from .vc import rademacher, vc_function, vc_transform_exact
 
 
@@ -36,7 +36,8 @@ class SharpnessReport:
     certificate holds when the level-set measure and the threshold sum to 1
     exactly, the level value is a nonzero constant, the expansion has a
     nonzero-index coefficient and (minus its constant term) is supported
-    inside the index set, and every coefficient is the expected one.
+    inside the index set, and every coefficient is the expected one.  The
+    level-set measure is read from the level set, so the two cannot disagree.
     """
 
     def __init__(
@@ -46,7 +47,6 @@ class SharpnessReport:
         coefficients: CycloArray,
         level_value: CycloArray,
         level_set: PArySet,
-        level_set_measure: Fraction,
         threshold: Fraction,
         support_ok: bool,
         coefficients_ok: bool,
@@ -56,10 +56,13 @@ class SharpnessReport:
         self.coefficients = coefficients
         self.level_value = level_value
         self.level_set = level_set
-        self.level_set_measure = level_set_measure
         self.threshold = threshold
         self.support_ok = support_ok
         self.coefficients_ok = coefficients_ok
+
+    @property
+    def level_set_measure(self) -> Fraction:
+        return self.level_set.measure()
 
     @property
     def holds(self) -> bool:
@@ -98,14 +101,12 @@ def _report(
     """
     coeffs = vc_transform_exact(prod.values, p, "forward")
     support = np.flatnonzero(~coeffs.is_zero())
-    level_set = (prod - 1).level_set(-1)
     return SharpnessReport(
         index_set=spec,
         support=support,
         coefficients=coeffs,
         level_value=CycloArray.coerce(-1),
-        level_set=level_set,
-        level_set_measure=level_set.measure(),
+        level_set=(prod - 1).level_set(-1),
         threshold=threshold,
         support_ok=bool(member_mask(spec, support[support != 0]).all()),
         coefficients_ok=coeffs == expected and identity,
@@ -136,7 +137,7 @@ def witness_full_chaos(p: int, d: int) -> SharpnessReport:
     factor is a sum of p VC functions.
     """
     prod = _product(p, d, lambda k: sum(vc_function(p, j * p**k) for j in range(p)))
-    identity = prod == PArySet(p, d, 1).indicator().scale(p**d)
+    identity = prod == PArySet.from_cells(p, d, [0]).indicator().scale(p**d)
     return _report(p, full_chaos(p, d), prod, 1, Fraction(1, p**d), identity)
 
 
@@ -144,8 +145,9 @@ def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bo
     """Exact audit of the pair-overlap lower bound for p sets in base p.
 
     With a = min measure, the set H of points covered at least twice
-    satisfies mu(H) >= (p*a - 1) / (p - 1).  Returns (mu(H), bound, holds),
-    counted at the family's finest rank by verify's kernel, stepfn.overlap_counts.
+    satisfies mu(H) >= (p*a - 1) / (p - 1).  Returns (mu(H), bound, holds):
+    each set's bits are lifted to the family's finest rank (bits_at_rank), and
+    verify's kernel, stepfn.overlap_counts, counts the stacked array.
     """
     if not sets:
         raise ValueError("need a nonempty family")
@@ -155,7 +157,7 @@ def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bo
     if any(s.p != p for s in sets):
         raise ValueError("all sets must share the base")
     rank = max(s.rank for s in sets)
-    bits = [_mask_bits(s.mask_at_rank(rank), p**rank) for s in sets]
-    h_measure, a = (Fraction(int(count), p**rank) for count in overlap_counts(np.array(bits)))
+    bits = np.array([s.bits_at_rank(rank) for s in sets])
+    h_measure, a = (Fraction(int(count), p**rank) for count in overlap_counts(bits))
     bound = (p * a - 1) / Fraction(p - 1)
     return h_measure, bound, h_measure >= bound

@@ -89,18 +89,22 @@ def test_sharpness_report_fields_and_holds():
     report = witness_full_chaos(2, 1)
     assert report.index_set == full_chaos(2, 1)
     assert report.support.tolist() == [0, 1]
-    assert report.level_set == PArySet(2, 1, 0b10)
+    assert report.level_set == PArySet(2, 1, [0, 1])
     assert (report.level_set_measure, report.threshold) == (Fraction(1, 2), Fraction(1, 2))
     assert report.support_ok and report.coefficients_ok and report.holds
     fields = [
         full_chaos(2, 1), np.array([0, 1]), CycloArray.from_values([1, 1]),
-        CycloArray.coerce(-1), PArySet(2, 1, 0b10), Fraction(1, 2), Fraction(1, 2), True, True,
+        CycloArray.coerce(-1), PArySet(2, 1, [0, 1]), Fraction(1, 2), True, True,
     ]
     assert SharpnessReport(*fields).holds
     # any one failed part fails the certificate
-    for i, bad in [(7, False), (8, False), (3, CycloArray.coerce(0)), (1, np.array([0]))]:
+    for i, bad in [(6, False), (7, False), (3, CycloArray.coerce(0)), (1, np.array([0]))]:
         assert not SharpnessReport(*fields[:i], bad, *fields[i + 1 :]).holds
-    assert not SharpnessReport(*fields[:5], Fraction(1, 3), *fields[6:]).holds
+    # the measure is the level set's own: a set of measure 1/4 does not complement 1/2
+    quarter = SharpnessReport(*fields[:4], PArySet.from_cells(2, 2, [3]), *fields[5:])
+    assert quarter.level_set_measure == Fraction(1, 4) and not quarter.holds
+    with pytest.raises(AttributeError):
+        report.level_set_measure = Fraction(1, 2)
 
 
 def test_khinchin_report_defaults_and_fresh_dicts():

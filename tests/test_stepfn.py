@@ -1,6 +1,9 @@
 import random
+import re
 import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from vcchaos.cyclo import CycloArray, root_of_unity
 from vcchaos.pary import RankCapError, run_cell_cap
-from vcchaos.stepfn import Distribution, PArySet, StepFn, _mask_bits, overlap_counts
+from vcchaos.stepfn import Distribution, PArySet, StepFn, overlap_counts
 from vcchaos.uniqueness import overlap_bound_check
 from vcchaos.vc import rademacher, synthesize
 
@@ -123,7 +126,7 @@ def test_distribution_validation():
 def _lifted_bits(sets):
     """The family as a (sets, cells) 0/1 array at its finest rank."""
     rank = max(s.rank for s in sets)
-    return np.array([_mask_bits(s.mask_at_rank(rank), sets[0].p**rank) for s in sets])
+    return np.array([s.bits_at_rank(rank) for s in sets])
 
 
 def test_set_algebra_examples():
@@ -138,112 +141,151 @@ def test_set_algebra_examples():
 
 
 def test_set_views_check_the_cap_before_building_masks():
-    # each call would build a mask of 2**22 or more bits under a cap of 16 cells
+    # each call would build an array of 2**22 or more cells under a cap of 16 cells
     with run_cell_cap(16):
         started = time.perf_counter()
         with pytest.raises(RankCapError):
-            PArySet.full(2).mask_at_rank(24)
+            PArySet.full(2).bits_at_rank(24)
         with pytest.raises(RankCapError):
-            PArySet(2, 22, 1)
+            PArySet(2, 22, [1])
+        with pytest.raises(RankCapError):
+            PArySet.from_cells(2, 22, [0])
         assert time.perf_counter() - started < 0.1
 
 
 def test_canonical_minimal_rank():
     fine = PArySet.from_cells(2, 3, range(4))  # [0, 1/2) written with 8 cells
     assert fine.rank == 1
-    assert fine == PArySet(2, 1, 0b01)  # [0, 1/2)
+    assert fine == PArySet(2, 1, [1, 0])  # [0, 1/2)
     assert PArySet.from_cells(3, 2, range(9)) == PArySet.full(3)
 
 
-def _reduce_by_shifts(p, rank, mask):
-    """Reference reduction: shift the mask once per parent cell and compare its p bits."""
-    block = (1 << p) - 1
+def test_constructor_takes_one_bit_per_cell():
+    with pytest.raises(ValueError, match=r"^need 9 cell bits, got shape \(8,\)$"):
+        PArySet(3, 2, [0] * 8)
+    with pytest.raises(ValueError, match=r"^need 3 cell bits, got shape \(1, 3\)$"):
+        PArySet(3, 1, [[0, 1, 0]])
+    # an int mask is not a second input format
+    with pytest.raises(ValueError, match=r"^need 2 cell bits, got shape \(\)$"):
+        PArySet(2, 1, 0b10)
+    for bad in ([0, 2, 1], [0, -1, 1], [0, 0.5, 1]):
+        with pytest.raises(ValueError, match=r"^cell bits must be 0 or 1$"):
+            PArySet(3, 1, bad)
+    # bool entries, as level_set passes them, and integer entries make the same set
+    assert PArySet(3, 1, [False, True, False]) == PArySet(3, 1, np.array([0, 1, 0]))
+
+
+def test_one_set_at_two_ranks_is_one_value():
+    coarse = PArySet(3, 1, [0, 1, 1])  # [1/3, 1)
+    fine = PArySet(3, 3, np.repeat([0, 1, 1], 9))
+    assert fine == coarse and hash(fine) == hash(coarse)
+    assert (fine.rank, fine.bits.tolist()) == (1, [0, 1, 1])
+    assert len({coarse, fine, PArySet.from_cells(3, 2, range(3, 9))}) == 1
+    assert fine != PArySet(3, 1, [1, 1, 0]) and fine != PArySet(3, 0, [1])
+
+
+def test_bits_are_read_only():
+    source = np.array([0, 1, 1], np.uint8)
+    kept, merged = PArySet(3, 1, source), PArySet(2, 3, np.ones(8, np.uint8))
+    for s in (kept, merged):
+        assert s.bits.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            s.bits[0] = 1
+        with pytest.raises(AttributeError):
+            s.bits = np.zeros(3, np.uint8)
+    # the set holds its own copy, so the caller's array stays writable and apart
+    source[0] = 1
+    assert kept.cells() == [1, 2] and source.flags.writeable
+
+
+def test_from_cells_checks_every_index_before_building_bits():
+    # writing a bit per index first reached 26.7 MB for the index 10**8 before the range check
+    for p, rank, cells in [(2, 1, [10**8]), (2, 3, [0, -1]), (2, 3, [2**70]), (3, 2, [9])]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^cells must lie in 0\.\.{p**rank - 1}$"):
+                PArySet.from_cells(p, rank, cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def _reduce_by_parents(p, rank, bits):
+    """Reference reduction: merge rank by rank while each parent's p children agree, one parent at a time."""
+    bits = list(bits)
     while rank > 0:
-        out = 0
-        for j in range(p ** (rank - 1)):
-            bits = (mask >> (j * p)) & block
-            if bits == block:
-                out |= 1 << j
-            elif bits:
-                return rank, mask
-        rank, mask = rank - 1, out
-    return rank, mask
+        parents = [bits[j * p : (j + 1) * p] for j in range(p ** (rank - 1))]
+        if any(len(set(children)) > 1 for children in parents):
+            break
+        rank, bits = rank - 1, [children[0] for children in parents]
+    return rank, bits
 
 
-def _random_mask(rng):
-    """(p, rank, mask) of a random set refined from a coarser grid.
+def _random_bits(rng):
+    """(p, rank, bits) of a random set refined from a coarser grid.
 
     One cell is flipped half the time, so reductions stop at every depth.
     """
     p = rng.choice([2, 3, 4, 5, 6, 7, 10])
     rank = rng.randint(0, 5 if p <= 3 else 3)
     coarse = rng.randint(0, rank)
-    reps = p ** (rank - coarse)
-    mask = 0
-    for m in range(p**coarse):
-        if rng.random() < 0.5:
-            mask |= ((1 << reps) - 1) << (m * reps)
+    bits = []
+    for _ in range(p**coarse):
+        bits += [int(rng.random() < 0.5)] * p ** (rank - coarse)
     if rng.random() < 0.5:
-        mask ^= 1 << rng.randrange(p**rank)
-    return p, rank, mask
+        bits[rng.randrange(p**rank)] ^= 1
+    return p, rank, bits
 
 
-def test_reduction_matches_the_shift_loop():
+def test_reduction_matches_the_parent_loop():
     rng = random.Random(17)
     for _ in range(500):
-        p, rank, mask = _random_mask(rng)
-        s = PArySet(p, rank, mask)
-        assert (s.rank, s.mask) == _reduce_by_shifts(p, rank, mask)
+        p, rank, bits = _random_bits(rng)
+        s = PArySet(p, rank, bits)
+        assert (s.rank, s.bits.tolist()) == _reduce_by_parents(p, rank, bits)
 
 
-def _cells_by_bits(mask):
-    """Reference cells: clear the lowest set bit of the mask, one cell at a time."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _mask_at_rank_by_bits(p, rank, mask, new_rank):
-    """Reference refinement: a block of p**(new_rank - rank) ones per set cell."""
+def _bits_at_rank_by_cells(p, rank, bits, new_rank):
+    """Reference refinement: each cell of the finer grid reads its rank-`rank` ancestor."""
     reps = p ** (new_rank - rank)
-    out = 0
-    for m in _cells_by_bits(mask):
-        out |= ((1 << reps) - 1) << (m * reps)
-    return out
+    return [bits[m // reps] for m in range(len(bits) * reps)]
 
 
-def test_mask_views_match_the_bit_loop():
+def test_bit_views_match_the_cell_loop():
     rng = random.Random(23)
     for _ in range(200):
-        s = PArySet(*_random_mask(rng))
-        assert s.cells() == _cells_by_bits(s.mask)
+        s = PArySet(*_random_bits(rng))
+        bits = s.bits.tolist()
+        assert s.cells() == [m for m, b in enumerate(bits) if b]
+        assert s.measure() == Fraction(sum(bits), len(bits))
         finer = s.rank + rng.randint(0, 2)
-        assert s.mask_at_rank(finer) == _mask_at_rank_by_bits(s.p, s.rank, s.mask, finer)
+        assert s.bits_at_rank(finer).tolist() == _bits_at_rank_by_cells(s.p, s.rank, bits, finer)
 
 
-def test_mask_views_are_linear_in_the_cells():
-    # on these 2**18 cells, clearing one bit at a time took about 6 s for cells() alone
-    s = PArySet(2, 18, (1 << (2**18 - 1)) - 1)  # [0, 1 - 2**-18)
+def test_bit_views_are_linear_in_the_cells():
+    # on these 2**18 cells, clearing one bit of an int mask at a time took about 6 s for cells() alone
+    s = PArySet(2, 18, np.arange(2**18) < 2**18 - 1)  # [0, 1 - 2**-18)
     started = time.perf_counter()
     cells = s.cells()
     text = repr(s)
-    finer = s.mask_at_rank(19)
+    finer = s.bits_at_rank(19)
     assert time.perf_counter() - started < 0.5
     assert cells == list(range(2**18 - 1))
     assert text.startswith("PArySet(p=2, rank=18, cells=[0, 1, 2, ")
-    assert finer == (1 << (2**19 - 2)) - 1
+    assert finer.tolist() == [1] * (2**19 - 2) + [0, 0]
 
 
 def test_reduction_is_linear_in_the_cells():
-    # the shift loop took 0.5 s on these 2**18 cells and grew quadratically
-    mask = (1 << (2**18 - 1)) - 1  # [0, 1 - 2**-18)
+    # a shift loop over an int mask took 0.5 s on these 2**18 cells and grew quadratically
+    bits = np.arange(2**18) < 2**18 - 1  # [0, 1 - 2**-18)
+    full = np.ones(2**18, np.uint8)  # merges through all 18 ranks
     started = time.perf_counter()
-    s = PArySet(2, 18, mask)
+    s = PArySet(2, 18, bits)
+    whole = PArySet(2, 18, full)
     assert time.perf_counter() - started < 0.1
     assert s.rank == 18 and s.measure() == 1 - Fraction(1, 2**18)
+    assert whole == PArySet.full(2)
 
 
 def test_overlap_bound_property():
@@ -269,9 +311,11 @@ def test_indicator_and_membership():
     ind = s.indicator()
     assert ind.integral() == Fraction(1, 3)
     assert ind.values.rationals() == [0, 1, 0]
-    # 16 cells span two mask bytes
+    # the uint8 bits index rows 0 and 1 of [0, 1]; bool bits would select rows instead
     wide = PArySet.from_cells(2, 4, [0, 9, 15]).indicator()
     assert [m for m, x in enumerate(wide.values.rationals()) if x] == [0, 9, 15]
+    assert PArySet.from_cells(2, 1, [1]).indicator().values.rationals() == [0, 1]
+    assert PArySet.from_cells(3, 2, [1, 2, 7]).indicator().values.rationals() == [0, 1, 1, 0, 0, 0, 0, 1, 0]
     assert s.cells() == [1]
 
 
@@ -281,7 +325,7 @@ def _overlap_loop(sets):
     cells = p**rank
 
     def holds(s, m):
-        return s.mask >> (m // p ** (rank - s.rank)) & 1
+        return int(s.bits[m // p ** (rank - s.rank)])
 
     twice = sum(sum(holds(s, m) for s in sets) >= 2 for m in range(cells))
     smallest = min(sum(holds(s, m) for m in range(cells)) for s in sets)
@@ -293,7 +337,7 @@ def families(draw):
     """p sets in base p, p in 2..6, each of its own rank in 0..3."""
     p = draw(st.integers(2, 6))
     ranks = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
-    return [PArySet(p, r, draw(st.integers(0, (1 << p**r) - 1))) for r in ranks]
+    return [PArySet(p, r, draw(st.lists(st.integers(0, 1), min_size=p**r, max_size=p**r))) for r in ranks]
 
 
 @st.composite
@@ -331,3 +375,28 @@ def test_overlap_counts_match_the_cell_loop(sets):
 def test_tight_families_meet_the_overlap_bound_with_equality(sets):
     h_measure, bound, holds = overlap_bound_check(sets)
     assert h_measure == bound and holds
+
+
+# the tools of an int-bitmask cell set: packing 0/1 arrays into ints and counting set bits
+_BITMASK_TOOL = re.compile(r"\b(?:packbits|unpackbits|bit_count)\b")
+
+
+def _bitmask_tools(path: Path) -> list[int]:
+    """Lines of the module that use a bitmask tool."""
+    return [n for n, line in enumerate(path.read_text().splitlines(), 1) if _BITMASK_TOOL.search(line)]
+
+
+def test_cell_sets_have_one_format():
+    # PArySet's 0/1 cell array is the only cell-set format in the package
+    package = Path(__file__).resolve().parent.parent / "src" / "vcchaos"
+    found = {path.name: lines for path in sorted(package.glob("*.py")) if (lines := _bitmask_tools(path))}
+    assert found == {}
+
+
+def test_the_bitmask_scan_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "a = np.packbits(b)\nc = np.unpackbits(d, count=8)\nn = mask.bit_count()\n"
+        "e = bits.sum()\nf = mask.bit_length()\n"
+    )
+    assert _bitmask_tools(module) == [1, 2, 3]

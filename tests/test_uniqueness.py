@@ -114,8 +114,8 @@ def test_witness_level_value_is_nonzero_constant():
     for k in range(2):
         prod = prod * (1 - rademacher(3, k))
     shifted = prod - 1
-    fine = report.level_set.mask_at_rank(shifted.rank)
-    cells = [m for m in range(len(shifted.values)) if fine >> m & 1]
+    fine = report.level_set.bits_at_rank(shifted.rank)
+    cells = [m for m in range(len(shifted.values)) if fine[m]]
     assert len(cells) == 5
     for cell in cells:
         assert shifted.values[cell] == report.level_value
