@@ -7,18 +7,18 @@ values carry their error bounds.  Exit codes: 0 all checks passed, 1 a
 mathematical check failed, 2 configuration or resource error, and any other
 exception (one "error: <Type>: <message>" line on stderr, no traceback).
 
-Each command imports the layers it calls when it runs (README lists each
-command's load set; tests/test_loading.py checks them), and `verify` passes
-suite, which holds its checks and owns their cap pre-check, only p, max rank
-and seed.  No layer imports dataclasses; csv is loaded only for --format
-csv, and json only to write a report or read or write a JSON transform file.
+The CLI parses argv, calls the library and writes the report: each input
+rule lives in the library function that uses the input.  Each command
+imports the layers it calls when it runs (README lists each command's load
+set; tests/test_loading.py checks them).  No layer imports dataclasses; csv
+is loaded only for --format csv, and json only to write a report or read or
+write a JSON transform file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 
@@ -28,10 +28,6 @@ from . import __version__
 from .pary import check_rank, rational_str, run_cell_cap
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _run_report(command: str, args, checks) -> int:
@@ -75,7 +71,7 @@ def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
 
     if fmt == "json":
         text = json.dumps(report, allow_nan=False, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    else:
         import csv
         import io
 
@@ -92,8 +88,6 @@ def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
                 ]
             )
         text = buf.getvalue()
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -101,17 +95,9 @@ def _write_report(report: dict, out_path: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _validate_base(p: int) -> None:
-    if p < 2:
-        raise ConfigError(f"base must be >= 2, got {p}")
-
-
 # -- verify --------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    _validate_base(args.p)
-    if args.max_rank < 0:
-        raise ConfigError(f"max rank must be >= 0, got {args.max_rank}")
     from .suite import verify_checks
 
     return _run_report("verify", args, verify_checks(args.p, args.max_rank, args.seed))
@@ -122,10 +108,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sharpness(args) -> int:
     from .uniqueness import witness_full_chaos, witness_unit_chaos
-
-    _validate_base(args.p)
-    if args.d < 1:
-        raise ConfigError(f"d must be >= 1, got {args.d}")
 
     def certify(builder):
         report = builder(args.p, args.d)
@@ -157,27 +139,21 @@ def _index_spec_from_args(args):
         return full_chaos(args.p, args.d)
     if kind == "wtilde":
         if args.s is None:
-            raise ConfigError("--s is required for the exact-weight set")
+            raise ValueError("--s is required for the exact-weight set")
         return exact_weight(args.p, args.s)
-    if kind == "aset":
-        if not args.pattern:
-            raise ConfigError("--pattern is required for digit-pattern sets")
-        pattern = tuple(int(x) for x in args.pattern.split(","))
-        if args.s is None:
-            raise ConfigError("--s is required for digit-pattern sets")
-        return digit_pattern(args.p, args.s, pattern)
-    raise ConfigError(f"unknown index set {kind!r}")
+    if not args.pattern:
+        raise ValueError("--pattern is required for digit-pattern sets")
+    pattern = tuple(int(x) for x in args.pattern.split(","))
+    if args.s is None:
+        raise ValueError("--s is required for digit-pattern sets")
+    return digit_pattern(args.p, args.s, pattern)
 
 
 def cmd_khinchin(args) -> int:
     from .khinchin import estimate_constant, estimate_l1_constant
 
-    _validate_base(args.p)
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
-    if not math.isfinite(args.q):
-        raise ConfigError(f"q must be finite, got {args.q}")
-    if float(args.q) == int(args.q):
+    # an integral q (the default 4 is an int already) is echoed and used as an int
+    if float(args.q).is_integer():
         args.q = int(args.q)
     spec = _index_spec_from_args(args)
 
@@ -255,11 +231,10 @@ def _write_array(path: str, values: np.ndarray, as_json: bool) -> None:
 def cmd_transform(args) -> int:
     from .vc import _length_rank, vc_transform_exact, vc_transform_float
 
-    _validate_base(args.p)
     values = _read_array(args.input)
     check_rank(args.p, _length_rank(len(values), args.p))
     if args.mode == "exact" and values.imag.any():
-        raise ConfigError("exact mode accepts real inputs only; use --mode float")
+        raise ValueError("exact mode accepts real inputs only; use --mode float")
     # finite entries can sum past the float range: the float transform then
     # holds inf or nan, and the exact one's float view fails or holds inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,7 +248,7 @@ def cmd_transform(args) -> int:
             except OverflowError:
                 result = None
     if result is None or not np.isfinite(result).all():
-        raise ConfigError(f"the transform of {args.input} overflows the float range")
+        raise ValueError(f"the transform of {args.input} overflows the float range")
     _write_array(args.output, result, args.output.endswith(".json"))
     return 0
 
@@ -284,7 +259,6 @@ def cmd_transform(args) -> int:
 def cmd_index(args) -> int:
     from .indices import check_candidates, enumerate_members
 
-    _validate_base(args.p)
     spec = _index_spec_from_args(args)
     check_candidates(spec, args.max)
     members = enumerate_members(spec, args.max)
@@ -384,7 +358,7 @@ def main(argv=None) -> int:
     try:
         with run_cell_cap(args.cell_cap):
             return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError and RankCapError included
+    except (ValueError, OSError) as exc:  # RankCapError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a resource or program fault, never exit 1

@@ -554,6 +554,9 @@ def estimate_constant(
     exact mode the reported ratio for even q is certified in rational
     arithmetic; float mode skips certification and reports an error bound.
     """
+    # nan fails both comparisons; an int of any size passes them
+    if not -math.inf < q < math.inf:
+        raise ValueError(f"q must be finite, got {q}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if trials < 1:

@@ -255,6 +255,8 @@ def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
     digit m, minus the same value on cells with k-th digit 0, and 0 elsewhere;
     cosines are stored exactly as (w**(mj) + w**(-mj)) / 2.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if not 1 <= j <= p - 1:
         raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
     digits = np.arange(check_rank(p, k + 1)) % p

@@ -124,7 +124,7 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     prod = _product(p, d, lambda k: 1 - rademacher(p, k))
     digits = digit_array(np.arange(p**d), p, d)
     signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
-    expected = CycloArray.from_values(signs.tolist())
+    expected = CycloArray(1, signs.astype(object).reshape(-1, 1))
     return _report(p, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)
 
 

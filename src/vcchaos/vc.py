@@ -52,6 +52,8 @@ def rademacher(p: int, k: int) -> StepFn:
     """R_k: value w**(x_k) on each rank-(k+1) cell, x_k the k-th point digit."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    # R_k lives at rank k + 1: refused at the cell cap before p**k is built
+    check_rank(p, k + 1)
     return vc_function(p, p**k)
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -207,6 +208,126 @@ def test_khinchin_row_block_over_cap_is_config_error(extra, capsys):
 
 def test_unknown_flag_is_config_error(capsys):
     assert run(["verify", "--p", "2", "--bogus"]) == 2
+
+
+_K = ["khinchin", "--N", "16", "--trials", "2", "--set", "v"]
+# one bad value for each input rule of each command, and the one error line it prints;
+# each rule lives in the library function that uses the input
+_SINGLE_FAULTS = [
+    (["verify", "--p", "1"], "base must be >= 2, got 1"),
+    (["verify", "--p", "-3"], "base must be >= 2, got -3"),
+    (["verify", "--p", "2", "--max-rank", "-1"], "max rank must be >= 0, got -1"),
+    (["verify", "--p", "2", "--max-rank", "-5"], "max rank must be >= 0, got -5"),
+    (["verify", "--p", "1", "--max-rank", "-1"], "base must be >= 2, got 1"),
+    (["verify", "--p", "2", "--cell-cap", "2"], "2**6 cells exceed the cell cap 2"),
+    (["sharpness", "--p", "1", "--d", "1"], "base must be >= 2, got 1"),
+    (["sharpness", "--p", "2", "--d", "0"], "d must be >= 1, got 0"),
+    (["sharpness", "--p", "2", "--d", "-2"], "d must be >= 1, got -2"),
+    (["sharpness", "--p", "2", "--d", "3", "--cell-cap", "4"], "2**3 cells exceed the cell cap 4"),
+    (_K + ["--p", "1"], "base must be >= 2, got 1"),
+    (_K + ["--p", "2", "--trials", "0"], "trials must be >= 1, got 0"),
+    (_K + ["--p", "2", "--trials", "0", "--l1"], "trials must be >= 1, got 0"),
+    (_K + ["--p", "2", "--q", "nan"], "q must be finite, got nan"),
+    (_K + ["--p", "2", "--q", "inf"], "q must be finite, got inf"),
+    (_K + ["--p", "2", "--q=-inf"], "q must be finite, got -inf"),
+    (_K + ["--p", "2", "--q", "0.5"], "q must be >= 1, got 0.5"),
+    (_K + ["--p", "2", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
+    (_K + ["--p", "2", "--d", "0"], "order must be >= 1, got 0"),
+    (_K + ["--p", "2", "--N", "-1"], "v(p=2, 1) has no members in [1, -1]"),
+    (["khinchin", "--p", "2", "--set", "wtilde"], "--s is required for the exact-weight set"),
+    (["khinchin", "--p", "2", "--set", "wtilde", "--s", "0"], "order must be >= 1, got 0"),
+    (["khinchin", "--p", "2", "--set", "aset"], "--pattern is required for digit-pattern sets"),
+    (["khinchin", "--p", "3", "--set", "aset", "--pattern", "1"], "--s is required for digit-pattern sets"),
+    (["khinchin", "--p", "3", "--set", "aset", "--pattern", "x", "--s", "1"],
+     "invalid literal for int() with base 10: 'x'"),
+    (["khinchin", "--p", "3", "--set", "aset", "--pattern", "5", "--s", "1"],
+     "pattern digits must lie in 1..p-1"),
+    (["transform", "--p", "1", "--input", "four.txt", "--output", "o.txt"], "base must be >= 2, got 1"),
+    (["transform", "--p", "2", "--input", "missing.txt", "--output", "o.txt"],
+     "[Errno 2] No such file or directory: 'missing.txt'"),
+    (["transform", "--p", "2", "--input", "three.txt", "--output", "o.txt"],
+     "length 3 is not a power of the base 2"),
+    (["transform", "--p", "2", "--input", "four.txt", "--output", "o.txt", "--cell-cap", "3"],
+     "2**2 cells exceed the cell cap 3"),
+    (["transform", "--p", "2", "--mode", "exact", "--input", "complex.txt", "--output", "o.txt"],
+     "exact mode accepts real inputs only; use --mode float"),
+    (["transform", "--p", "2", "--direction", "inverse", "--input", "big.txt", "--output", "o.txt"],
+     "the transform of big.txt overflows the float range"),
+    (["index", "--p", "1", "--max", "10"], "base must be >= 2, got 1"),
+    (["index", "--p", "2", "--set", "wtilde", "--max", "10"], "--s is required for the exact-weight set"),
+    (["index", "--p", "2", "--set", "aset", "--max", "10"], "--pattern is required for digit-pattern sets"),
+    (["index", "--p", "2", "--d", "0", "--max", "10"], "order must be >= 1, got 0"),
+    (["index", "--p", "2", "--d", "8", "--max", str(2**62), "--cell-cap", "1000"],
+     "4501777128 candidate members exceed the cell cap 1000"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _SINGLE_FAULTS, ids=[" ".join(a) for a, _ in _SINGLE_FAULTS])
+def test_each_input_rule_prints_its_one_error_line(monkeypatch, tmp_path, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in [("four.txt", "1\n2\n3\n4\n"), ("three.txt", "1\n2\n3\n"),
+                       ("complex.txt", "1 1\n2\n3\n4\n"), ("big.txt", "1e308\n1e308\n")]:
+        (tmp_path / name).write_text(text)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("max_rank", [-1, -5])
+def test_verify_checks_owns_the_max_rank_rule(max_rank):
+    with pytest.raises(ValueError, match=rf"^max rank must be >= 0, got {max_rank}$"):
+        suite.verify_checks(3, max_rank, 0)
+    with pytest.raises(ValueError, match=r"^base must be >= 2, got 1$"):
+        suite.verify_checks(1, max_rank, 0)
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_estimate_constant_owns_the_finite_q_rule(q):
+    # pyproject turns warnings into errors, so a nan reaching a matmul would fail differently
+    with pytest.raises(ValueError, match=rf"^q must be finite, got {q}$"):
+        khinchin.estimate_constant(full_chaos(2, 1), q, 16, 2, 0)
+
+
+# the options whose values a library function checks; args.s is None is the CLI's own presence rule
+_LIBRARY_INPUTS = {"p", "d", "q", "N", "trials", "seed", "max_rank", "max"}
+
+
+def _cli_input_rules(path: Path) -> list[tuple[int, str]]:
+    """(line, text) of each class, and of each if that raises on an option a library function checks."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            found.append((node.lineno, f"class {node.name}"))
+        elif isinstance(node, ast.If) and any(
+            isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt)
+        ):
+            read = {
+                attr.attr for attr in ast.walk(node.test)
+                if isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name)
+                and attr.value.id == "args"
+            }
+            if read & _LIBRARY_INPUTS:
+                found.append((node.lineno, ast.unparse(node.test)))
+    return sorted(found)
+
+
+def test_the_cli_keeps_no_copy_of_a_library_input_rule():
+    assert _cli_input_rules(Path(cli.__file__)) == []
+
+
+def test_the_cli_rule_scan_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class E(ValueError):\n    pass\n"
+        "if args.p < 2:\n    raise E\n"
+        "if args.s is None:\n    raise E\n"
+        "if not math.isfinite(args.q):\n    raise E\n"
+        "if args.trials < 1:\n    if x:\n        raise E\n"
+        "if float(args.q).is_integer():\n    args.q = int(args.q)\n"
+        "if kind == 'v':\n    pass\nelif args.max_rank < 0:\n    raise E\n"
+    )
+    assert [n for n, _ in _cli_input_rules(module)] == [1, 3, 7, 9, 16]
 
 
 def test_sharpness_honours_cell_cap(monkeypatch):

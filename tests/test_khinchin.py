@@ -605,6 +605,13 @@ def test_symmetric_decomposition_examples():
     assert single[0] == rademacher(2, 0)
 
 
+@pytest.mark.parametrize("k", [-1, -2])
+def test_symmetric_decomposition_refuses_a_negative_rank(k):
+    # k = -1 returned p - 1 rank-0 pieces, and k = -2 named rank -1
+    with pytest.raises(ValueError, match=rf"^k must be >= 0, got {k}$"):
+        symmetric_decomposition(3, k, 1)
+
+
 def test_symmetric_decomposition_reconstructs():
     for p in (2, 3, 4, 5, 6, 7):
         for j in range(1, p):

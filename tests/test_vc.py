@@ -10,7 +10,7 @@ import pytest
 
 from vcchaos import vc
 from vcchaos.cyclo import CycloArray, _power_residues, root_of_unity
-from vcchaos.pary import digitwise_add, run_cell_cap
+from vcchaos.pary import RankCapError, digitwise_add, run_cell_cap
 from vcchaos.stepfn import StepFn
 from vcchaos.vc import (
     _length_rank,
@@ -40,6 +40,15 @@ def test_rademacher_examples():
     assert list(rademacher(3, 0).values) == [root_of_unity(3, m) for m in range(3)]
     expected = [root_of_unity(3, m % 3) for m in range(9)]
     assert list(rademacher(3, 1).values) == expected
+
+
+def test_rademacher_refuses_a_huge_rank_before_building_p_pow_k():
+    # 2**(10**6) is a 10**6-bit integer, and counting its digits alone took seconds
+    started = time.perf_counter()
+    with run_cell_cap(10**7), pytest.raises(RankCapError) as refused:
+        rademacher(2, 10**6)
+    assert time.perf_counter() - started < 0.5
+    assert str(refused.value) == "2**1000001 cells exceed the cell cap 10000000"
 
 
 def test_rademacher_digit_identity():
