@@ -283,9 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_seed=True, report=True):
+    def common(sp, with_seed=True, report=True, index_set=False):
         sp.add_argument("--p", type=int, required=True, help="base (>= 2)")
         sp.add_argument("--cell-cap", type=int, default=None, help="max cells per grid")
+        if index_set:
+            sp.add_argument("--d", type=int, default=1)
+            sp.add_argument("--s", type=int, default=None)
+            sp.add_argument("--set", choices=("v", "vtilde", "wtilde", "aset"), default="vtilde")
+            sp.add_argument("--pattern", type=str, default=None, help="comma-separated digits")
         if report:
             sp.add_argument("--out", type=str, default=None, help="report output path")
             sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -306,11 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sharpness)
 
     sp = sub.add_parser("khinchin", help="estimate norm-ratio constants", allow_abbrev=False)
-    common(sp)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--set", choices=("v", "vtilde", "wtilde", "aset"), default="vtilde")
-    sp.add_argument("--pattern", type=str, default=None, help="comma-separated digits")
+    common(sp, index_set=True)
     sp.add_argument("--q", type=float, default=4)
     sp.add_argument("--N", type=int, default=256)
     sp.add_argument("--trials", type=int, default=100)
@@ -336,12 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_transform)
 
     sp = sub.add_parser("index", help="list chaos index set members", allow_abbrev=False)
-    common(sp, with_seed=False, report=False)
+    common(sp, with_seed=False, report=False, index_set=True)
     sp.add_argument("--out", type=str, default=None, help="member list output path")
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--set", choices=("v", "vtilde", "wtilde", "aset"), default="vtilde")
-    sp.add_argument("--pattern", type=str, default=None)
     sp.add_argument("--max", type=int, required=True)
     sp.set_defaults(func=cmd_index)
 

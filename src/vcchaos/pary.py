@@ -7,10 +7,10 @@ elsewhere read it, _exponent_rows among them: the VC exponents from which vc
 and khinchin build their value tables.  digit_count is the one digit
 counter.  Every grid of base-p cells is guarded by a cell cap so that a bad
 rank argument fails loudly instead of exhausting memory.  This module owns
-the cap: it is the one a run sets with run_cell_cap (the CLI's --cell-cap),
-else the VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP, and
-every refusal is check_cells's or, for a power such as p**rank, check_power's
-(which refuses it before building it), so no caller threads a cap through.
+the cap: the one a run sets with run_cell_cap (the CLI's --cell-cap), else
+the VCCHAOS_CELL_CAP environment variable, else DEFAULT_CELL_CAP; a cap below
+1 is refused, and every refusal of work is check_cells's or, for a power
+p**rank, check_power's (before building it), so no caller threads a cap through.
 over_common_denominator puts exact rationals over one denominator, the
 integer form that cyclo's arrays and khinchin's exact certificate share, and
 rational_str the form in which reports print them; unit_roots is the one
@@ -42,9 +42,13 @@ class RankCapError(ValueError):
 _run_cap: ContextVar[int | None] = ContextVar("vcchaos_cell_cap", default=None)
 
 
-def _environment_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    return int(raw) if raw else DEFAULT_CELL_CAP
+def _resolve_cap(limit: int | None) -> int:
+    if limit is None:
+        raw = os.environ.get(CELL_CAP_ENV)
+        limit = int(raw) if raw else DEFAULT_CELL_CAP
+    if limit < 1:
+        raise ValueError(f"cell cap must be >= 1, got {limit}")
+    return limit
 
 
 def cell_cap() -> int:
@@ -52,14 +56,13 @@ def cell_cap() -> int:
 
     Outside a run_cell_cap body the environment is read on every call.
     """
-    cap = _run_cap.get()
-    return _environment_cap() if cap is None else cap
+    return _resolve_cap(_run_cap.get())
 
 
 @contextmanager
 def run_cell_cap(limit: int | None):
     """Make limit (None: the environment's cap, read once here) the cell cap of the body."""
-    token = _run_cap.set(_environment_cap() if limit is None else limit)
+    token = _run_cap.set(_resolve_cap(limit))
     try:
         yield
     finally:

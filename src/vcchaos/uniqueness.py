@@ -1,9 +1,9 @@
 """Sharpness witnesses for the uniqueness thresholds, and the pair-overlap bound of one family.
 
-The two witness polynomials are
+The two witness polynomials are d-th tensor powers of one rank-1 factor each:
 
-    P = prod_{k<d} (1 - R_k)            expansion supported in {0} + unit chaos
-    Q = prod_{k<d} (1 + R_k + ... + R_k**(p-1))   supported in {0} + full chaos
+    P = (1 - R_0)**(tensor d) = prod_{k<d} (1 - R_k)   expansion in {0} + unit chaos
+    Q = (VC_0 + ... + VC_(p-1))**(tensor d)            expansion in {0} + full chaos
 
 P - 1 (a chaos series plus the constant) equals the nonzero constant -1 on
 {P = 0}, whose measure is exactly 1 - ((p-1)/p)**d; Q - 1 does the same on a
@@ -23,7 +23,7 @@ import numpy as np
 
 from .cyclo import CycloArray
 from .indices import IndexSpec, full_chaos, member_mask, unit_chaos
-from .pary import check_rank, digit_array
+from .pary import check_rank
 from .stepfn import PArySet, StepFn, overlap_counts
 from .vc import rademacher, vc_function, vc_transform_exact
 
@@ -75,15 +75,18 @@ class SharpnessReport:
         )
 
 
-def _product(p: int, d: int, factor) -> StepFn:
-    """prod_{k<d} factor(k), its depth d checked and its rank-d grid held to the cell cap."""
+def _tensor_power(p: int, d: int, factor) -> CycloArray:
+    """The d-th tensor power of factor()'s p rows: row i*p + x is row i times factor()[x].
+
+    Digit order does not matter; d and the rank-d cell cap are checked before factor() is built.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     check_rank(p, d)
-    prod = StepFn.constant(p, 1)
-    for k in range(d):
-        prod = prod * factor(k)
-    return prod
+    power = row = factor()
+    for _ in range(d - 1):
+        power = power.repeat(p) * row[np.arange(p * len(power)) % p]
+    return power
 
 
 def _report(
@@ -114,29 +117,26 @@ def _report(
 
 
 def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
-    """Sharpness witness P = prod(1 - R_k) for the unit-digit chaos system.
+    """Sharpness witness P = (1 - R_0)**(tensor d) for the unit-digit chaos system.
 
-    Certifies: the expansion coefficient at n is (-1)**s if every digit of n
-    is 0 or 1, s of them 1, and 0 otherwise (so the constant coefficient is 1
-    and P - 1 lives on the chaos indices), and {P - 1 = -1} = {P = 0} has
-    measure exactly 1 - ((p-1)/p)**d.
+    Certifies: the expansion is (1, -1, 0, ..., 0)**(tensor d), (-1)**s at n
+    if every digit of n is 0 or 1, s of them 1, and 0 otherwise, and
+    {P - 1 = -1} = {P = 0} has measure exactly 1 - ((p-1)/p)**d.
     """
-    prod = _product(p, d, lambda k: 1 - rademacher(p, k))
-    digits = digit_array(np.arange(p**d), p, d)
-    signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
-    expected = CycloArray(1, signs.astype(object).reshape(-1, 1))
+    prod = StepFn(p, d, _tensor_power(p, d, lambda: (1 - rademacher(p, 0)).values))
+    expected = _tensor_power(p, d, lambda: CycloArray.from_values([1, -1] + [0] * (p - 2)))
     return _report(p, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)
 
 
 def witness_full_chaos(p: int, d: int) -> SharpnessReport:
-    """Sharpness witness Q = prod(1 + R_k + ... + R_k**(p-1)) for the full chaos.
+    """Sharpness witness Q = (VC_0 + ... + VC_(p-1))**(tensor d) for the full chaos.
 
     Certifies: Q equals p**d times the indicator of [0, p**-d) cellwise,
     expansion coefficients all 1 below p**d, and {Q - 1 = -1} of measure
-    exactly 1 - p**-d.  Paley indexing makes R_k**j = VC_(j * p**k), so each
-    factor is a sum of p VC functions.
+    exactly 1 - p**-d.  Paley indexing makes R_0**j = VC_j, so the factor
+    1 + R_0 + ... + R_0**(p-1) is the sum of p rank-1 VC functions.
     """
-    prod = _product(p, d, lambda k: sum(vc_function(p, j * p**k) for j in range(p)))
+    prod = StepFn(p, d, _tensor_power(p, d, lambda: sum(vc_function(p, j) for j in range(p)).values))
     identity = prod == PArySet.from_cells(p, d, [0]).indicator().scale(p**d)
     return _report(p, full_chaos(p, d), prod, 1, Fraction(1, p**d), identity)
 

@@ -206,6 +206,16 @@ def test_khinchin_row_block_over_cap_is_config_error(extra, capsys):
     assert "11 members x 2**11 cells exceed the cell cap 22527" in capsys.readouterr().err
 
 
+def test_khinchin_and_index_share_the_index_set_options(capsys):
+    options, helps = ("--d ", "--s ", "--set ", "--pattern "), {}
+    for command in ("khinchin", "index"):
+        assert run([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        helps[command] = [line for line in lines if line.lstrip().startswith(options)]
+    assert helps["khinchin"] == helps["index"]
+    assert any("comma-separated digits" in line for line in helps["index"])
+
+
 def test_unknown_flag_is_config_error(capsys):
     assert run(["verify", "--p", "2", "--bogus"]) == 2
 
@@ -220,6 +230,10 @@ _SINGLE_FAULTS = [
     (["verify", "--p", "2", "--max-rank", "-5"], "max rank must be >= 0, got -5"),
     (["verify", "--p", "1", "--max-rank", "-1"], "base must be >= 2, got 1"),
     (["verify", "--p", "2", "--cell-cap", "2"], "2**6 cells exceed the cell cap 2"),
+    (["verify", "--p", "2", "--cell-cap", "-1"], "cell cap must be >= 1, got -1"),
+    (["VCCHAOS_CELL_CAP=0", "sharpness", "--p", "2", "--d", "2"], "cell cap must be >= 1, got 0"),
+    (["VCCHAOS_CELL_CAP=not a number", "sharpness", "--p", "2", "--d", "2"],
+     "invalid literal for int() with base 10: 'not a number'"),
     (["sharpness", "--p", "1", "--d", "1"], "base must be >= 2, got 1"),
     (["sharpness", "--p", "2", "--d", "0"], "d must be >= 1, got 0"),
     (["sharpness", "--p", "2", "--d", "-2"], "d must be >= 1, got -2"),
@@ -259,12 +273,17 @@ _SINGLE_FAULTS = [
     (["index", "--p", "2", "--d", "0", "--max", "10"], "order must be >= 1, got 0"),
     (["index", "--p", "2", "--d", "8", "--max", str(2**62), "--cell-cap", "1000"],
      "4501777128 candidate members exceed the cell cap 1000"),
+    (["index", "--p", "2", "--max", "10", "--cell-cap", "0"], "cell cap must be >= 1, got 0"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _SINGLE_FAULTS, ids=[" ".join(a) for a, _ in _SINGLE_FAULTS])
 def test_each_input_rule_prints_its_one_error_line(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
+    if "=" in argv[0]:  # a leading NAME=value sets an environment variable, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     for name, text in [("four.txt", "1\n2\n3\n4\n"), ("three.txt", "1\n2\n3\n"),
                        ("complex.txt", "1 1\n2\n3\n4\n"), ("big.txt", "1e308\n1e308\n")]:
         (tmp_path / name).write_text(text)
@@ -374,7 +393,7 @@ def test_sharpness_report_values(tmp_path):
 
 def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
     # R_k -> VC_(2 p^k) = R_k^2: the unit witness expands onto indices with a
-    # digit 2, the full witness is unchanged since R^2 + R^4 = R^2 + R for p = 3
+    # digit 2; the full witness never reads rademacher, so it still holds
     monkeypatch.setattr(uniqueness, "rademacher", lambda p, k: vc_function(p, 2 * p**k))
     assert uniqueness.witness_unit_chaos(3, 2).holds is False
     assert uniqueness.witness_full_chaos(3, 2).holds is True

@@ -98,8 +98,27 @@ def test_a_run_resolves_its_cap_once(monkeypatch):
         check_rank(2, 1)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_cap_below_1_is_refused_where_it_comes_in(monkeypatch, cap):
+    message = f"^cell cap must be >= 1, got {cap}$"
+    with pytest.raises(ValueError, match=message) as refused, run_cell_cap(cap):
+        pass
+    assert not isinstance(refused.value, RankCapError)
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", str(cap))
+    with pytest.raises(ValueError, match=message), run_cell_cap(None):
+        pass
+    # outside a run the environment is read at each check
+    with pytest.raises(ValueError, match=message):
+        check_rank(2, 0)
+    # an explicit cap replaces the environment's, which is then never read
+    with run_cell_cap(1):
+        assert check_rank(2, 0) == 1
+    monkeypatch.setenv("VCCHAOS_CELL_CAP", "1")
+    assert check_rank(2, 0) == 1
+
+
 def test_check_power_refuses_exactly_the_powers_above_the_cap():
-    for cap in (0, 1, 7, 8, 100, 2**64 - 1, 2**64, 10**40):
+    for cap in (1, 7, 8, 100, 2**64 - 1, 2**64, 10**40):
         with run_cell_cap(cap):
             for base in range(6):
                 for exponent in range(cap.bit_length() + 3):

@@ -2,12 +2,15 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from vcchaos import pary, uniqueness
+from vcchaos.cyclo import CycloArray
 from vcchaos.indices import contains
 from vcchaos.stepfn import PArySet, StepFn
 from vcchaos.uniqueness import overlap_bound_check, witness_full_chaos, witness_unit_chaos
-from vcchaos.vc import rademacher
+from vcchaos.vc import rademacher, vc_function, vc_transform_exact
 
 
 def test_unit_witness_p3_d2():
@@ -44,6 +47,66 @@ def test_witness_level_sets_are_the_closed_form_cells(p, d):
     unit = [m for m in range(p**d) if 0 in digits(m)]
     assert witness_unit_chaos(p, d).level_set == PArySet.from_cells(p, d, unit)
     assert witness_full_chaos(p, d).level_set == PArySet.from_cells(p, d, range(1, p**d))
+
+
+def _digitwise_products(p, d):
+    """prod_k (1 - R_k) and prod_k sum_j VC_(j * p**k): the witnesses as digitwise products."""
+    unit = full = StepFn.constant(p, 1)
+    for k in range(d):
+        unit = unit * (1 - rademacher(p, k))
+        full = full * sum(vc_function(p, j * p**k) for j in range(p))
+    return unit, full
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_witnesses_match_the_digitwise_products(monkeypatch, p, d):
+    expected = []
+    report = uniqueness._report
+
+    def recording(p, spec, prod, expect, *rest):
+        expected.append(expect)
+        return report(p, spec, prod, expect, *rest)
+
+    monkeypatch.setattr(uniqueness, "_report", recording)
+    for builder, reference in zip((witness_unit_chaos, witness_full_chaos), _digitwise_products(p, d)):
+        witness = builder(p, d)
+        assert witness.holds
+        assert witness.coefficients == vc_transform_exact(reference.values, p)
+        assert witness.level_set == (reference - 1).level_set(-1)
+    # the unit witness's expected expansion: (-1)**s where every digit is 0 or 1, s of them 1
+    digits = pary.digit_array(np.arange(p**d), p, d)
+    signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
+    assert expected[0] == CycloArray(1, signs.astype(object).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("p, d", [(2, 12), (3, 6)])
+def test_witnesses_build_only_rank_1_factors(monkeypatch, p, d):
+    # each witness is a tensor power of one factor, so no VC function or digit
+    # table is built on the rank-d grid; the support's index-set membership
+    # (indices.member_mask) reads digits through its own import and is not counted
+    ranks, sizes = [], []
+
+    def recording(build):
+        def built(*args):
+            fn = build(*args)
+            ranks.append(fn.rank)
+            return fn
+
+        return built
+
+    digit_array = pary.digit_array
+
+    def counted(values, *args):
+        sizes.append(np.size(values))
+        return digit_array(values, *args)
+
+    monkeypatch.setattr(uniqueness, "rademacher", recording(uniqueness.rademacher))
+    monkeypatch.setattr(uniqueness, "vc_function", recording(uniqueness.vc_function))
+    monkeypatch.setattr(pary, "digit_array", counted)
+    assert witness_unit_chaos(p, d).holds and witness_full_chaos(p, d).holds
+    assert ranks and max(ranks) <= 1
+    assert sizes and max(sizes) <= p
 
 
 def test_witness_pair_runtime_p2_d12():
