@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pary import check_cells, digit_array, digit_count, integer_array
+from .pary import check_base, check_cells, digit_array, digit_count, integer_array
 
 
 class IndexKind(Enum):
@@ -43,8 +43,7 @@ class IndexSpec:
     __slots__ = ("kind", "p", "order", "pattern")
 
     def __init__(self, kind: IndexKind, p: int, order: int = 0, pattern: tuple[int, ...] = ()):
-        if p < 2:
-            raise ValueError(f"base must be >= 2, got {p}")
+        check_base(p)
         if kind is IndexKind.DIGIT_PATTERN:
             if not pattern:
                 raise ValueError("digit pattern spec needs a pattern")

@@ -90,10 +90,15 @@ def check_power(base: int, exponent: int, what: str) -> int:
     return power
 
 
-def check_rank(p: int, rank: int) -> int:
-    """Validate base and rank against the cell cap; return the cell count p**rank."""
+def check_base(p: int) -> None:
+    """Refuse a base below 2."""
     if p < 2:
         raise ValueError(f"base must be >= 2, got {p}")
+
+
+def check_rank(p: int, rank: int) -> int:
+    """Validate base and rank against the cell cap; return the cell count p**rank."""
+    check_base(p)
     if rank < 0:
         raise ValueError(f"rank must be >= 0, got {rank}")
     return check_power(p, rank, f"{p}**{rank} cells")
@@ -101,8 +106,7 @@ def check_rank(p: int, rank: int) -> int:
 
 def digit_count(n: int, p: int) -> int:
     """Number of base-p digits of n >= 0 (0 for n = 0)."""
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
+    check_base(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     count, power = 0, 1
@@ -141,8 +145,7 @@ def digit_array(values, p: int, length: int | None = None) -> np.ndarray:
     position divides every value by p, so a value of L digits costs
     O(L**2) work and O(L) memory, as a scalar divmod loop does.
     """
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
+    check_base(p)
     values = integer_array(values)
     if values.size and values.min() < 0:
         raise ValueError(f"n must be >= 0, got {values.min()}")

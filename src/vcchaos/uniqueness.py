@@ -1,17 +1,20 @@
 """Sharpness witnesses for the uniqueness thresholds, and the pair-overlap bound of one family.
 
-The two witness polynomials are d-th tensor powers of one rank-1 factor each:
+Each witness is the d-th tensor power of the closed-form cell values of one
+rank-1 factor, (p, 0, ..., 0) being the rational rows of VC_0 + ... + VC_(p-1):
 
     P = (1 - R_0)**(tensor d) = prod_{k<d} (1 - R_k)   expansion in {0} + unit chaos
-    Q = (VC_0 + ... + VC_(p-1))**(tensor d)            expansion in {0} + full chaos
+    Q = (p, 0, ..., 0)**(tensor d)                      expansion in {0} + full chaos
 
-P - 1 (a chaos series plus the constant) equals the nonzero constant -1 on
-{P = 0}, whose measure is exactly 1 - ((p-1)/p)**d; Q - 1 does the same on a
-set of measure 1 - p**-d.  A series over the chaos indices converging to a
-nonzero constant on a set of that size is exactly what rules out any larger
-uniqueness threshold, so the certification here targets the constant level
-set of the shifted polynomial, not its literal zero set (for composite p the
-literal zero set of P - 1 has a different measure).
+One certifier checks each witness: its exact expansion against the tensor
+power of the expected coefficient factor, and its level set, read from the
+witness's zero test.  P - 1 (a chaos series plus the constant) equals the
+nonzero constant -1 on {P = 0}, whose measure is exactly 1 - ((p-1)/p)**d;
+Q - 1 does the same on a set of measure 1 - p**-d.  A series over the chaos
+indices converging to a nonzero constant on a set of that size is exactly
+what rules out any larger uniqueness threshold, so the certified set is the
+constant level set {P - 1 = -1} of the shifted polynomial, not its literal
+zero set (for composite p the literal zero set of P - 1 has a different measure).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 from .cyclo import CycloArray
 from .indices import IndexSpec, full_chaos, member_mask, unit_chaos
 from .pary import check_rank
-from .stepfn import PArySet, StepFn, overlap_counts
-from .vc import rademacher, vc_function, vc_transform_exact
+from .stepfn import PArySet, overlap_counts
+from .vc import rademacher, vc_transform_exact
 
 
 class SharpnessReport:
@@ -34,10 +37,10 @@ class SharpnessReport:
     The witness is its exact expansion (coefficients[n] is that of VC_n) and
     the ascending indices of its nonzero coefficients (support).  The
     certificate holds when the level-set measure and the threshold sum to 1
-    exactly, the level value is a nonzero constant, the expansion has a
-    nonzero-index coefficient and (minus its constant term) is supported
-    inside the index set, and every coefficient is the expected one.  The
-    level-set measure is read from the level set, so the two cannot disagree.
+    exactly, the expansion has a nonzero-index coefficient and (minus its
+    constant term) is supported inside the index set, and every coefficient
+    is the expected one.  The level-set measure is read from the level set,
+    so the two cannot disagree.
     """
 
     def __init__(
@@ -45,7 +48,6 @@ class SharpnessReport:
         index_set: IndexSpec,
         support: np.ndarray,
         coefficients: CycloArray,
-        level_value: CycloArray,
         level_set: PArySet,
         threshold: Fraction,
         support_ok: bool,
@@ -54,7 +56,6 @@ class SharpnessReport:
         self.index_set = index_set
         self.support = support
         self.coefficients = coefficients
-        self.level_value = level_value
         self.level_set = level_set
         self.threshold = threshold
         self.support_ok = support_ok
@@ -68,7 +69,6 @@ class SharpnessReport:
     def holds(self) -> bool:
         return (
             self.level_set_measure + self.threshold == 1
-            and self.level_value != 0
             and bool((self.support != 0).any())
             and self.support_ok
             and self.coefficients_ok
@@ -89,30 +89,25 @@ def _tensor_power(p: int, d: int, factor) -> CycloArray:
     return power
 
 
-def _report(
-    p: int,
-    spec: IndexSpec,
-    prod: StepFn,
-    expected,
-    threshold: Fraction,
-    identity: bool = True,
+def _certify(
+    values: CycloArray, expected: CycloArray, spec: IndexSpec, threshold: Fraction
 ) -> SharpnessReport:
-    """Certify the witness prod: its whole expansion against expected, and {prod - 1 = -1}.
+    """Certify the witness with these cell values at rank spec.order.
 
-    identity is the witness's own cellwise check, if it has one; the
-    coefficients certify only with it.
+    Its exact expansion must be expected, its support (minus n = 0) inside
+    spec, and its zero set, {P - 1 = -1}, of measure 1 - threshold.
     """
-    coeffs = vc_transform_exact(prod.values, p, "forward")
+    p, d = spec.p, spec.order
+    coeffs = vc_transform_exact(values, p, "forward")
     support = np.flatnonzero(~coeffs.is_zero())
     return SharpnessReport(
         index_set=spec,
         support=support,
         coefficients=coeffs,
-        level_value=CycloArray.coerce(-1),
-        level_set=(prod - 1).level_set(-1),
+        level_set=PArySet(p, d, values.is_zero()),
         threshold=threshold,
         support_ok=bool(member_mask(spec, support[support != 0]).all()),
-        coefficients_ok=coeffs == expected and identity,
+        coefficients_ok=coeffs == expected,
     )
 
 
@@ -123,22 +118,21 @@ def witness_unit_chaos(p: int, d: int) -> SharpnessReport:
     if every digit of n is 0 or 1, s of them 1, and 0 otherwise, and
     {P - 1 = -1} = {P = 0} has measure exactly 1 - ((p-1)/p)**d.
     """
-    prod = StepFn(p, d, _tensor_power(p, d, lambda: (1 - rademacher(p, 0)).values))
+    values = _tensor_power(p, d, lambda: (1 - rademacher(p, 0)).values)
     expected = _tensor_power(p, d, lambda: CycloArray.from_values([1, -1] + [0] * (p - 2)))
-    return _report(p, unit_chaos(p, d), prod, expected, Fraction(p - 1, p) ** d)
+    return _certify(values, expected, unit_chaos(p, d), Fraction(p - 1, p) ** d)
 
 
 def witness_full_chaos(p: int, d: int) -> SharpnessReport:
-    """Sharpness witness Q = (VC_0 + ... + VC_(p-1))**(tensor d) for the full chaos.
+    """Sharpness witness Q = (p, 0, ..., 0)**(tensor d) for the full chaos.
 
-    Certifies: Q equals p**d times the indicator of [0, p**-d) cellwise,
-    expansion coefficients all 1 below p**d, and {Q - 1 = -1} of measure
-    exactly 1 - p**-d.  Paley indexing makes R_0**j = VC_j, so the factor
-    1 + R_0 + ... + R_0**(p-1) is the sum of p rank-1 VC functions.
+    Certifies: the expansion is all ones below p**d, and {Q - 1 = -1} has
+    measure exactly 1 - p**-d.  Paley indexing makes R_0**j = VC_j, so the
+    rows are the cell values of the geometric sum 1 + R_0 + ... + R_0**(p-1).
     """
-    prod = StepFn(p, d, _tensor_power(p, d, lambda: sum(vc_function(p, j) for j in range(p)).values))
-    identity = prod == PArySet.from_cells(p, d, [0]).indicator().scale(p**d)
-    return _report(p, full_chaos(p, d), prod, 1, Fraction(1, p**d), identity)
+    values = _tensor_power(p, d, lambda: CycloArray.from_values([p] + [0] * (p - 1)))
+    expected = _tensor_power(p, d, lambda: CycloArray.from_values([1] * p))
+    return _certify(values, expected, full_chaos(p, d), Fraction(1, p**d))
 
 
 def overlap_bound_check(sets: Sequence[PArySet]) -> tuple[Fraction, Fraction, bool]:

@@ -238,6 +238,7 @@ _SINGLE_FAULTS = [
     (["sharpness", "--p", "2", "--d", "0"], "d must be >= 1, got 0"),
     (["sharpness", "--p", "2", "--d", "-2"], "d must be >= 1, got -2"),
     (["sharpness", "--p", "2", "--d", "3", "--cell-cap", "4"], "2**3 cells exceed the cell cap 4"),
+    (["sharpness", "--p", "1000000000", "--d", "1"], "1000000000**1 cells exceed the cell cap 10000000"),
     (_K + ["--p", "1"], "base must be >= 2, got 1"),
     (_K + ["--p", "2", "--trials", "0"], "trials must be >= 1, got 0"),
     (_K + ["--p", "2", "--trials", "0", "--l1"], "trials must be >= 1, got 0"),
@@ -375,7 +376,7 @@ def test_a_cap_past_2_64_refuses_a_huge_rank_before_building_it(args, message, c
 
 
 def test_sharpness_full_witness_builds_its_factors_fast():
-    # each factor is a sum of p VC functions, so no power of R_k is built by repeated products
+    # the factor is the closed-form rows (p, 0, ..., 0), so no power of R_0 is built by repeated products
     started = time.perf_counter()
     assert run(["sharpness", "--p", "50", "--d", "1"]) == 0
     elapsed = time.perf_counter() - started
@@ -409,6 +410,7 @@ def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
         (2, 8, ("255/256", 256, "1/256"), ("255/256", 256, "1/256")),
         (3, 5, ("211/243", 32, "32/243"), ("242/243", 243, "1/243")),
         (6, 3, ("91/216", 8, "125/216"), ("215/216", 216, "1/216")),
+        (7, 5, ("9031/16807", 32, "7776/16807"), ("16806/16807", 16807, "1/16807")),
     ],
 )
 def test_sharpness_values_golden(tmp_path, p, d, unit, full):

@@ -94,14 +94,14 @@ def test_sharpness_report_fields_and_holds():
     assert report.support_ok and report.coefficients_ok and report.holds
     fields = [
         full_chaos(2, 1), np.array([0, 1]), CycloArray.from_values([1, 1]),
-        CycloArray.coerce(-1), PArySet(2, 1, [0, 1]), Fraction(1, 2), True, True,
+        PArySet(2, 1, [0, 1]), Fraction(1, 2), True, True,
     ]
     assert SharpnessReport(*fields).holds
     # any one failed part fails the certificate
-    for i, bad in [(6, False), (7, False), (3, CycloArray.coerce(0)), (1, np.array([0]))]:
+    for i, bad in [(5, False), (6, False), (1, np.array([0]))]:
         assert not SharpnessReport(*fields[:i], bad, *fields[i + 1 :]).holds
     # the measure is the level set's own: a set of measure 1/4 does not complement 1/2
-    quarter = SharpnessReport(*fields[:4], PArySet.from_cells(2, 2, [3]), *fields[5:])
+    quarter = SharpnessReport(*fields[:3], PArySet.from_cells(2, 2, [3]), *fields[4:])
     assert quarter.level_set_measure == Fraction(1, 4) and not quarter.holds
     with pytest.raises(AttributeError):
         report.level_set_measure = Fraction(1, 2)

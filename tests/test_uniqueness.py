@@ -62,13 +62,13 @@ def _digitwise_products(p, d):
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_witnesses_match_the_digitwise_products(monkeypatch, p, d):
     expected = []
-    report = uniqueness._report
+    certify = uniqueness._certify
 
-    def recording(p, spec, prod, expect, *rest):
+    def recording(values, expect, *rest):
         expected.append(expect)
-        return report(p, spec, prod, expect, *rest)
+        return certify(values, expect, *rest)
 
-    monkeypatch.setattr(uniqueness, "_report", recording)
+    monkeypatch.setattr(uniqueness, "_certify", recording)
     for builder, reference in zip((witness_unit_chaos, witness_full_chaos), _digitwise_products(p, d)):
         witness = builder(p, d)
         assert witness.holds
@@ -78,6 +78,8 @@ def test_witnesses_match_the_digitwise_products(monkeypatch, p, d):
     digits = pary.digit_array(np.arange(p**d), p, d)
     signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
     assert expected[0] == CycloArray(1, signs.astype(object).reshape(-1, 1))
+    # the full witness's: 1 at every index below p**d
+    assert len(expected[1]) == p**d and expected[1] == 1
 
 
 @pytest.mark.parametrize("p, d", [(2, 12), (3, 6)])
@@ -85,15 +87,12 @@ def test_witnesses_build_only_rank_1_factors(monkeypatch, p, d):
     # each witness is a tensor power of one factor, so no VC function or digit
     # table is built on the rank-d grid; the support's index-set membership
     # (indices.member_mask) reads digits through its own import and is not counted
-    ranks, sizes = [], []
+    ranks, sizes, orders = [], [], []
 
-    def recording(build):
-        def built(*args):
-            fn = build(*args)
-            ranks.append(fn.rank)
-            return fn
-
-        return built
+    def recorded(p, k):
+        fn = rademacher(p, k)
+        ranks.append(fn.rank)
+        return fn
 
     digit_array = pary.digit_array
 
@@ -101,12 +100,18 @@ def test_witnesses_build_only_rank_1_factors(monkeypatch, p, d):
         sizes.append(np.size(values))
         return digit_array(values, *args)
 
-    monkeypatch.setattr(uniqueness, "rademacher", recording(uniqueness.rademacher))
-    monkeypatch.setattr(uniqueness, "vc_function", recording(uniqueness.vc_function))
+    def transformed(values, *args):
+        orders.append(values.order)
+        return vc_transform_exact(values, *args)
+
+    monkeypatch.setattr(uniqueness, "rademacher", recorded)
     monkeypatch.setattr(pary, "digit_array", counted)
+    monkeypatch.setattr(uniqueness, "vc_transform_exact", transformed)
     assert witness_unit_chaos(p, d).holds and witness_full_chaos(p, d).holds
     assert ranks and max(ranks) <= 1
     assert sizes and max(sizes) <= p
+    # the full factor's cells are the rationals (p, 0, ..., 0), not a sum of roots of unity
+    assert orders == [p, 1]
 
 
 def test_witness_pair_runtime_p2_d12():
@@ -170,9 +175,8 @@ def test_witnesses_for_composite_base():
 
 
 def test_witness_level_value_is_nonzero_constant():
+    # on every certified cell, the shifted witness equals the nonzero constant -1
     report = witness_unit_chaos(3, 2)
-    assert not report.level_value.is_zero()
-    # on the certified set, the shifted witness really equals that constant
     prod = StepFn.constant(3, 1)
     for k in range(2):
         prod = prod * (1 - rademacher(3, k))
@@ -181,7 +185,7 @@ def test_witness_level_value_is_nonzero_constant():
     cells = [m for m in range(len(shifted.values)) if fine[m]]
     assert len(cells) == 5
     for cell in cells:
-        assert shifted.values[cell] == report.level_value
+        assert shifted.values[cell] == -1
 
 
 def test_literal_zero_set_of_shifted_witness_differs():
