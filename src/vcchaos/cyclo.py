@@ -83,6 +83,19 @@ def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _first_seen(items) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, first) of hashable items: equal items share a label, numbered
+    in order of first appearance, and first[c] is the index of label c's first item."""
+    seen: dict = {}
+    labels, first = [], []
+    for i, item in enumerate(items):
+        label = seen.setdefault(item, len(seen))
+        if label == len(first):
+            first.append(i)
+        labels.append(label)
+    return np.array(labels, dtype=np.int64), np.array(first, dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _rotations(order: int) -> np.ndarray:
     """Read-only (order, order) gather table: v[_rotations(r)[i]] equals np.roll(v, i)."""
@@ -253,6 +266,17 @@ class CycloArray:
         Rows of one array are equal values exactly when their keys are equal.
         """
         return self.nums @ np.array(_power_residues(self.order), dtype=object)
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, first): a class label per row and the first row of each class.
+
+        Two rows share a label exactly when they hold equal values; labels are
+        numbered in order of first appearance.  Rows with equal numerators are
+        equal values, so only the first row of each distinct numerator row is keyed.
+        """
+        rows, distinct = _first_seen(map(tuple, self.nums.tolist()))
+        keys, first = _first_seen(map(tuple, self[distinct].keys().tolist()))
+        return keys[rows], distinct[first]
 
     def is_zero(self) -> np.ndarray:
         """Boolean array: which rows are exactly zero."""

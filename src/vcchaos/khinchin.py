@@ -340,7 +340,7 @@ def _moved(c: np.ndarray, i: int, delta: complex) -> np.ndarray:
 
 def _l2_sq(scorer, i: int, deltas: Sequence[complex]) -> list[float]:
     """||point + delta e_i||**2 for every delta, from the scorer's cached ||point||**2."""
-    ci = scorer.conjugates[i]
+    ci = complex(scorer.point[i]).conjugate()
     return [scorer.l2_sq + 2 * (ci * d).real + abs(d) ** 2 for d in deltas]
 
 
@@ -396,7 +396,7 @@ class _EvenRatio:
         return levels
 
     def reset(self, c: np.ndarray) -> float:
-        self.point, self.levels, self.conjugates = c, self._levels(c), c.conj().tolist()
+        self.point, self.levels = c, self._levels(c)
         # |G_0|**2 sums to 1 exactly
         self.norms = [1.0, *map(_sum_sq, self.levels[1:])]
         self.l2_sq = self.norms[1]
@@ -441,7 +441,7 @@ class _RowRatio:
         self.rows, self.q = _vc_rows(p, members), q
 
     def reset(self, c: np.ndarray) -> float:
-        self.point, self.cells, self.conjugates = c, c @ self.rows, c.conj().tolist()
+        self.point, self.cells = c, c @ self.rows
         self.l2_sq = _sum_sq(c)
         return float(_cell_ratios(self.cells, np.linalg.norm(c, axis=-1), self.q))
 

@@ -10,8 +10,10 @@ Every view of a set (its cells, its bits at a finer rank, its indicator) reads
 that array, so each view is linear in the cell count; overlap_counts counts
 twice-covered cells of whole families of sets as one 0/1 array.  Two
 lemmas that verify checks are built from these types: symmetric_decomposition
-splits Re(R_k**j) into symmetric step functions, and independence_check
-tests the product rule for functions of distinct digits.
+splits Re(R_k**j) into symmetric step functions, all cut from one table of
+cosines, and independence_check tests the product rule for functions of
+distinct digits.  Every grouping of equal exact values (a law, its symmetry
+test, a digit table's labels) reads CycloArray.classes().
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclo import CycloArray, root_of_unity
+from .cyclo import CycloArray
 from .pary import check_rank
 
 
@@ -123,15 +125,13 @@ class StepFn:
         return PArySet(self.p, self.rank, (self.values - target).is_zero())
 
     def distribution(self) -> "Distribution":
-        groups: dict[tuple, list] = {}
-        for i, key in enumerate(map(tuple, self.values.keys().tolist())):
-            groups.setdefault(key, [i, 0])[1] += 1
+        """The law, one entry per distinct value in the order of the value's first cell."""
+        labels, first = self.values.classes()
         cells = len(self.values)
-        entries = [
-            (self.values[i], Fraction(count, cells))
-            for i, count in (groups[k] for k in sorted(groups))
-        ]
-        return Distribution(tuple(entries))
+        counts = np.bincount(labels).tolist()
+        return Distribution(
+            tuple((self.values[i], Fraction(n, cells)) for i, n in zip(first.tolist(), counts))
+        )
 
     def __repr__(self):
         return f"StepFn(p={self.p}, rank={self.rank}, cells={len(self.values)})"
@@ -149,19 +149,20 @@ class Distribution:
         self.entries = entries
 
     def measure_of(self, value) -> Fraction:
-        values = CycloArray.from_values([v for v, _ in self.entries] + [value])
-        *keys, key = map(tuple, values.keys().tolist())
-        return dict(zip(keys, (m for _, m in self.entries))).get(key, Fraction(0))
+        labels, _ = CycloArray.from_values([v for v, _ in self.entries] + [value]).classes()
+        *known, label = labels.tolist()
+        return dict(zip(known, (m for _, m in self.entries))).get(label, Fraction(0))
 
     def is_symmetric(self) -> bool:
         """True iff the law is invariant under negation.  Values must be real."""
         values = CycloArray.from_values(v for v, _ in self.entries)
         if values != values.conj():
             raise ValueError("symmetry is defined for real-valued laws only")
-        keys = values.keys()
+        # the first len(values) labels are the values', the rest their negations'
+        labels = CycloArray.from_values([values, -values]).classes()[0].tolist()
         measures = [m for _, m in self.entries]
-        table = dict(zip(map(tuple, keys.tolist()), measures))
-        return all(table.get(k) == m for k, m in zip(map(tuple, (-keys).tolist()), measures))
+        table = dict(zip(labels, measures))
+        return all(table.get(k) == m for k, m in zip(labels[len(values) :], measures))
 
 
 class PArySet:
@@ -260,14 +261,13 @@ def symmetric_decomposition(p: int, k: int, j: int) -> list[StepFn]:
     if not 1 <= j <= p - 1:
         raise ValueError(f"power must lie in 1..{p - 1}, got {j}")
     digits = np.arange(check_rank(p, k + 1)) % p
-    pieces = []
-    for m in range(1, p):
-        cos_m = root_of_unity(p, m * j).real_part()
-        # row 1 (cos_m) where the digit is m, row 2 (-cos_m) where it is 0, else row 0
-        rows = np.select([digits == m, digits == 0], [1, 2])
-        values = CycloArray.from_values([0, cos_m, -cos_m])[rows]
-        pieces.append(StepFn(p, k + 1, values))
-    return pieces
+    cosines = CycloArray.roots(p, j * np.arange(1, p)).real_part()
+    # row 0 holds 0, row m the cosine of piece m and row p - 1 + m its negation
+    table = CycloArray.from_values([0, cosines, -cosines])
+    return [
+        StepFn(p, k + 1, table[np.select([digits == m, digits == 0], [m, p - 1 + m])])
+        for m in range(1, p)
+    ]
 
 
 def independence_check(p: int, tables: Sequence[Sequence[object]]) -> bool:
@@ -283,13 +283,9 @@ def independence_check(p: int, tables: Sequence[Sequence[object]]) -> bool:
     if any(len(t) != p for t in tables):
         raise ValueError(f"each value table must have exactly {p} entries")
     check_rank(p, len(tables))
-    # label each digit by its value's residue key, so equal values share a label
-    labels = []
-    for table in tables:
-        seen: dict[tuple, int] = {}
-        keys = map(tuple, CycloArray.from_values(table).keys().tolist())
-        labels.append([seen.setdefault(key, len(seen)) for key in keys])
-    dims = [max(row) + 1 for row in labels]
+    # label each digit by its value's class, so equal values share a label
+    labels = [CycloArray.from_values(table).classes()[0] for table in tables]
+    dims = [int(row.max()) + 1 for row in labels]
     # the joint label of every cell's digits, counted over the whole p**(n+1) grid
     joint = np.bincount(
         np.ravel_multi_index(np.ix_(*labels), dims).ravel(), minlength=math.prod(dims)

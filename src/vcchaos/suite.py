@@ -1,9 +1,9 @@
 """The verification suite that `vcchaos verify` runs.
 
 verify_checks owns the suite's input rules: it refuses, before any check
-runs, a negative max rank and a run whose largest grid exceeds the cell cap,
-so the CLI passes only p, max rank and seed.  Only cli.cmd_verify imports
-this module, so no other command compiles it.
+runs, a negative max rank, a negative seed and a run whose largest grid
+exceeds the cell cap, so the CLI passes only p, max rank and seed.  Only
+cli.cmd_verify imports this module, so no other command compiles it.
 It must never import vcchaos.cli: under `python -m vcchaos.cli` the running
 CLI is __main__, so that import would compile and run the CLI module again.
 The overlap audit counts 0/1 arrays (stepfn.overlap_counts): verify loads no vcchaos.uniqueness.
@@ -57,7 +57,7 @@ def _audit_bits(rng: random.Random, p: int, rank: int, families: int):
 
 
 def verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
-    """The suite's checks (_verify_checks), once max rank >= 0 and its largest grids pass the cell cap.
+    """The suite's checks (_verify_checks), once max rank and seed are >= 0 and the largest grids fit the cap.
 
     Independence tallies rank depth + 1 <= k_mat + 1, and the inverse-identity
     and operator-norm checks build p**k_mat x p**k_mat exponent tables, so a
@@ -68,6 +68,9 @@ def verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
     check_rank(p, max(0, max_rank, k_mat + 1, 2 * k_mat))
     if max_rank < 0:
         raise ValueError(f"max rank must be >= 0, got {max_rank}")
+    # random.Random seeds with the absolute value of an int, so -s would rerun seed s
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return _verify_checks(p, max_rank, seed)
 
 

@@ -231,6 +231,7 @@ _SINGLE_FAULTS = [
     (["verify", "--p", "1", "--max-rank", "-1"], "base must be >= 2, got 1"),
     (["verify", "--p", "2", "--cell-cap", "2"], "2**6 cells exceed the cell cap 2"),
     (["verify", "--p", "2", "--cell-cap", "-1"], "cell cap must be >= 1, got -1"),
+    (["verify", "--p", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["VCCHAOS_CELL_CAP=0", "sharpness", "--p", "2", "--d", "2"], "cell cap must be >= 1, got 0"),
     (["VCCHAOS_CELL_CAP=not a number", "sharpness", "--p", "2", "--d", "2"],
      "invalid literal for int() with base 10: 'not a number'"),

@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +437,53 @@ def test_product_is_the_schoolbook_cyclic_convolution(data):
     assert product.nums.tolist() == expected
     j = data.draw(st.integers(-2 * r, 2 * r), label="rotation")
     assert a.rotated(j).nums.tolist() == [[u[(k - j) % r] for k in range(r)] for u in rows_a]
+
+
+# -- classes: one label per distinct value ------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classes_label_rows_alike_exactly_when_their_values_are_equal(data):
+    # rows (0, 0, 0) and (1, 1, 1) at order 3 are two forms of zero; the drawn
+    # values mix orders and denominators, some also in a disguised form
+    pool = [_array([[0, 0, 0]], 3), _array([[1, 1, 1]], 3)]
+    for _ in range(data.draw(st.integers(1, 4), label="values")):
+        order = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]), label="order")
+        row = [data.draw(_COEFFS) for _ in range(order)]
+        pool.append(_array([row], order))
+        if data.draw(st.booleans(), label="another form"):
+            pool.append(_array([_disguised(data, row, order)], order))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10), label="rows")
+    a = CycloArray.from_values([pool[i] for i in picks])
+    labels, first = a.classes()
+    assert labels.shape == (len(a),)
+    labels = labels.tolist()
+    for i in range(len(a)):
+        for j in range(len(a)):
+            assert (labels[i] == labels[j]) is (a[i] == a[j])
+    # labels are numbered in order of first appearance, and first[c] is label c's first row
+    assert first.tolist() == [labels.index(c) for c in range(len(first))]
+    assert set(labels) == set(range(len(first)))
+    assert first.tolist() == sorted(first.tolist())
+
+
+# grouping equal exact values by residue keys is the job of CycloArray.classes()
+_KEYS_CALL = re.compile(r"\.keys\(\)")
+
+
+def _keys_calls(path: Path) -> list[int]:
+    """Lines of the module that call .keys()."""
+    return [n for n, line in enumerate(path.read_text().splitlines(), 1) if _KEYS_CALL.search(line)]
+
+
+def test_only_cyclo_reads_keys():
+    package = Path(__file__).resolve().parent.parent / "src" / "vcchaos"
+    found = {path.name for path in package.glob("*.py") if _keys_calls(path)}
+    assert found == {"cyclo.py"}
+
+
+def test_the_keys_scan_sees_a_keys_call(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("k = values.keys()\nlabels, first = values.classes()\nkeys = 1\n")
+    assert _keys_calls(module) == [1]

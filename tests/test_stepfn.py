@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from vcchaos.cyclo import CycloArray, root_of_unity
 from vcchaos.pary import RankCapError, run_cell_cap
-from vcchaos.stepfn import Distribution, PArySet, StepFn, overlap_counts
+from vcchaos.stepfn import Distribution, PArySet, StepFn, overlap_counts, symmetric_decomposition
 from vcchaos.uniqueness import overlap_bound_check
 from vcchaos.vc import rademacher, synthesize
 
@@ -110,6 +110,21 @@ def test_distribution_examples():
     assert di.measure_of(0) == Fraction(1, 3)
     assert len(di.entries) == 3
     assert di.is_symmetric()
+
+
+def test_distribution_keys_each_distinct_row_once(monkeypatch):
+    # a decomposition piece holds 0, cos and -cos on its 7 cells: 3 distinct rows to key
+    pieces = [piece for j in range(1, 7) for piece in symmetric_decomposition(7, 0, j)]
+    keyed, keys = [], CycloArray.keys
+
+    def counted(self):
+        keyed.append(len(self))
+        return keys(self)
+
+    monkeypatch.setattr(CycloArray, "keys", counted)
+    laws = [piece.distribution() for piece in pieces]
+    assert len(keyed) == len(pieces) and max(keyed) <= 3
+    assert all(len(law.entries) == 3 for law in laws)
 
 
 def test_distribution_requires_real_for_symmetry():
