@@ -66,21 +66,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
-    """x**t mod Phi_order for t in 0..order-1, rows of length deg(Phi_order)."""
+def _power_residues(order: int) -> np.ndarray:
+    """Read-only (order, deg Phi_order) object array: row t is x**t mod Phi_order."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
     rows = []
     row = [0] * deg
     row[0] = 1
-    rows.append(tuple(row))
+    rows.append(row)
     for _ in range(1, order):
         row = [0] + row
         lead = row.pop()
         if lead:
             row = [c - lead * phi[i] for i, c in enumerate(row)]
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    table = np.array(rows, dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 def _first_seen(items) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +267,7 @@ class CycloArray:
 
         Rows of one array are equal values exactly when their keys are equal.
         """
-        return self.nums @ np.array(_power_residues(self.order), dtype=object)
+        return self.nums @ _power_residues(self.order)
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(labels, first): a class label per row and the first row of each class.

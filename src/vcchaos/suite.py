@@ -61,11 +61,13 @@ def verify_checks(p: int, max_rank: int, seed: int) -> list[tuple]:
 
     Independence tallies rank depth + 1 <= k_mat + 1, and the inverse-identity
     and operator-norm checks build p**k_mat x p**k_mat exponent tables, so a
-    run the cap would stop midway is refused before any check runs.
+    run the cap would stop midway is refused before any check runs.  No check
+    goes further (the overlap audit's rank min(max rank, 4) is at most
+    2 * k_mat), so every max rank from 4 up runs the same checks.
     """
     k_mat = min(max_rank, _VERIFY_DEPTH)
     # a negative max rank checks rank 0 here, so a bad base is named before it
-    check_rank(p, max(0, max_rank, k_mat + 1, 2 * k_mat))
+    check_rank(p, max(0, k_mat + 1, 2 * k_mat))
     if max_rank < 0:
         raise ValueError(f"max rank must be >= 0, got {max_rank}")
     # random.Random seeds with the absolute value of an int, so -s would rerun seed s

@@ -3,6 +3,9 @@
 Only `transform` imports this module, and it imports no other layer: a
 malformed file raises ValueError, which the CLI reports with exit code 2.
 
+A file of plain numerals in 1 or 2 columns is read by np.loadtxt; every
+other file by _parse_text, float() of each field, JSON and text alike.
+
 The text writer prints each float as repr() does, from arrays: the shortest
 decimal that reads back to the same double and, of those, the closest
 (Schubfach: R. Giulietti, "The Schubfach way to render doubles", 2020) is
@@ -18,9 +21,8 @@ import io
 
 import numpy as np
 
-# lines parsed per numpy call: bounds the token lists alive at once; also the
 # entries formatted per write
-_PARSE_BLOCK = 1 << 14
+_WRITE_BLOCK = 1 << 14
 
 # the bytes of a file of plain numerals: on these alone lines break only at
 # "\n", fields split only at space and tab, and numpy's field parser accepts
@@ -31,10 +33,9 @@ _NUMERAL_BYTES = b"0123456789+-.eE \t\n"
 def read_array(path: str) -> np.ndarray:
     """Complex entries of a JSON array or of text lines of 1 (real) or 2 (re im) fields.
 
-    A file of plain numerals in 1 or 2 columns is read by numpy's C
-    tokenizer; any other file, including every malformed one, by the
-    decoded text as open(path).read() gives it, so that parser alone
-    decides what else is accepted and words every error.
+    Any file np.loadtxt does not take, including every malformed one, is
+    decoded as open(path).read() gives it, and _parse_text alone decides
+    what else is accepted and words every error.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -68,7 +69,7 @@ def _read_numerals(data: bytes) -> np.ndarray | None:
 
 
 def _parse_text(text: str, path: str) -> np.ndarray:
-    """The entries of a decoded file: a JSON array, else text lines parsed _PARSE_BLOCK at a time."""
+    """float() of each field of a decoded file: a JSON array, else non-blank lines of 1 or 2 fields."""
     if text.lstrip().startswith("["):
         import json  # here, so that text files never load it
 
@@ -76,43 +77,20 @@ def _parse_text(text: str, path: str) -> np.ndarray:
             data = json.loads(text)
         except RecursionError:
             raise ValueError(f"arrays nested too deeply in {path}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON in {path}: {exc}") from None
         # a bare number is a real entry; an empty list fails float() below
         rows = (item if isinstance(item, list) and item else [item] for item in data)
-        try:
-            return np.array([complex(*map(float, row)) for row in rows], dtype=complex)
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
-            raise ValueError(f"malformed entry in {path}: {exc}") from None
-    # drop the text and then the line list once consumed: together they
-    # are most of the reader's peak memory
-    lines = text.splitlines()
-    del text
-    blocks = []
-    for lo in range(0, len(lines), _PARSE_BLOCK):
-        blocks.append(_parse_lines(lines[lo : lo + _PARSE_BLOCK], path))
-    del lines
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
-
-
-def _parse_lines(lines: list[str], path: str) -> np.ndarray:
-    """One complex entry per line of 1 or 2 whitespace-separated fields; blank lines skipped."""
-    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
-    if (counts > 2).any():
-        raise ValueError(f"malformed entry in {path}: more than 2 fields on a line")
+    else:
+        lines = text.splitlines()
+        if any(len(line.split()) > 2 for line in lines):
+            raise ValueError(f"malformed entry in {path}: more than 2 fields on a line")
+        rows = filter(None, map(str.split, lines))
     try:
-        # the joined block splits into every line's fields in order; float()
-        # semantics for each, as on the JSON path
-        fields = np.array(" ".join(lines).split(), dtype=float)
-    except ValueError as exc:
+        # one row's fields at a time: no per-line field lists are kept
+        return np.fromiter((complex(*map(float, row)) for row in rows), dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ValueError(f"malformed entry in {path}: {exc}") from None
-    counts = counts[counts > 0]
-    if len(fields) == 2 * len(counts):
-        return fields.view(complex)
-    out = np.zeros(len(counts), dtype=complex)
-    starts = np.cumsum(counts) - counts
-    out.real = fields[starts]
-    pairs = counts == 2
-    out.imag[pairs] = fields[starts[pairs] + 1]
-    return out
 
 
 def write_array(path: str, values: np.ndarray, as_json: bool) -> None:
@@ -124,8 +102,8 @@ def write_array(path: str, values: np.ndarray, as_json: bool) -> None:
             fh.write(json.dumps(list(zip(values.real.tolist(), values.imag.tolist()))) + "\n")
             return
         values = np.ascontiguousarray(values, dtype=complex)
-        for lo in range(0, len(values), _PARSE_BLOCK):
-            fh.write(_repr_lines(values[lo : lo + _PARSE_BLOCK]))
+        for lo in range(0, len(values), _WRITE_BLOCK):
+            fh.write(_repr_lines(values[lo : lo + _WRITE_BLOCK]))
 
 
 # -- shortest round-trip digits (Schubfach) on uint64 arrays --------------------

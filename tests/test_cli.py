@@ -51,8 +51,22 @@ def test_verify_invalid_base_is_config_error(capsys):
     assert run(["verify", "--p", "1"]) == 2
 
 
-def test_verify_rank_cap_is_config_error():
-    assert run(["verify", "--p", "2", "--max-rank", "40"]) == 2
+def test_verify_rank_cap_is_config_error(capsys):
+    # the deepest grid a check builds is rank 2 * min(max rank, 3): 20**6 cells here
+    assert run(["verify", "--p", "20", "--max-rank", "40"]) == 2
+    assert capsys.readouterr().err == "error: 20**6 cells exceed the cell cap 10000000\n"
+
+
+def test_a_max_rank_past_the_deepest_check_runs_the_same_suite(tmp_path):
+    # no check goes past rank 6, so 2**24 cells are never built and the run is not refused
+    reports = []
+    for max_rank in ("7", "24"):
+        out = tmp_path / f"{max_rank}.json"
+        assert run(["verify", "--p", "2", "--max-rank", max_rank, "--seed", "5", "--out", str(out)]) == 0
+        report = drop_timings(load_report(out))
+        assert report["config"].pop("max_rank") == int(max_rank)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_verify_rank_zero_passes(tmp_path):

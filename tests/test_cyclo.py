@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcchaos.cyclo import CycloArray, cyclotomic_polynomial, root_of_unity
+from vcchaos.cyclo import CycloArray, _power_residues, cyclotomic_polynomial, root_of_unity
 
 
 def _value(order, coeffs):
@@ -67,6 +67,18 @@ def test_cyclotomic_polynomials():
         assert acc.is_zero()
         [(z, err)] = _scalar_eval(acc)
         assert abs(z) <= err
+
+
+def test_the_residue_table_is_built_once_per_order_and_read_only():
+    # keys() multiplies by it on every call, so no call may rebuild or change it
+    table = _power_residues(12)
+    assert _power_residues(12) is table
+    assert not table.flags.writeable and table.dtype == object
+    # x**t mod x**4 - x**2 + 1: rows 0..3 the unit vectors, row 4 = x**2 - 1, row 6 = -1
+    assert table.tolist()[:7] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                                  [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, 0, 0]]
+    with pytest.raises(ValueError):
+        table[0, 0] = 2
 
 
 def _random_value(rng, order):

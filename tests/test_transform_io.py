@@ -71,7 +71,7 @@ def numeral_files(draw, columns=None):
 def test_the_numpy_reader_matches_the_reference_parser_bit_for_bit(text):
     fast = textio._read_numerals(text.encode())
     assert fast is not None
-    assert bits(fast) == bits(textio._parse_lines(text.splitlines(), "in.txt"))
+    assert bits(fast) == bits(textio._parse_text(text, "in.txt"))
     assert bits(fast) == bits(reference_entries(text))
 
 
@@ -119,15 +119,21 @@ def test_files_outside_the_numerals_take_the_reference_parser(tmp_path, data, ex
     [
         (b"1 2 3\n4\n", "malformed entry in {}: more than 2 fields on a line"),
         (b"1 2 3\n4 5 6\n", "malformed entry in {}: more than 2 fields on a line"),
+        # every line's field count is checked before any field is converted, however long the file
+        (b"1 2\n" * 4 + b"abc\n" + b"1 2\n" * 16_994 + b"1 2 3\n" + b"1 2\n" * 3_000,
+         "malformed entry in {}: more than 2 fields on a line"),
         (b"1\n1e\n", "malformed entry in {}: could not convert string to float: '1e'"),
         (b"1e999\n1\n", "non-finite entry in {}"),
         (b"\xff1\n2\n", None),
         (b"1\n\xe9\n", None),
         (b"", "length must be positive"),
         (b"[" + b"1" * 400 + b"]", "malformed entry in {}: int too large to convert to float"),
+        (b"[1, 2", "malformed JSON in {}: Expecting ',' delimiter: line 1 column 6 (char 5)"),
+        (b"[" * 100000, "arrays nested too deeply in {}"),
     ],
-    ids=["three-fields-then-one", "three-fields", "bad-numeral", "overflow", "non-utf8",
-         "latin-1", "empty", "json-integer-overflow"],
+    ids=["three-fields-then-one", "three-fields", "three-fields-on-line-17000-after-a-bad-numeral",
+         "bad-numeral", "overflow", "non-utf8", "latin-1", "empty", "json-integer-overflow",
+         "malformed-json", "json-nested-too-deeply"],
 )
 def test_rejected_files_exit_2_with_the_reference_message(tmp_path, capsys, data, message):
     src, out = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -142,7 +148,21 @@ def test_rejected_files_exit_2_with_the_reference_message(tmp_path, capsys, data
     assert not out.exists()
 
 
-BLOCK = textio._PARSE_BLOCK
+@pytest.mark.parametrize(
+    "line",
+    [lambda i: f"{i} {-i / 7!r}\r\n", lambda i: f"{i / 3!r}\n" if i % 2 else f"{i} 0.5\n"],
+    ids=["crlf", "ragged"],
+)
+def test_a_long_file_outside_the_numerals_parses_as_float_does(tmp_path, line):
+    # past 2**14 lines, where a reader that chunked its lines would start a second chunk
+    src = tmp_path / "in.txt"
+    text = "".join(map(line, range(2**14 + 3)))
+    src.write_bytes(text.encode())
+    assert textio._read_numerals(text.encode()) is None
+    assert bits(cli._read_array(str(src))) == bits(reference_entries(text))
+
+
+BLOCK = textio._WRITE_BLOCK
 
 
 @pytest.mark.parametrize("length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
