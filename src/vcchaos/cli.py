@@ -158,9 +158,7 @@ def cmd_khinchin(args) -> int:
     spec = _index_spec_from_args(args)
 
     def estimate():
-        report = estimate_constant(
-            spec, args.q, args.N, args.trials, args.seed, args.optimizer, args.mode
-        )
+        report = estimate_constant(spec, args.q, args.N, args.trials, args.seed, args.optimizer)
         values = {
             "best_ratio": report.best_ratio,
             "members": report.members,
@@ -320,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("exact", "float"),
         default="exact",
-        help="exact certifies even-q ratios in rational arithmetic",
+        help="accepted and echoed in the report's config, but selects nothing: "
+        "every even q is certified exactly, other q carry a proven error bound",
     )
     sp.add_argument("--l1", action="store_true", help="also estimate the L1 lower constant")
     sp.set_defaults(func=cmd_khinchin)

@@ -28,8 +28,9 @@ members, against M**h for a pass.  For other q they are the cell values f,
 and a move is f + delta * rows[i], O(cells).  A scorer's reset is its one
 full evaluation: it scores the random starts, and an accepted move resets
 at the renormalized point, so the ascent's last reset is the full
-evaluation of its final point that estimate_constant reports and that the
-float error bounds are proven for.
+evaluation of its final point.  For odd and fractional q, estimate_constant
+reports it with the float error bound proven for it; for even q, the
+correctly rounded q-th root of the point's exact ratio**q (_nearest_root).
 """
 
 from __future__ import annotations
@@ -116,6 +117,30 @@ def _ratio_pow_exact(coeffs: Mapping[int, object], tables: list[tuple]) -> Fract
     if s_1 == 0:
         raise ValueError("coefficient vector is zero")
     return Fraction(s_h, s_1 ** (len(tables) + 1))
+
+
+def _nearest_root(value: Fraction, q: int) -> float:
+    """The double nearest value**(1/q), ties to even, for a value > 0 whose root is a normal double.
+
+    s puts R = value**(1/q) * 2**s in [2**54, 2**56), and x = floor(R), found
+    in integers, holds the 53 bits kept and the bits below them.  Only when
+    those are exactly one half does R > x matter, and one exact comparison
+    decides it, so exact roots and ties come out right.
+    """
+    a, b = value.numerator, value.denominator
+    # value > 2**(bits(a) - bits(b) - 1), so R > 2**54
+    s = 54 - (a.bit_length() - b.bit_length() - 1) // q
+    num, den = (a << q * s, b) if s >= 0 else (a, b << -q * s)
+    # x = floor(root of y) by integer Newton steps, from 2**ceil(bits / q) above it
+    y = num // den
+    x = 1 << -(-y.bit_length() // q)
+    while (step := ((q - 1) * x + y // x ** (q - 1)) // q) < x:
+        x = step
+    k = x.bit_length() - 53
+    m, rest, half = x >> k, x & ((1 << k) - 1), 1 << (k - 1)
+    if rest > half or rest == half and (x**q * den < num or m & 1):
+        m += 1
+    return math.ldexp(m, k - s)
 
 
 def _members(spec: IndexSpec, upper: int) -> list[int]:
@@ -217,63 +242,6 @@ def _synthesis_error_bound(c: np.ndarray, cells: int, q, ratio: float) -> float:
     mass = float(np.sum(np.abs(c)))
     cell_err = (math.sqrt(2) * _gamma(2 * c.size) * (1 + _ROOT_ERR) + _ROOT_ERR) * mass
     return 1.03 * (cell_err / float(np.linalg.norm(c)) + _gamma(count) * ratio)
-
-
-def _moment_error_bound(c: np.ndarray, tables: list[tuple], ratio: float) -> float:
-    """Absolute error bound for ratio = _EvenRatio(p, members, q).reset(c), tables its _sum_tables.
-
-    Model: pary's float error model, u = _U and gamma = _gamma, with a
-    real product that underflows off by at most 2**-1075.  Let q = 2h,
-    M = c.size, B the level-h bins (M when h = 1), T = M**h,
-    mass = sum|c_m| and n = ||c||_2.
-    The code returns inf unless h (B + 4M + 64) u <= 0.005, h T <= 2**40,
-    n**h >= 2**-399, max(1, mass)**h <= 2**399 and rho, r <= 0.009.
-
-    Levels.  G_1 = c and G_(j+1)(b) = sum of G_j(t) c_m over the pairs (t, m)
-    with digitwise sum b, and G^_j is the computed G_j.  A_j is the same
-    recursion on |c|, so |G_j| <= A_j, and by Young's inequality on the group
-    of digit vectors, ||A_h||_2 <= mass**(h-1) n.  Each part of a complex product a*b sums two
-    real products, so the product is off by at most sqrt(2) gamma(2) |a||b|
-    (|a_r b_r| + |a_i b_i| <= |a||b|), plus 2**-1073 from underflow.  A bin
-    sums at most M products, one per member m (its t is b minus m
-    digitwise), and np.add.at adds them off by sqrt(2) gamma(M - 1) times
-    the sum of their moduli.  As (1 + gamma(2))**2 (1 + gamma(M - 1)) <=
-    1 + gamma(M + 3), with eps = sqrt(2) gamma(M + 3) each computed level
-    has |G^_(j+1) - (G^_j conv c)| <= eps (|G^_j| conv |c|) + M 2**-1072 per
-    bin.  By induction |G^_j - G_j| <= e_j A_j + U_j with
-    e_j = (1 + eps)**(j-1) - 1 <= (j-1) eps / (1 - (j-1) eps), and
-    ||U_h||_2 <= 2 h T**1.5 max(1, mass)**h 2**-1072 <= 2**-200 n**h.
-
-    Relative error.  By Parseval and Lyapunov (q >= 2),
-    ||G_h||_2 = ||f||_q**h >= ||f||_2**h = n**h, so ||G^_h||_2 =
-    ||G_h||_2 (1 + eta) with |eta| <= rho := e_h (mass/n)**(h-1) + 2**-200.
-    A square of a bin or of a c_m that underflows is off by 2**-1075, which
-    moves no sum of at least 2**-800 by a relative 2**-200.  So the computed
-    sum of squares over the B bins is ||G^_h||**2 (1 + t) with
-    |t| <= gamma(B + 18), and sum|c_m|**2 is n**2 (1 + t'),
-    |t'| <= gamma(M + 18).  The power's exponent fl(1/q) is off by u/q, a
-    factor exp(e) on it with |e| <= lam := u (|ln ratio| + |ln n| + 1).
-    So the powers, roots and roundings multiply ||G^_h||**(1/h) / n by k
-    with |k - 1| <= r := gamma(B + 2M + 64) + 2 lam.  With R =
-    ||G_h||**(1/h) / n the exact ratio of c, ratio = R (1 + eta)**(1/h) k,
-    and |(1 + eta)**(1/h) - 1| <= rho, so
-        |ratio - R| <= R (rho + r + rho r) <= 1.03 ratio (rho + r)
-    for rho, r <= 0.01.  The computed mass and n are each within a factor
-    1 + gamma(2M + 20) of the true ones, so (mass/n)**(h-1) is within a
-    factor 1 + gamma(h (4M + 40)) <= 1.006, and this formula in floats stays
-    inside the factor 1.04 below.
-    """
-    h, count = len(tables) + 1, c.size
-    bins = tables[-1][1] if tables else count
-    mass, norm = float(np.sum(np.abs(c))), float(np.linalg.norm(c))
-    if h * (bins + 4 * count + 64) * _U > 0.005 or h * count**h > 2**40 or not norm > 0:
-        return math.inf
-    if h * math.log2(norm) < -399 or h * math.log2(max(1.0, mass)) > 399:
-        return math.inf
-    levels_err = (h - 1) * math.sqrt(2) * _gamma(count + 3)
-    rho = levels_err / (1 - levels_err) * (mass / norm) ** (h - 1) + 2.0**-200
-    r = _gamma(bins + 2 * count + 64) + 2 * _U * (abs(math.log(ratio)) + abs(math.log(norm)) + 1)
-    return 1.04 * ratio * (rho + r) if max(rho, r) <= 0.009 else math.inf
 
 
 # -- seeded sampling and sphere ascent ----------------------------------------
@@ -539,20 +507,15 @@ class KhinchinReport:
 
 
 def estimate_constant(
-    spec: IndexSpec,
-    q,
-    upper: int,
-    trials: int,
-    seed: int,
-    optimizer: str = "ascent",
-    mode: str = "exact",
+    spec: IndexSpec, q, upper: int, trials: int, seed: int, optimizer: str = "ascent"
 ) -> KhinchinReport:
     """Best-effort lower bound for the L2-Lq ratio constant over the index set.
 
     Random unit-sphere starts (one per trial) plus optional coordinate-ascent
-    refinement of the best start.  Deterministic under (seed, trials).  In
-    exact mode the reported ratio for even q is certified in rational
-    arithmetic; float mode skips certification and reports an error bound.
+    refinement of the best start.  Deterministic under (seed, trials).  For
+    even q the final point's ratio**q is certified as an exact rational and
+    the reported ratio is its correctly rounded q-th root; for other q the
+    ratio is the float evaluation of the final point with a proven error bound.
     """
     # nan fails both comparisons; an int of any size passes them
     if not -math.inf < q < math.inf:
@@ -563,8 +526,6 @@ def estimate_constant(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if optimizer not in ("random", "ascent"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
     members = _members(spec, upper)
     objective = _ratio_objective(spec.p, members, q)
     best_c, best_val = _seeded_search(objective, len(members), trials, seed)
@@ -574,14 +535,11 @@ def estimate_constant(
         best_c, best_val, counters = _ascent(objective, best_c)
         method += " + coordinate ascent"
     coeffs = {n: complex(c) for n, c in zip(members, best_c)}
-    exact_pow = None
-    ratio_err = None
-    if mode == "exact" and _is_even(q):
+    exact_pow = ratio_err = None
+    if _is_even(q):
         # the objective's sum tables are over the same members in the same order
         exact_pow = _ratio_pow_exact(coeffs, objective.tables)
-        best_val = float(exact_pow) ** (1.0 / q)
-    elif _is_even(q):
-        ratio_err = _moment_error_bound(best_c, objective.tables, best_val)
+        best_val = _nearest_root(exact_pow, q)
     else:
         ratio_err = _synthesis_error_bound(best_c, objective.rows.shape[1], q, best_val)
     return KhinchinReport(

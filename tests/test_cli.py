@@ -131,17 +131,74 @@ def test_run_cell_cap_does_not_leak(monkeypatch):
 
 
 def test_khinchin_float_mode_reports_error_bound(tmp_path):
+    # --mode selects nothing: an even q is certified exactly, other q carry an error bound
     out = tmp_path / "report.json"
-    code = run(
-        [
-            "khinchin", "--p", "2", "--d", "1", "--set", "v", "--q", "4",
-            "--N", "16", "--trials", "10", "--seed", "1", "--mode", "float",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
+    args = ["khinchin", "--p", "2", "--d", "1", "--set", "v", "--N", "16", "--trials", "10"]
+    args += ["--seed", "1", "--mode", "float", "--out", str(out)]
+    assert run([*args, "--q", "4"]) == 0
+    values = load_report(out)["checks"][0]["values"]
+    assert "best_ratio_pow_exact" in values and "best_ratio_err" not in values
+    assert _is_nearest_root(values["best_ratio"], Fraction(values["best_ratio_pow_exact"]), 4)
+    assert run([*args, "--q", "3"]) == 0
     values = load_report(out)["checks"][0]["values"]
     assert "best_ratio_err" in values and "best_ratio_pow_exact" not in values
+
+
+def _is_nearest_root(x, value, q):
+    """Whether the double x is the nearest double to value**(1/q), ties to even, checked exactly.
+
+    x must be positive and normal: the roots that round to it are those between
+    the midpoints to its neighbours, and a root at a midpoint rounds to x when x
+    is even, that is when x's successor is odd.
+    """
+    below = (Fraction(x) + Fraction(math.nextafter(x, 0))) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    even = math.frexp(x)[0] * 2**53 % 2 == 0
+    if even:
+        return below**q <= value <= above**q
+    return below**q < value < above**q
+
+
+def _float_values_are_bounded_or_certified(values, q):
+    """Every float in a check's values is an *_err bound, has one, or is best_ratio's certified root."""
+    for name, value in values.items():
+        if not isinstance(value, float) or name.endswith("_err") or f"{name}_err" in values:
+            continue
+        if name != "best_ratio" or "best_ratio_pow_exact" not in values:
+            return False
+        if not _is_nearest_root(value, Fraction(values["best_ratio_pow_exact"]), q):
+            return False
+    return True
+
+
+V22 = ["--p", "2", "--d", "2", "--set", "v", "--N", "15"]
+VTILDE31 = ["--p", "3", "--d", "1", "--set", "vtilde", "--N", "26"]
+
+
+@pytest.mark.parametrize(
+    "config, q, ratio",
+    [
+        pytest.param([*spec, "--q", q, "--trials", "5", "--seed", "1"], q, None, id=f"{name}-q{q}")
+        for name, spec in (("v22", V22), ("vtilde31", VTILDE31))
+        for q in ("2", "2.5", "3", "4", "6")
+    ]
+    # float(ratio**6) ** (1/6) printed 1.9924284159166457, one ulp below the nearest root
+    + [pytest.param([*V22, "--q", "6", "--trials", "20", "--seed", "2"], "6", 1.9924284159166459,
+                    id="v22-q6-seed2")],
+)
+def test_khinchin_modes_print_the_same_certified_report(tmp_path, config, q, ratio):
+    q = int(q) if float(q).is_integer() else float(q)
+    reports = {}
+    for mode in ("exact", "float"):
+        out = tmp_path / f"{mode}.json"
+        assert run(["khinchin", *config, "--l1", "--mode", mode, "--out", str(out)]) == 0
+        reports[mode] = report = drop_timings(load_report(out))
+        assert report["config"].pop("mode") == mode
+        for check in report["checks"]:
+            assert _float_values_are_bounded_or_certified(check["values"], q), check
+    assert reports["exact"] == reports["float"]
+    if ratio is not None:
+        assert reports["exact"]["checks"][0]["values"]["best_ratio"] == ratio
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,18 @@ from vcchaos.indices import (
 from vcchaos.pary import digit_array, digitwise_add
 
 
+def _digits(n, p):
+    """Base-p digits of n >= 0, least significant first, by divmod: the oracles' own expansion."""
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
 def contains_loop(spec, n):
     """The per-index membership test member_mask replaced, kept as its oracle."""
-    support = [(k, d) for k, d in enumerate(digit_array(n, spec.p).tolist()) if d]
+    support = [(k, d) for k, d in enumerate(_digits(n, spec.p)) if d]
     return len(support) in spec.weights() and all(d in spec.digits_at(k) for k, d in support)
 
 
@@ -31,8 +40,7 @@ def brute_force_members(spec, upper):
     """Oracle: filter 1..upper by the digit definition directly."""
     out = []
     for n in range(1, upper + 1):
-        digits = digit_array(n, spec.p).tolist()
-        support = [(k, d) for k, d in enumerate(digits) if d]
+        support = [(k, d) for k, d in enumerate(_digits(n, spec.p)) if d]
         s = len(support)
         if spec.kind.value == "v":
             ok = s <= spec.order and all(d == 1 for _, d in support)

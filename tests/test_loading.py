@@ -131,6 +131,8 @@ def test_khinchin_and_verify_load_only_their_layers(tmp_path):
     # the exact certificate of an even-q ratio needs no cyclotomic layer either
     exact = _layers_loaded(tmp_path, [*khinchin, "--q", "4", "--mode", "exact", "--l1"])
     assert exact == layers
+    # --mode float certifies every even q the same way
+    assert _layers_loaded(tmp_path, [*khinchin, "--q", "6", "--mode", "float"]) == layers
     loaded = _layers_loaded(tmp_path, ["verify", "--p", "3", "--max-rank", "2", "--seed", "1"])
     assert "vcchaos.stepfn" in loaded and not loaded & {"vcchaos.khinchin", "vcchaos.textio"}
     # the overlap audit counts its draws with stepfn's kernel, not uniqueness's PArySet audit
