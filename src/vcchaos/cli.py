@@ -114,7 +114,7 @@ def cmd_sharpness(args) -> int:
         return report.holds, {
             "threshold": rational_str(report.threshold),
             "level_set_measure": rational_str(report.level_set_measure),
-            "support_size": len(report.support),
+            "support_size": report.support_size,
         }
 
     anchor = "chaos polynomial equals a nonzero constant on measure 1 - threshold"

@@ -148,6 +148,12 @@ def test_criterion_04_sharpness_thresholds():
             assert all(
                 n == 0 or v.contains(v.unit_chaos(p, d), n) for n in unit.support
             )
+            # it is the paper's polynomial prod_{k<d} (1 - R_k), built cell by cell
+            product = StepFn.constant(p, 1)
+            for k in range(d):
+                product = product * (1 - v.rademacher(p, k))
+            assert unit.level_set == product.level_set(0)
+            assert unit.coefficients == v.vc_transform_exact(product.values, p)
             full = v.witness_full_chaos(p, d)
             assert full.level_set_measure == 1 - Fraction(1, p**d)
             assert full.support_ok

@@ -15,7 +15,7 @@ import pytest
 
 from vcchaos import cli, khinchin, stepfn, suite, uniqueness
 from vcchaos.cli import main
-from vcchaos.indices import full_chaos
+from vcchaos.indices import IndexKind, full_chaos
 from vcchaos.khinchin import KhinchinReport, estimate_l1_constant
 from vcchaos.pary import RankCapError, check_rank, run_cell_cap
 from vcchaos.vc import exponent_table, vc_function
@@ -311,6 +311,7 @@ _SINGLE_FAULTS = [
     (["sharpness", "--p", "2", "--d", "-2"], "d must be >= 1, got -2"),
     (["sharpness", "--p", "2", "--d", "3", "--cell-cap", "4"], "2**3 cells exceed the cell cap 4"),
     (["sharpness", "--p", "1000000000", "--d", "1"], "1000000000**1 cells exceed the cell cap 10000000"),
+    (["sharpness", "--p", "10", "--d", "8"], "10**8 cells exceed the cell cap 10000000"),
     (_K + ["--p", "1"], "base must be >= 2, got 1"),
     (_K + ["--p", "2", "--trials", "0"], "trials must be >= 1, got 0"),
     (_K + ["--p", "2", "--trials", "0", "--l1"], "trials must be >= 1, got 0"),
@@ -465,10 +466,18 @@ def test_sharpness_report_values(tmp_path):
 
 
 def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
-    # R_k -> VC_(2 p^k) = R_k^2: the unit witness expands onto indices with a
-    # digit 2; the full witness never reads rademacher, so it still holds
-    monkeypatch.setattr(uniqueness, "rademacher", lambda p, k: vc_function(p, 2 * p**k))
-    assert uniqueness.witness_unit_chaos(3, 2).holds is False
+    # the unit factor 1 - R_0 -> 1 - R_0**2: the unit witness expands onto indices
+    # with a digit 2; the full witness's factor is left alone, so it still holds
+    certify = uniqueness._certify
+
+    def squared(factor, expected, spec, threshold):
+        if spec.kind is IndexKind.UNIT_CHAOS:
+            factor = 1 - vc_function(spec.p, 2).values
+        return certify(factor, expected, spec, threshold)
+
+    monkeypatch.setattr(uniqueness, "_certify", squared)
+    unit = uniqueness.witness_unit_chaos(3, 2)
+    assert unit.holds is False and not unit.support_ok and not unit.coefficients_ok
     assert uniqueness.witness_full_chaos(3, 2).holds is True
     out = tmp_path / "sharp.json"
     assert run(["sharpness", "--p", "3", "--d", "2", "--out", str(out)]) == 1
@@ -483,6 +492,10 @@ def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
         (3, 5, ("211/243", 32, "32/243"), ("242/243", 243, "1/243")),
         (6, 3, ("91/216", 8, "125/216"), ("215/216", 216, "1/216")),
         (7, 5, ("9031/16807", 32, "7776/16807"), ("16806/16807", 16807, "1/16807")),
+        (3, 13, ("1586131/1594323", 8192, "8192/1594323"), ("1594322/1594323", 1594323, "1/1594323")),
+        (2, 20, ("1048575/1048576", 1048576, "1/1048576"), ("1048575/1048576", 1048576, "1/1048576")),
+        # 10**7 cells, the default cell cap
+        (10, 7, ("5217031/10000000", 128, "4782969/10000000"), ("9999999/10000000", 10000000, "1/10000000")),
     ],
 )
 def test_sharpness_values_golden(tmp_path, p, d, unit, full):

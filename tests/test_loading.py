@@ -139,6 +139,15 @@ def test_khinchin_and_verify_load_only_their_layers(tmp_path):
     assert "vcchaos.uniqueness" not in loaded
 
 
+def test_sharpness_loads_no_step_function_layer(tmp_path):
+    # each witness is certified at its rank-1 factor, so no StepFn or PArySet is built
+    assert _layers_loaded(tmp_path, ["sharpness", "--p", "3", "--d", "4"]) == {
+        "vcchaos", "vcchaos.cli", "vcchaos.pary", "vcchaos.cyclo", "vcchaos.indices", "vcchaos.vc",
+        "vcchaos.uniqueness",
+    }
+    assert "vcchaos.stepfn" not in _imports_of(tmp_path, COMMANDS["sharpness"])
+
+
 def _imports_of(tmp_path, argv):
     """The modules a `python -m vcchaos.cli` process imports, as -X importtime lists them."""
     done = subprocess.run(

@@ -6,7 +6,6 @@ the checks each one makes, and IndexSpec's value semantics.
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from vcchaos.cyclo import CycloArray
@@ -88,23 +87,29 @@ def test_distribution_checks_its_measures():
 def test_sharpness_report_fields_and_holds():
     report = witness_full_chaos(2, 1)
     assert report.index_set == full_chaos(2, 1)
-    assert report.support.tolist() == [0, 1]
+    assert report.factor == CycloArray.from_values([2, 0])
+    assert report.factor_coefficients == CycloArray.from_values([1, 1])
+    assert report.support.tolist() == [0, 1] and report.support_size == 2
+    assert report.coefficients == CycloArray.from_values([1, 1])
     assert report.level_set == PArySet(2, 1, [0, 1])
     assert (report.level_set_measure, report.threshold) == (Fraction(1, 2), Fraction(1, 2))
     assert report.support_ok and report.coefficients_ok and report.holds
     fields = [
-        full_chaos(2, 1), np.array([0, 1]), CycloArray.from_values([1, 1]),
-        PArySet(2, 1, [0, 1]), Fraction(1, 2), True, True,
+        full_chaos(2, 1), CycloArray.from_values([2, 0]), CycloArray.from_values([1, 1]),
+        Fraction(1, 2), True, True,
     ]
     assert SharpnessReport(*fields).holds
-    # any one failed part fails the certificate
-    for i, bad in [(5, False), (6, False), (1, np.array([0]))]:
+    # any one failed part fails the certificate; an expansion at index 0 alone has no chaos term
+    for i, bad in [(4, False), (5, False), (2, CycloArray.from_values([1, 0]))]:
         assert not SharpnessReport(*fields[:i], bad, *fields[i + 1 :]).holds
-    # the measure is the level set's own: a set of measure 1/4 does not complement 1/2
-    quarter = SharpnessReport(*fields[:3], PArySet.from_cells(2, 2, [3]), *fields[4:])
-    assert quarter.level_set_measure == Fraction(1, 4) and not quarter.holds
+    # the measure is the factor's own: a factor without a zero cell has a level set of measure 0
+    nowhere = SharpnessReport(fields[0], CycloArray.from_values([1, 1]), *fields[2:])
+    assert nowhere.level_set_measure == 0 and not nowhere.holds
+    assert nowhere.level_set == PArySet(2, 0, [0])
     with pytest.raises(AttributeError):
         report.level_set_measure = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        report.support_size = 2
 
 
 def test_khinchin_report_defaults_and_fresh_dicts():

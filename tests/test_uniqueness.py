@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from vcchaos import pary, uniqueness
-from vcchaos.cyclo import CycloArray
-from vcchaos.indices import contains
+from vcchaos.cli import main
+from vcchaos.cyclo import CycloArray, root_of_unity
+from vcchaos.indices import contains, digit_pattern, exact_weight, full_chaos, member_mask, unit_chaos
 from vcchaos.stepfn import PArySet, StepFn
 from vcchaos.uniqueness import overlap_bound_check, witness_full_chaos, witness_unit_chaos
 from vcchaos.vc import rademacher, vc_function, vc_transform_exact
@@ -60,58 +62,175 @@ def _digitwise_products(p, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
-def test_witnesses_match_the_digitwise_products(monkeypatch, p, d):
-    expected = []
-    certify = uniqueness._certify
-
-    def recording(values, expect, *rest):
-        expected.append(expect)
-        return certify(values, expect, *rest)
-
-    monkeypatch.setattr(uniqueness, "_certify", recording)
-    for builder, reference in zip((witness_unit_chaos, witness_full_chaos), _digitwise_products(p, d)):
-        witness = builder(p, d)
+def test_witnesses_match_the_digitwise_products(p, d):
+    unit, full = witness_unit_chaos(p, d), witness_full_chaos(p, d)
+    for witness, reference in zip((unit, full), _digitwise_products(p, d)):
         assert witness.holds
         assert witness.coefficients == vc_transform_exact(reference.values, p)
         assert witness.level_set == (reference - 1).level_set(-1)
-    # the unit witness's expected expansion: (-1)**s where every digit is 0 or 1, s of them 1
+    # the certified unit expansion: (-1)**s where every digit is 0 or 1, s of them 1
     digits = pary.digit_array(np.arange(p**d), p, d)
     signs = np.where((digits <= 1).all(axis=1), 1 - 2 * (digits.sum(axis=1) % 2), 0)
-    assert expected[0] == CycloArray(1, signs.astype(object).reshape(-1, 1))
-    # the full witness's: 1 at every index below p**d
-    assert len(expected[1]) == p**d and expected[1] == 1
+    assert unit.coefficients == CycloArray(1, signs.astype(object).reshape(-1, 1))
+    # the full one's: 1 at every index below p**d
+    assert len(full.coefficients) == p**d and full.coefficients == 1
 
 
 @pytest.mark.parametrize("p, d", [(2, 12), (3, 6)])
-def test_witnesses_build_only_rank_1_factors(monkeypatch, p, d):
-    # each witness is a tensor power of one factor, so no VC function or digit
-    # table is built on the rank-d grid; the support's index-set membership
-    # (indices.member_mask) reads digits through its own import and is not counted
-    ranks, sizes, orders = [], [], []
-
-    def recorded(p, k):
-        fn = rademacher(p, k)
-        ranks.append(fn.rank)
-        return fn
-
-    digit_array = pary.digit_array
-
-    def counted(values, *args):
-        sizes.append(np.size(values))
-        return digit_array(values, *args)
+def test_witnesses_build_only_rank_1_factors(monkeypatch, tmp_path, p, d):
+    # a sharpness run certifies each witness at its rank-1 factor: every exact
+    # transform, cyclotomic array and digit table it builds has at most p entries
+    sizes, orders, rows, digit_sizes = [], [], [], []
 
     def transformed(values, *args):
+        sizes.append(len(values))
         orders.append(values.order)
         return vc_transform_exact(values, *args)
 
-    monkeypatch.setattr(uniqueness, "rademacher", recorded)
-    monkeypatch.setattr(pary, "digit_array", counted)
+    init = CycloArray.__init__
+
+    def counted_rows(self, order, nums, denom=1):
+        rows.append(len(nums))
+        init(self, order, nums, denom)
+
+    digit_array = pary.digit_array
+
+    def counted_digits(values, *args):
+        digit_sizes.append(np.size(values))
+        return digit_array(values, *args)
+
     monkeypatch.setattr(uniqueness, "vc_transform_exact", transformed)
-    assert witness_unit_chaos(p, d).holds and witness_full_chaos(p, d).holds
-    assert ranks and max(ranks) <= 1
-    assert sizes and max(sizes) <= p
+    monkeypatch.setattr(CycloArray, "__init__", counted_rows)
+    monkeypatch.setattr(pary, "digit_array", counted_digits)
+    assert main(["sharpness", "--p", str(p), "--d", str(d), "--out", str(tmp_path / "sharp.json")]) == 0
+    assert sizes == [p, p]
+    assert rows and max(rows) <= p
+    assert all(size <= p for size in digit_sizes)
     # the full factor's cells are the rationals (p, 0, ..., 0), not a sum of roots of unity
     assert orders == [p, 1]
+
+
+def _rank_d_certificate(factor, expected, spec, threshold):
+    """The certificate computed on the p**d grid, cell by cell: a brute-force oracle.
+
+    The witness's cell values are digitwise products of the factor's; its
+    whole exact expansion is compared with the expected factor's tensor power,
+    the support's membership is read by indices.member_mask, and the level set
+    {P = 0} by the zero test of every cell.
+    """
+    p, d = spec.p, spec.order
+    digits = pary.digit_array(np.arange(p**d), p, d)
+
+    def power(row):
+        out = row[digits[:, 0]]
+        for k in range(1, d):
+            out = out * row[digits[:, k]]
+        return out
+
+    values = power(factor)
+    coeffs = vc_transform_exact(values, p, "forward")
+    support = np.flatnonzero(~coeffs.is_zero())
+    level_set = PArySet(p, d, values.is_zero())
+    support_ok = bool(member_mask(spec, support[support != 0]).all())
+    coefficients_ok = coeffs == power(expected)
+    nonzero_index = bool((support != 0).any())
+    holds = level_set.measure() + threshold == 1 and nonzero_index and support_ok and coefficients_ok
+    return {
+        "support": support,
+        "coefficients": coeffs,
+        "level_set": level_set,
+        "support_ok": support_ok,
+        "coefficients_ok": coefficients_ok,
+        "holds": holds,
+    }
+
+
+def _disagreements(report, oracle):
+    """The names of the report's fields that differ from the rank-d oracle's."""
+    same = {
+        "support": report.support.tolist() == oracle["support"].tolist(),
+        "coefficients": len(report.coefficients) == len(oracle["coefficients"])
+        and report.coefficients == oracle["coefficients"],
+        "level_set": report.level_set == oracle["level_set"],
+        "level_set_measure": report.level_set_measure == oracle["level_set"].measure(),
+        "support_size": report.support_size == len(oracle["support"]),
+        "support_ok": report.support_ok == oracle["support_ok"],
+        "coefficients_ok": report.coefficients_ok == oracle["coefficients_ok"],
+        "holds": report.holds == oracle["holds"],
+    }
+    return {name for name, ok in same.items() if not ok}
+
+
+# p = 2..7 with d <= 3, and criterion 04's range: p in {2, 3, 5}, d <= 4
+_ORACLE_RANGE = sorted({(p, d) for p in range(2, 8) for d in (1, 2, 3)} | {(p, 4) for p in (2, 3, 5)})
+
+
+@pytest.mark.parametrize("p, d", _ORACLE_RANGE)
+def test_rank_1_certificate_matches_the_rank_d_oracle(monkeypatch, p, d):
+    calls = []
+    certify = uniqueness._certify
+
+    def recording(*args):
+        calls.append((args, certify(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(uniqueness, "_certify", recording)
+    witness_unit_chaos(p, d)
+    witness_full_chaos(p, d)
+    assert len(calls) == 2
+    for args, report in calls:
+        assert report.holds
+        assert _disagreements(report, _rank_d_certificate(*args)) == set()
+
+
+def test_rank_1_certificate_matches_the_oracle_on_random_factors():
+    # random cyclotomic-integer cells or sparse rational expansions, expected factors
+    # right or wrong, every index-set kind (a digit pattern shorter than d forbids the
+    # top positions, a varying one all but one digit at some position) and thresholds
+    # that do or do not complement the measure
+    rng = random.Random(16)
+    for _ in range(400):
+        p, d = rng.randint(2, 5), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            nums = np.array([[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(p)] for _ in range(p)], dtype=object)
+            factor = CycloArray(p, nums)
+        else:
+            factor = vc_transform_exact([rng.choice([0, 0, 1, -1, 2]) for _ in range(p)], p, "inverse")
+        if rng.random() < 0.5:
+            expected = vc_transform_exact(factor, p)
+        else:
+            expected = CycloArray.from_values([rng.choice([0, 1, -1]) for _ in range(p)])
+        pattern = [rng.randint(1, p - 1)] * rng.randint(1, d + 1)
+        if rng.random() < 0.5:
+            pattern = [rng.randint(1, p - 1) for _ in pattern]
+        spec = rng.choice([unit_chaos(p, d), full_chaos(p, d), exact_weight(p, d), digit_pattern(p, d, pattern)])
+        oracle = _rank_d_certificate(factor, expected, spec, Fraction(0))
+        threshold = rng.choice([1 - oracle["level_set"].measure(), Fraction(1, p**d)])
+        report = uniqueness._certify(factor, expected, spec, threshold)
+        oracle = _rank_d_certificate(factor, expected, spec, threshold)
+        gap = _disagreements(report, oracle)
+        if gap:
+            # only where the rank-1 check is stricter: the expansion is u * expected, u**d = 1, u != 1
+            assert gap <= {"coefficients_ok", "holds"} and oracle["coefficients_ok"]
+            m = math.lcm(2, report.factor_coefficients.order, expected.order)
+            roots = [root_of_unity(m, j) for j in range(1, m) if j * d % m == 0]
+            assert any(report.factor_coefficients == expected * u for u in roots)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_the_rank_1_check_is_stricter_by_exactly_the_roots_of_unity(d):
+    # a factor whose expansion is u * e, u a primitive cube root of unity: the rank-d
+    # expansion equals e's tensor power exactly when u**d = 1, i.e. when 3 divides d,
+    # and the rank-1 check refuses it at every d
+    p, e = 3, CycloArray.from_values([1, -1, 0])
+    factor = (1 - CycloArray.roots(p, np.arange(p))) * root_of_unity(3)
+    spec, threshold = unit_chaos(p, d), Fraction(p - 1, p) ** d
+    report = uniqueness._certify(factor, e, spec, threshold)
+    oracle = _rank_d_certificate(factor, e, spec, threshold)
+    assert report.factor_coefficients == e * root_of_unity(3)
+    assert not report.coefficients_ok and not report.holds
+    assert oracle["coefficients_ok"] == oracle["holds"] == (d % 3 == 0)
+    assert _disagreements(report, oracle) == ({"coefficients_ok", "holds"} if d % 3 == 0 else set())
 
 
 def test_witness_pair_runtime_p2_d12():
