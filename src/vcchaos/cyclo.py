@@ -266,8 +266,15 @@ class CycloArray:
         """(n, deg Phi_order) integer residues mod Phi_order over denom.
 
         Rows of one array are equal values exactly when their keys are equal.
+        Rows t < deg of the residue table are the unit vectors x**t, so only
+        the order - deg numerator columns past them are multiplied out: one
+        at a prime order, none at order 1.
         """
-        return self.nums @ _power_residues(self.order)
+        residues = _power_residues(self.order)
+        deg = residues.shape[1]
+        if deg == self.order:
+            return self.nums.copy()
+        return self.nums[:, :deg] + self.nums[:, deg:] @ residues[deg:]
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(labels, first): a class label per row and the first row of each class.

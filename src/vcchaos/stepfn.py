@@ -6,7 +6,7 @@ operations, integrals, even-q norms, level sets and distributions are
 whole-array integer operations and exact.  PArySet stores a union of rank-k
 cells as one read-only 0/1 array over the cells (cell m at index m) and always
 keeps the canonical minimal-rank form, which makes set equality structural.
-Every view of a set (its cells, its bits at a finer rank, its indicator) reads
+Every view of a set (its cells, its bits at a finer rank, its measure) reads
 that array, so each view is linear in the cell count; overlap_counts counts
 twice-covered cells of whole families of sets as one 0/1 array.  Two
 lemmas that verify checks are built from these types: symmetric_decomposition
@@ -193,10 +193,6 @@ class PArySet:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def full(cls, p: int) -> "PArySet":
-        return cls(p, 0, [1])
-
-    @classmethod
     def from_cells(cls, p: int, rank: int, cells: Iterable[int]) -> "PArySet":
         size = check_rank(p, rank)
         cells = list(cells)
@@ -219,10 +215,6 @@ class PArySet:
 
     def measure(self) -> Fraction:
         return Fraction(np.count_nonzero(self.bits), len(self.bits))
-
-    def indicator(self) -> StepFn:
-        # uint8 bits pick rows 0 and 1; bool bits would act as a row mask instead
-        return StepFn(self.p, self.rank, CycloArray.from_values([0, 1])[self.bits])
 
     def __eq__(self, other):
         if not isinstance(other, PArySet):

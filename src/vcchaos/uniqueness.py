@@ -54,6 +54,7 @@ class SharpnessReport:
         self.threshold = threshold
         self.support_ok = support_ok
         self.coefficients_ok = coefficients_ok
+        self._nonzero_cells, self._nonzero_coefficients = ~factor.is_zero(), ~factor_coefficients.is_zero()
 
     @property
     def coefficients(self) -> CycloArray:
@@ -61,28 +62,27 @@ class SharpnessReport:
 
     @property
     def support(self) -> np.ndarray:
-        return np.flatnonzero(_tensor_power(self.index_set.order, ~self.factor_coefficients.is_zero()))
+        return np.flatnonzero(_tensor_power(self.index_set.order, self._nonzero_coefficients))
 
     @property
     def level_set(self) -> PArySet:
         from .stepfn import PArySet
 
-        nonzero = _tensor_power(self.index_set.order, ~self.factor.is_zero())
-        return PArySet(self.index_set.p, self.index_set.order, ~nonzero)
+        zero_cells = ~_tensor_power(self.index_set.order, self._nonzero_cells)
+        return PArySet(self.index_set.p, self.index_set.order, zero_cells)
 
     @property
     def support_size(self) -> int:
-        return int((~self.factor_coefficients.is_zero()).sum()) ** self.index_set.order
+        return int(self._nonzero_coefficients.sum()) ** self.index_set.order
 
     @property
     def level_set_measure(self) -> Fraction:
-        return 1 - Fraction(int((~self.factor.is_zero()).sum()), self.index_set.p) ** self.index_set.order
+        return 1 - Fraction(int(self._nonzero_cells.sum()), self.index_set.p) ** self.index_set.order
 
     @property
     def holds(self) -> bool:
-        nonzero_index = bool((~self.factor_coefficients.is_zero())[1:].any())
-        measure_ok = self.level_set_measure + self.threshold == 1
-        return measure_ok and nonzero_index and self.support_ok and self.coefficients_ok
+        parts_ok = self.support_ok and self.coefficients_ok and self._nonzero_coefficients[1:].any()
+        return bool(parts_ok) and self.level_set_measure + self.threshold == 1
 
 
 def _check_order(p: int, d: int) -> None:

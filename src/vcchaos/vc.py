@@ -256,8 +256,9 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     of p, as integer numerators over one denominator: a (cells, r) array.
     Multiplying by w_p**e rotates the ring axis by e * r / p, so a stage is
     a gather, out[.., a, .., s] = sum_b in[.., b, .., (s - shift[a, b]) mod r]
-    with shift[a, b] = sign * a * b * r / p: O(p * cells * r) work, and
-    temporaries the size of the array.
+    with shift[a, b] = sign * a * b * r / p: O(p * cells * r) work.  Input
+    digit b gathers with its own (p, r) rotation rows, so no temporary
+    exceeds the stage's output, the size of the array.
     """
     from .cyclo import CycloArray, _rotations
 
@@ -268,20 +269,19 @@ def vc_transform_exact(values, p: int, direction: str = "forward") -> CycloArray
     length = len(vals)
     k = _length_rank(length, p)
     sign = -1 if direction == "forward" else 1
-    # gather[a, b, s] = (s - shift[a, b]) mod order, shift[a, b] = sign * a * b * order / p
-    gather = _rotations(order)[sign * np.outer(np.arange(p), np.arange(p)) * (order // p) % order]
+    # shift[a, b] = sign * a * b * order / p is symmetric: row b holds input digit b's shift for every a
+    shift = sign * np.outer(np.arange(p), np.arange(p)) * (order // p) % order
     # a stage sums p rotated entries, so no sum exceeds max|nums| * p**k: when
     # that fits in int64 the stages run on machine integers, else on Python ints
     peak = max(map(abs, vals.nums.ravel().tolist()), default=0)
     dtype = np.int64 if peak * length <= np.iinfo(np.int64).max else object
-    nums = np.zeros((length, order), dtype=dtype)
-    nums[:, :: order // vals.order] = vals.nums
+    nums, rotations = vals.promote(order).nums.astype(dtype), _rotations(order)
 
     def stage(t):
-        # t[b] is (M, order); t[b][:, gather[:, b]] is (M, p, order), every a at once
-        out = t[0][:, gather[:, 0]]
+        # t[b] is (M, order) and its rotation rows (p, order), so each gather is (M, p, order)
+        out = t[0][:, rotations[shift[0]]]
         for b in range(1, p):
-            out += t[b][:, gather[:, b]]
+            out += t[b][:, rotations[shift[b]]]
         return out
 
     out = _radix_p(nums, p, k, stage).astype(object)

@@ -496,6 +496,9 @@ def test_failed_witness_certificate_exits_1(monkeypatch, tmp_path):
         (2, 20, ("1048575/1048576", 1048576, "1/1048576"), ("1048575/1048576", 1048576, "1/1048576")),
         # 10**7 cells, the default cell cap
         (10, 7, ("5217031/10000000", 128, "4782969/10000000"), ("9999999/10000000", 10000000, "1/10000000")),
+        # large bases at d = 1: each witness is its rank-1 factor itself
+        (97, 1, ("1/97", 2, "96/97"), ("96/97", 97, "1/97")),
+        (150, 1, ("1/150", 2, "149/150"), ("149/150", 150, "1/150")),
     ],
 )
 def test_sharpness_values_golden(tmp_path, p, d, unit, full):

@@ -451,6 +451,23 @@ def test_product_is_the_schoolbook_cyclic_convolution(data):
     assert a.rotated(j).nums.tolist() == [[u[(k - j) % r] for k in range(r)] for u in rows_a]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_keys_skip_the_identity_block_of_the_residue_table(data):
+    # rows t < deg Phi_r of the table are the unit vectors x**t, so keys() multiplies
+    # out only the columns past them; its keys must be the whole product's, at prime,
+    # prime-power and composite orders alike, with numerators past int64
+    r = data.draw(st.integers(1, 40), label="order")
+    count = data.draw(st.integers(0, 4), label="rows")
+    ints = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+    nums = np.array([[data.draw(ints) for _ in range(r)] for _ in range(count)], dtype=object)
+    nums = nums.reshape(count, r)
+    keys = CycloArray(r, nums).keys()
+    assert keys.shape == (count, len(cyclotomic_polynomial(r)) - 1)
+    assert keys.tolist() == (nums @ _power_residues(r)).tolist()
+    assert not np.shares_memory(keys, nums)
+
+
 # -- classes: one label per distinct value ------------------------------------------
 
 

@@ -75,7 +75,7 @@ def test_level_set_examples():
     assert prod.level_set(0).measure() == Fraction(8, 9)
 
     const = StepFn.constant(5, root_of_unity(5))
-    assert const.level_set(root_of_unity(5)) == PArySet.full(5)
+    assert const.level_set(root_of_unity(5)) == PArySet(5, 0, [1])
 
 
 def test_level_sets_partition():
@@ -160,7 +160,7 @@ def test_set_views_check_the_cap_before_building_masks():
     with run_cell_cap(16):
         started = time.perf_counter()
         with pytest.raises(RankCapError):
-            PArySet.full(2).bits_at_rank(24)
+            PArySet(2, 0, [1]).bits_at_rank(24)
         with pytest.raises(RankCapError):
             PArySet(2, 22, [1])
         with pytest.raises(RankCapError):
@@ -172,7 +172,7 @@ def test_canonical_minimal_rank():
     fine = PArySet.from_cells(2, 3, range(4))  # [0, 1/2) written with 8 cells
     assert fine.rank == 1
     assert fine == PArySet(2, 1, [1, 0])  # [0, 1/2)
-    assert PArySet.from_cells(3, 2, range(9)) == PArySet.full(3)
+    assert PArySet.from_cells(3, 2, range(9)) == PArySet(3, 0, [1])
 
 
 def test_constructor_takes_one_bit_per_cell():
@@ -300,7 +300,7 @@ def test_reduction_is_linear_in_the_cells():
     whole = PArySet(2, 18, full)
     assert time.perf_counter() - started < 0.1
     assert s.rank == 18 and s.measure() == 1 - Fraction(1, 2**18)
-    assert whole == PArySet.full(2)
+    assert whole == PArySet(2, 0, [1])
 
 
 def test_overlap_bound_property():
@@ -322,16 +322,13 @@ def test_overlap_bound_property():
 
 
 def test_indicator_and_membership():
+    # a set's indicator is its 0/1 cell array; its cells and measure read it
     s = PArySet.from_cells(3, 1, [1])  # [1/3, 2/3)
-    ind = s.indicator()
-    assert ind.integral() == Fraction(1, 3)
-    assert ind.values.rationals() == [0, 1, 0]
-    # the uint8 bits index rows 0 and 1 of [0, 1]; bool bits would select rows instead
-    wide = PArySet.from_cells(2, 4, [0, 9, 15]).indicator()
-    assert [m for m, x in enumerate(wide.values.rationals()) if x] == [0, 9, 15]
-    assert PArySet.from_cells(2, 1, [1]).indicator().values.rationals() == [0, 1]
-    assert PArySet.from_cells(3, 2, [1, 2, 7]).indicator().values.rationals() == [0, 1, 1, 0, 0, 0, 0, 1, 0]
-    assert s.cells() == [1]
+    assert s.bits.tolist() == [0, 1, 0] and s.cells() == [1] and s.measure() == Fraction(1, 3)
+    wide = PArySet.from_cells(2, 4, [0, 9, 15])
+    assert wide.cells() == [0, 9, 15] and wide.measure() == Fraction(3, 16)
+    assert PArySet.from_cells(2, 1, [1]).bits.tolist() == [0, 1]
+    assert PArySet.from_cells(3, 2, [1, 2, 7]).bits.tolist() == [0, 1, 1, 0, 0, 0, 0, 1, 0]
 
 
 def _overlap_loop(sets):

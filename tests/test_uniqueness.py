@@ -110,6 +110,22 @@ def test_witnesses_build_only_rank_1_factors(monkeypatch, tmp_path, p, d):
     assert orders == [p, 1]
 
 
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 5), (7, 2), (30, 1)])
+def test_a_sharpness_run_zero_tests_each_row_once(monkeypatch, tmp_path, p, d):
+    # per witness: the factor's expansion against its support and against the
+    # expected row, then the report's two zero masks, which every view reads
+    calls = []
+    keys = CycloArray.keys
+
+    def counted(self):
+        calls.append(len(self))
+        return keys(self)
+
+    monkeypatch.setattr(CycloArray, "keys", counted)
+    assert main(["sharpness", "--p", str(p), "--d", str(d), "--out", str(tmp_path / "sharp.json")]) == 0
+    assert len(calls) <= 8 and max(calls) <= p
+
+
 def _rank_d_certificate(factor, expected, spec, threshold):
     """The certificate computed on the p**d grid, cell by cell: a brute-force oracle.
 
@@ -321,7 +337,7 @@ def test_literal_zero_set_of_shifted_witness_differs():
 
 def test_overlap_bound_examples():
     p = 3
-    full = [PArySet.full(p)] * p
+    full = [PArySet(p, 0, [1])] * p
     h_measure, bound, holds = overlap_bound_check(full)
     assert h_measure == bound == 1 and holds
 
@@ -345,7 +361,7 @@ def test_overlap_bound_randomized_audit():
 
 def test_overlap_bound_validation():
     with pytest.raises(ValueError):
-        overlap_bound_check([PArySet.full(3)] * 2)  # base 3 needs 3 sets
+        overlap_bound_check([PArySet(3, 0, [1])] * 2)  # base 3 needs 3 sets
     with pytest.raises(ValueError):
         overlap_bound_check([])
 

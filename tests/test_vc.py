@@ -374,6 +374,20 @@ def test_exact_transform_at_the_int64_bound():
     assert total == 8 * (limit // 8) and all(c == 0 for c in rest)
 
 
+def test_exact_transform_builds_no_table_larger_than_a_stage():
+    # each stage gathers input digit b by its own (p, r) rotation rows: at
+    # p = r = 150 a (p, p, r) table of every digit's rows alone takes 27 MB
+    factor = 1 - CycloArray.roots(150, range(150))
+    tracemalloc.start()
+    try:
+        coeffs = vc_transform_exact(factor, 150)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert coeffs == CycloArray.from_values([1, -1] + [0] * 148)
+
+
 def test_transform_examples():
     # p**d * indicator of the first cell expands with all-ones coefficients
     for p, d in [(2, 2), (3, 1), (5, 1)]:
